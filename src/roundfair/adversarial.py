@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize as _nm_minimize
 
 from .algorithms import Algorithm
 from .core import Instance, validate_instance
@@ -189,6 +188,8 @@ def minimize_alpha(
     """
     if grid_step <= 0 or refine_tol <= 0:
         raise OutOfRange("grid_step and refine_tol must be positive")
+    from scipy.optimize import minimize  # loaded on first use: it dominates import time
+
     axes = []
     for lo, hi in objective.bounds:
         start, stop = lo + objective.margin, hi - objective.margin
@@ -235,7 +236,7 @@ def minimize_alpha(
             return 1e9
         return val if math.isfinite(val) else 1e9
 
-    res = _nm_minimize(
+    res = minimize(
         penalized,
         x0,
         method="Nelder-Mead",
@@ -328,6 +329,8 @@ def guard_ratio_ceiling(p: float) -> float:
     """
     if p <= 2.0:
         raise DomainError(f"the guard cannot bind at the end of round 1 for p <= 2, got {p!r}")
+
+    from scipy.optimize import brentq  # loaded on first use: it dominates import time
 
     def h(x: float) -> float:
         return 2.0 * x ** (p - 1.0) - x**p - 1.0

@@ -143,16 +143,16 @@ def _pair_fractions(a: float, b: float, p: float) -> tuple[float, float]:
     return wa / s, wb / s
 
 
-def _trip_candidates(u, rem, a: float, b: float, p: float):
+def _trip_candidates(u, rem, a: float, b: float, x1: float, x2: float):
     """Smallest in-round fractions at which each agent's guard condition binds.
 
-    For agent i, utility accrues at rate ``share_i`` while the item is split
-    by the power rule, so after a fraction f of the round her utility plus all
-    value still to come equals ``u_i + rem_i - f * (v_i - share_i)``.  Setting
-    that to 1/2 is linear in f.  Only strictly decreasing surpluses can cross,
-    and a computed crossing within TRIP_SLACK of [0, 1] is clamped inside.
+    ``x1`` and ``x2`` are the power rule's shares of the round's values ``a``
+    and ``b``.  For agent i, utility accrues at rate ``share_i`` while the item
+    is split by the power rule, so after a fraction f of the round her utility
+    plus all value still to come equals ``u_i + rem_i - f * (v_i - share_i)``.
+    Setting that to 1/2 is linear in f.  Only strictly decreasing surpluses can
+    cross, and a computed crossing within TRIP_SLACK of [0, 1] is clamped inside.
     """
-    x1, x2 = _pair_fractions(a, b, p)
     out = []
     for i, (v, x) in enumerate(((a, x1), (b, x2))):
         slope = v - v * x
@@ -183,7 +183,7 @@ def critical_fraction(
         raise ValidationError("state has already tripped")
     a, b = float(round_values[0]), float(round_values[1])
     candidates = _trip_candidates(
-        state.utility_so_far, state.remaining_value, a, b, p
+        state.utility_so_far, state.remaining_value, a, b, *_pair_fractions(a, b, p)
     )
     if not candidates:
         return None
@@ -213,24 +213,19 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     u = [0.0, 0.0]
     rem = [1.0, 1.0]
     event = None
-    for t in range(T):
-        a, b = float(values[t, 0]), float(values[t, 1])
-        candidates = _trip_candidates(u, rem, a, b, p)
+    for t, row in enumerate(values):
+        a, b = row.tolist()
+        x1, x2 = _pair_fractions(a, b, p)
+        candidates = _trip_candidates(u, rem, a, b, x1, x2)
         if candidates:
             f, i = min(candidates)
             j = 1 - i
-            x1, x2 = _pair_fractions(a, b, p)
             xi, xj = (x1, x2) if i == 0 else (x2, x1)
-            vi, vj = (a, b) if i == 0 else (b, a)
             fractions[t, i] = f * xi + (1.0 - f)
             fractions[t, j] = f * xj
-            u[i] += f * vi * xi + (1.0 - f) * vi
-            u[j] += f * vj * xj
             fractions[t + 1 :, i] = 1.0
-            u[i] += float(values[t + 1 :, i].sum())
             event = CriticalEvent(round_index=t, fraction=f, agent=i)
             break
-        x1, x2 = _pair_fractions(a, b, p)
         fractions[t, 0] = x1
         fractions[t, 1] = x2
         u[0] += a * x1

@@ -30,12 +30,6 @@ ENTRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A T x n matrix of round valuations; ``values[t][i]`` is agent i's value in round t."""
@@ -148,21 +142,29 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     if require_normalized and not normalized:
         agent = int(np.argmax(off))
         raise NotNormalized(agent, float(totals[agent]))
-    return Instance(values=_readonly(matrix), normalized=normalized)
+    matrix.setflags(write=False)
+    return Instance(values=matrix, normalized=normalized)
 
 
 def validate_allocation(fractions) -> Allocation:
-    """Check fraction bounds and per-round sums, and wrap as an :class:`Allocation`."""
+    """Check fraction bounds and per-round sums, and wrap as an :class:`Allocation`.
+
+    The matrix is copied once and frozen.  Entries must be finite and lie in
+    [0, 1] within ``ENTRY_TOL``; each round may allocate at most 1 within
+    ``ROW_SUM_TOL``.
+    """
     matrix = np.array(fractions, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
-    if np.any(matrix < -ENTRY_TOL) or np.any(matrix > 1.0 + ENTRY_TOL):
-        raise ValidationError("allocation entries must lie in [0, 1]")
+    # min and max propagate NaN, and every comparison with NaN is False.
+    if not (matrix.min() >= -ENTRY_TOL and matrix.max() <= 1.0 + ENTRY_TOL):
+        raise ValidationError("allocation entries must be finite and lie in [0, 1]")
     row_sums = matrix.sum(axis=1)
-    if np.any(row_sums > 1.0 + ROW_SUM_TOL):
-        t = int(np.argmax(row_sums))
+    t = int(row_sums.argmax())
+    if row_sums[t] > 1.0 + ROW_SUM_TOL:
         raise ValidationError(f"round {t} allocates {row_sums[t]!r} > 1")
-    return Allocation(fractions=_readonly(matrix))
+    matrix.setflags(write=False)
+    return Allocation(fractions=matrix)
 
 
 def two_round_symmetric(v11: float) -> Instance:

@@ -2,14 +2,13 @@
 
 Includes the doomsday feasibility test: a mid-run state passes when a single
 allocation of each agent's entire remaining value could still lift everyone to
-a 1/n utility share.  An online rule preserves fair-share exactly when every
-round of every run passes this test.
+a 1/n utility share, within the audit tolerance.  An online rule preserves
+fair-share exactly when every round of every run passes this test.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import Allocation, Instance, RunTrace, Verdict
 from .errors import DimensionMismatch, ShapeMismatch
@@ -72,19 +71,36 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     )
 
 
+def _doomsday_ok(u: np.ndarray, rem: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """The doomsday test on every state at once: one bool per row of ``(..., n)`` arrays.
+
+    Agent i needs the minimal share ``max(d_i - tol, 0) / rem_i`` of a last
+    round, where ``d_i = 1/n - u_i`` is agent i's deficit.  A state passes
+    when no agent has a deficit above ``tol`` with nothing left to come and
+    those shares sum to at most 1.
+    """
+    deficit = 1.0 / n - u
+    need = np.maximum(deficit - tol, 0.0)
+    live = rem > 0.0
+    shares = np.divide(need, rem, out=np.zeros_like(need), where=live)
+    stranded = (need > 0.0) & ~live
+    return (shares.sum(axis=-1) <= 1.0) & ~stranded.any(axis=-1)
+
+
 def doomsday_compatible(
     utilities_so_far, remaining_values, n: int, tol: float = DEFAULT_TOL
 ) -> bool:
     """Can one last round carrying all remaining value still rescue fair-share?
 
     Feasibility asks for nonnegative shares x with sum at most 1 such that
-    ``u_i + remaining_i * x_i >= 1/n`` for all i.  The minimal share for a
-    deficit agent is her deficit over her remaining value, so the test is the
-    closed form: impossible when an agent has a real deficit but nothing left
-    to come, else feasible exactly when those minimal shares sum to at most 1.
-    Deficits within ``tol`` count as already met whatever remains; otherwise a
-    roundoff-sized deficit against a roundoff-sized remainder would blow up
-    the share sum even though fair-share holds within the same tolerance.
+    ``u_i + remaining_i * x_i >= 1/n - tol`` for all i, the same slack on the
+    utility scale that :func:`audit` allows.  The minimal share for a deficit
+    agent is the shortfall beyond ``tol`` over the agent's remaining value, so
+    the test is the closed form: impossible when an agent lacks more than
+    ``tol`` but has nothing left to come, else feasible exactly when those
+    minimal shares sum to at most 1.  Putting the slack on the utilities rather than on the share
+    sum keeps a roundoff-sized deficit against a small remainder from failing
+    a state that fair-share accepts.
     """
     u = np.asarray(utilities_so_far, dtype=float)
     rem = np.asarray(remaining_values, dtype=float)
@@ -92,15 +108,7 @@ def doomsday_compatible(
         raise DimensionMismatch(
             f"expected {n} utilities and remaining values, got {u.shape} and {rem.shape}"
         )
-    deficits = 1.0 / n - u
-    total = 0.0
-    for d, r in zip(deficits, rem):
-        if d <= tol:
-            continue
-        if r <= 0.0:
-            return False
-        total += float(d) / float(r)
-    return total <= 1.0 + tol
+    return bool(_doomsday_ok(u, rem, n, tol))
 
 
 def doomsday_witness(utilities_so_far, remaining_values, n: int) -> np.ndarray:
@@ -143,13 +151,9 @@ def doomsday_trace(
     """Apply the doomsday test to the state after every round of a run."""
     if trace.cumulative_utility.shape != instance.values.shape:
         raise ShapeMismatch("trace does not match this instance")
-    n = instance.n
-    return [
-        doomsday_compatible(
-            trace.cumulative_utility[t], trace.remaining_value[t], n, tol
-        )
-        for t in range(instance.num_rounds)
-    ]
+    return _doomsday_ok(
+        trace.cumulative_utility, trace.remaining_value, instance.n, tol
+    ).tolist()
 
 
 def offline_fair_share_welfare(instance: Instance) -> float:
@@ -159,6 +163,8 @@ def offline_fair_share_welfare(instance: Instance) -> float:
     utility with per-round sums at most 1 and every agent held at or above a
     1/n share of her own total value.
     """
+    from scipy.optimize import linprog  # loaded on first use: it dominates import time
+
     V = instance.values
     T, n = V.shape
     c = -V.reshape(-1)  # variables x[t, i], row-major

@@ -16,6 +16,17 @@ def random_instances(seed, count, n=2, max_rounds=20):
     return [random_instance(rng, n=n, max_rounds=max_rounds) for _ in range(count)]
 
 
+def late_trip_values(rng, rounds):
+    """Two agents where agent 1 slightly out-values agent 0 on the first 90%
+    of rounds and wants nothing after; agent 0 is near uniform.  For p >= 2.7
+    agent 0's guard binds late in that first stretch."""
+    stretch = int(0.9 * rounds)
+    a = rng.gamma(200.0, size=rounds)
+    b = rng.gamma(200.0, size=rounds)
+    b[stretch:] = 0.0
+    return np.column_stack([a / a.sum(), b / b.sum()])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

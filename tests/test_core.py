@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import roundfair
 from roundfair import (
     three_round_cp,
     two_round_symmetric,
@@ -81,6 +86,23 @@ class TestValidateAllocation:
         with pytest.raises(ValidationError):
             validate_allocation([[1.2, -0.2]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            validate_allocation([[bad, 0.5], [0.5, 0.5]])
+
+    def test_copies_once_and_freezes(self):
+        raw = np.array([[0.25, 0.75], [0.5, 0.5]])
+        alloc = validate_allocation(raw)
+        raw[0, 0] = 0.0
+        assert alloc.fractions[0, 0] == 0.25
+        with pytest.raises(ValueError):
+            alloc.fractions[0, 0] = 1.0
+
+    def test_names_the_oversubscribed_round(self):
+        with pytest.raises(ValidationError, match="round 1"):
+            validate_allocation([[0.5, 0.5], [0.6, 0.6], [0.7, 0.0]])
+
 
 class TestTwoRoundSymmetric:
     def test_table_point(self):
@@ -144,3 +166,15 @@ def test_three_round_cp_roundtrip(v11, v21):
     inst = three_round_cp(v11, v21, eps)
     assert validate_instance(inst.values, require_normalized=True).normalized
     assert np.all(np.abs(inst.column_totals() - 1.0) <= 1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(roundfair.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, roundfair; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 
 from roundfair import (
     GREEDY,
+    RunTrace,
     audit,
     builtin_algorithms,
     doomsday_compatible,
@@ -23,7 +24,7 @@ from roundfair import (
     validate_instance,
 )
 from roundfair.errors import DimensionMismatch, ShapeMismatch
-from conftest import random_instance
+from conftest import late_trip_values, random_instance
 
 
 ORTHOGONAL = validate_instance([[1, 0], [0, 1]])
@@ -138,6 +139,18 @@ class TestDoomsdayCompatible:
         with pytest.raises(DimensionMismatch):
             doomsday_compatible([0.5, 0.5, 0.5], [0.1, 0.1], 2)
 
+    def test_slack_is_on_the_utility_scale(self):
+        # The deficit exceeds the small remainder by roundoff only: a last
+        # round lifts agent 0 to within tol of 1/2, which fair-share accepts.
+        rem = 1e-5
+        assert doomsday_compatible([0.5 - rem * (1 + 2e-9), 0.6], [rem, 0.1], 2, 1e-9)
+        # Short by more than tol on the utility scale fails, however small.
+        assert not doomsday_compatible([0.5 - rem - 2e-9, 0.6], [rem, 0.1], 2, 1e-9)
+        # No second slack on the share sum: a lone share of 1 + 5e-10 fails.
+        rem = (0.5 - 1e-9) / (1 + 5e-10)
+        assert not doomsday_compatible([0.0, 0.6], [rem, 0.1], 2, 1e-9)
+        assert doomsday_compatible([0.0, 0.6], [rem * (1 + 1e-9), 0.1], 2, 1e-9)
+
     def test_matches_grid_oracle(self, rng):
         # exhaustive one-round allocations at resolution 1/4000 for n = 2
         grid = np.linspace(0.0, 1.0, 4001)
@@ -204,6 +217,52 @@ class TestDoomsdayTrace:
         other = random_instance(rng, min_rounds=4, max_rounds=4)
         with pytest.raises(ShapeMismatch):
             doomsday_trace(other, run_poly(inst, 1), 1e-9)
+
+    @pytest.mark.parametrize("seed", [9, 19, 20])
+    def test_late_trip_on_long_horizon_stays_compatible(self, seed):
+        # The tripped agent ends a hair below 1/2 from cumsum roundoff, and
+        # late in the run that deficit rivals the agent's ~1e-5 remaining value.
+        values = late_trip_values(np.random.default_rng(seed), 100_000)
+        inst = validate_instance(values, require_normalized=True)
+        trace = run_guarded(inst, 2.7)
+        assert trace.critical_event is not None
+        assert trace.cumulative_utility[-1].min() == pytest.approx(0.5, abs=1e-12)
+        assert all(doomsday_trace(inst, trace, 1e-9))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 25])
+    def test_trace_agrees_with_scalar_test_and_loop(self, rng, n):
+        tol = 1e-9
+        T = 400
+        inst = validate_instance(rng.dirichlet(np.ones(T), size=n).T)
+        remaining = rng.uniform(0.01, 1.0, size=(T, n))
+        # Real deficits whose minimal shares sum to about 0.5-2 per state,
+        # mixed with agents above 1/n and deficits within +-2 tol.
+        scale = rng.uniform(0.5, 2.0, size=(T, 1))
+        deficit = rng.dirichlet(np.ones(n), size=T) * scale * remaining
+        deficit[rng.random((T, n)) < 0.2] = -0.1
+        near = rng.random((T, n)) < 0.2
+        deficit[near] = rng.uniform(-2 * tol, 2 * tol, size=near.sum())
+        # Every fourth state has one agent with nothing left to come.
+        remaining[::4, 0] = 0.0
+        trace = RunTrace(
+            allocation=validate_allocation(np.full((T, n), 1.0 / n)),
+            cumulative_utility=1.0 / n - deficit,
+            remaining_value=remaining,
+        )
+        flags = doomsday_trace(inst, trace, tol)
+        assert len(flags) == T and set(flags) <= {True, False}
+        for t in range(T):
+            u, rem = trace.cumulative_utility[t], remaining[t]
+            assert flags[t] == doomsday_compatible(u, rem, n, tol)
+            # reference: the closed form as a loop over agents
+            load, stranded = 0.0, False
+            for d, r in zip(1.0 / n - u, rem):
+                if d > tol:
+                    stranded |= r <= 0.0
+                    load += (d - tol) / r if r > 0.0 else 0.0
+            if abs(load - 1.0) > 1e-12:
+                assert flags[t] == (not stranded and load <= 1.0), (t, u, rem)
+        assert 0 < sum(flags) < T
 
 
 class TestDoomsdayMaintenance:

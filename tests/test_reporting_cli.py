@@ -232,6 +232,19 @@ class TestCli:
         )
         assert code == 3
 
+    def test_verify_nan_allocation_exits_2(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.txt"
+        inst_path.write_text("2 2\n0.5 0.5\n0.5 0.5\n")
+        alloc_path = tmp_path / "alloc.txt"
+        alloc_path.write_text("2 2\nnan 0.5\n0.5 0.5\n")
+        code = main(
+            ["verify", "--instance", str(inst_path), "--allocation", str(alloc_path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_verify_parse_error_exits_2(self, tmp_path):
         inst_path = tmp_path / "inst.txt"
         inst_path.write_text("garbage\n")
