@@ -36,6 +36,44 @@ CLOSED_FORM_SLACK = 1e-3
 
 # ---------------------------------------------------------------------------
 # closed-form welfare ratios
+#
+# Each ratio has one arithmetic body written with plain operators, so the same
+# code runs on floats (the public ``alpha_*`` functions, which add the domain
+# checks) and on broadcasting arrays (the objectives' grid scans, which mask
+# infeasible points with NaN instead).
+
+
+def _proportional_ratio(v1, v2):
+    return 2.0 * (1.0 + 2.0 * v1 * v2 - v1 - v2) / (
+        (1.0 - (v1 - v2) ** 2) * (v1 + v2)
+    )
+
+
+def _poly_two_round_ratio(p, v1, v2):
+    a = ((1.0 - v1) ** (p + 1) + v2 ** (p + 1)) / ((1.0 - v1) ** p + v2**p)
+    b = ((1.0 - v2) ** (p + 1) + v1 ** (p + 1)) / ((1.0 - v2) ** p + v1**p)
+    return (a + b) / (v1 + v2)
+
+
+def _cp1_ratio(p, lambda1):
+    lp = lambda1**p
+    return (lp + lp * lambda1) / (3.0 * lp - 1.0)
+
+
+def _cp2_ratio(p, lambda1, lambda2, mixed: bool):
+    """Trip-at-round-2 ratio with the round values implied by the tight utility
+    and exhaustion conditions.  Returns (ratio, v1, v2, v3, denominator); the
+    construction is singular where the denominator is not positive."""
+    l1p = lambda1**p
+    l2p = lambda2**p
+    l2q = lambda2 ** (p - 1.0)
+    den = l1p * (1.0 + l2p) - lambda1 * l2q * (1.0 + l1p)
+    v1 = (1.0 + l2p - 2.0 * l2q) * (1.0 + l1p) / (2.0 * den)
+    v2 = (1.0 - v1 * lambda1) / lambda2
+    v3 = 1.0 - v1 - v2
+    alg = 0.5 + v1 * lambda1 * l1p / (1.0 + l1p) + v2 * lambda2 * l2p / (1.0 + l2p)
+    opt = 2.0 - v1 - v2 * lambda2 if mixed else 2.0 - v1 - v2
+    return alg / opt, v1, v2, v3, den
 
 
 def alpha_proportional(v1: float, v2: float) -> float:
@@ -46,9 +84,7 @@ def alpha_proportional(v1: float, v2: float) -> float:
     """
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 >= 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 >= 1, got ({v1!r}, {v2!r})")
-    return 2.0 * (1.0 + 2.0 * v1 * v2 - v1 - v2) / (
-        (1.0 - (v1 - v2) ** 2) * (v1 + v2)
-    )
+    return _proportional_ratio(v1, v2)
 
 
 def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
@@ -57,9 +93,7 @@ def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
-    a = ((1.0 - v1) ** (p + 1) + v2 ** (p + 1)) / ((1.0 - v1) ** p + v2**p)
-    b = ((1.0 - v2) ** (p + 1) + v1 ** (p + 1)) / ((1.0 - v2) ** p + v1**p)
-    return (a + b) / (v1 + v2)
+    return _poly_two_round_ratio(p, v1, v2)
 
 
 def alpha_guarded_cp1(p: float, lambda1: float) -> float:
@@ -72,26 +106,28 @@ def alpha_guarded_cp1(p: float, lambda1: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    lp = lambda1**p
-    return (lp + lp * lambda1) / (3.0 * lp - 1.0)
+    return _cp1_ratio(p, lambda1)
 
 
-def _cp2_rounds(p: float, lambda1: float, lambda2: float):
-    """Round values implied by a trip at the end of round 2, from the tight
-    utility and exhaustion conditions.  Returns (v1, v2, v3, denominator)."""
-    l1p = lambda1**p
-    l2p = lambda2**p
-    l2q = lambda2 ** (p - 1)
-    den = l1p * (1.0 + l2p) - lambda1 * l2q * (1.0 + l1p)
+def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: float):
+    """Scalar :func:`_cp2_ratio` with its singular and infeasible points
+    rejected: round values more than ``slack`` below zero mean no instance
+    realizes the point.  Returns (ratio, v1, v2, v3)."""
+    try:
+        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, mixed)
+    except ZeroDivisionError:  # floats raise where arrays give inf: singular
+        den = 0.0
     if den <= 0.0:
         raise DomainError(
             f"singular construction at ({lambda1!r}, {lambda2!r}): "
             "the tight conditions admit no solution here"
         )
-    v1 = (1.0 + l2p - 2.0 * l2q) * (1.0 + l1p) / (2.0 * den)
-    v2 = (1.0 - v1 * lambda1) / lambda2
-    v3 = 1.0 - v1 - v2
-    return v1, v2, v3, den
+    if v1 < -slack or v2 < -slack or v3 < -slack:
+        raise InfeasibleClosedForm(
+            f"derived rounds ({v1!r}, {v2!r}, {v3!r}) are negative at "
+            f"({lambda1!r}, {lambda2!r})"
+        )
+    return ratio, v1, v2, v3
 
 
 def alpha_guarded_cp2(
@@ -123,21 +159,7 @@ def alpha_guarded_cp2(
             )
     else:
         raise DomainError(f"unknown subcase {subcase!r}")
-
-    v1, v2, v3, _ = _cp2_rounds(p, lambda1, lambda2)
-    if v1 < -slack or v2 < -slack or v3 < -slack:
-        raise InfeasibleClosedForm(
-            f"derived rounds ({v1!r}, {v2!r}, {v3!r}) are negative at "
-            f"({lambda1!r}, {lambda2!r})"
-        )
-    l1p = lambda1**p
-    l2p = lambda2**p
-    alg = 0.5 + v1 * lambda1 * l1p / (1.0 + l1p) + v2 * lambda2 * l2p / (1.0 + l2p)
-    if subcase == "mixed":
-        opt = 2.0 - v1 - v2 * lambda2
-    else:
-        opt = 2.0 - v1 - v2
-    return alg / opt
+    return _cp2_point(p, lambda1, lambda2, subcase == "mixed", slack)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +168,7 @@ def alpha_guarded_cp2(
 
 @dataclass(frozen=True)
 class AlphaObjective:
-    """A named ratio function over an open box, with optional grid evaluation.
+    """A named ratio function over an open box, on points and on grids.
 
     ``evaluate`` raises DomainError outside the feasible set;
     ``evaluate_grid`` takes meshgrid coordinate arrays and returns ratios with
@@ -157,7 +179,7 @@ class AlphaObjective:
     name: str
     bounds: tuple[tuple[float, float], ...]
     evaluate: Callable[[Sequence[float]], float]
-    evaluate_grid: Callable[..., np.ndarray] | None = None
+    evaluate_grid: Callable[..., np.ndarray]
     p: float | None = None
     margin: float = 1e-6
 
@@ -186,7 +208,7 @@ def minimize_alpha(
     the best grid point runs until the point moves less than ``refine_tol``.
     Fully deterministic.
     """
-    if grid_step <= 0 or refine_tol <= 0:
+    if not (grid_step > 0 and refine_tol > 0):
         raise OutOfRange("grid_step and refine_tol must be positive")
     from scipy.optimize import minimize  # loaded on first use: it dominates import time
 
@@ -201,19 +223,8 @@ def minimize_alpha(
         axes.append(ax)
 
     mesh = np.meshgrid(*axes, indexing="ij")
-    if objective.evaluate_grid is not None:
-        with np.errstate(all="ignore"):
-            grid_vals = np.asarray(objective.evaluate_grid(*mesh), dtype=float)
-    else:
-        grid_vals = np.empty(mesh[0].shape)
-        flat = [m.reshape(-1) for m in mesh]
-        out = grid_vals.reshape(-1)
-        for k in range(out.size):
-            point = tuple(f[k] for f in flat)
-            try:
-                out[k] = objective.evaluate(point)
-            except DomainError:
-                out[k] = math.nan
+    with np.errstate(all="ignore"):
+        grid_vals = np.asarray(objective.evaluate_grid(*mesh), dtype=float)
     evaluations = grid_vals.size
     if np.all(np.isnan(grid_vals)):
         raise EmptyDomain(f"objective {objective.name!r} has no feasible grid point")
@@ -266,9 +277,7 @@ def proportional_objective() -> AlphaObjective:
     """Ratio of the proportional rule over the crossed two-round family."""
 
     def grid(v1, v2):
-        num = 2.0 * (1.0 + 2.0 * v1 * v2 - v1 - v2)
-        den = (1.0 - (v1 - v2) ** 2) * (v1 + v2)
-        out = num / den
+        out = _proportional_ratio(v1, v2)
         out[v1 + v2 < 1.0] = np.nan
         return out
 
@@ -287,9 +296,7 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
         raise DomainError(f"need p > 0, got {p!r}")
 
     def grid(v1, v2):
-        a = ((1.0 - v1) ** (p + 1) + v2 ** (p + 1)) / ((1.0 - v1) ** p + v2**p)
-        b = ((1.0 - v2) ** (p + 1) + v1 ** (p + 1)) / ((1.0 - v2) ** p + v1**p)
-        out = (a + b) / (v1 + v2)
+        out = _poly_two_round_ratio(p, v1, v2)
         out[v1 + v2 <= 1.0] = np.nan
         return out
 
@@ -307,15 +314,11 @@ def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
     if p <= 0:
         raise DomainError(f"need p > 0, got {p!r}")
 
-    def grid(v):
-        a = ((1.0 - v) ** (p + 1) + v ** (p + 1)) / ((1.0 - v) ** p + v**p)
-        return 2.0 * a / (2.0 * v)
-
     return AlphaObjective(
         name="poly-two-round-diagonal",
         bounds=((0.5, 1.0),),
         evaluate=lambda x: alpha_poly_two_round(p, x[0], x[0]),
-        evaluate_grid=grid,
+        evaluate_grid=lambda v: _poly_two_round_ratio(p, v, v),
         p=p,
     )
 
@@ -345,17 +348,11 @@ def guard_ratio_ceiling(p: float) -> float:
 
 def guarded_cp1_objective(p: float) -> AlphaObjective:
     """Trip-at-round-1 ratio over its constructible lambda1 range."""
-    ceiling = guard_ratio_ceiling(p)
-
-    def grid(lam):
-        lp = lam**p
-        return (lp + lp * lam) / (3.0 * lp - 1.0)
-
     return AlphaObjective(
         name="guarded-cp1",
-        bounds=((1.0, ceiling),),
+        bounds=((1.0, guard_ratio_ceiling(p)),),
         evaluate=lambda x: alpha_guarded_cp1(p, x[0]),
-        evaluate_grid=grid,
+        evaluate_grid=lambda lam: _cp1_ratio(p, lam),
         p=p,
     )
 
@@ -371,18 +368,8 @@ def guarded_cp2_objective(p: float, subcase: str = "mixed") -> AlphaObjective:
         raise DomainError(f"unknown subcase {subcase!r}")
 
     def grid(l1, l2):
-        l1p = l1**p
-        l2p = l2**p
-        l2q = l2 ** (p - 1.0)
-        den = l1p * (1.0 + l2p) - l1 * l2q * (1.0 + l1p)
-        v1 = (1.0 + l2p - 2.0 * l2q) * (1.0 + l1p) / (2.0 * den)
-        v2 = (1.0 - v1 * l1) / l2
-        v3 = 1.0 - v1 - v2
-        alg = 0.5 + v1 * l1 * l1p / (1.0 + l1p) + v2 * l2 * l2p / (1.0 + l2p)
-        opt = 2.0 - v1 - v2 * l2 if subcase == "mixed" else 2.0 - v1 - v2
-        out = alg / opt
-        bad = (den <= 0.0) | (v1 < 0.0) | (v2 < 0.0) | (v3 < 0.0)
-        out[bad] = np.nan
+        out, v1, v2, v3, den = _cp2_ratio(p, l1, l2, subcase == "mixed")
+        out[(den <= 0.0) | (v1 < 0.0) | (v2 < 0.0) | (v3 < 0.0)] = np.nan
         return out
 
     return AlphaObjective(
@@ -451,12 +438,8 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
 
 def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
     """Three-round instance on which the guard trips exactly at the end of round 2."""
-    v1, v2, v3, _ = _cp2_rounds(p, lambda1, lambda2)
-    if v1 < -1e-12 or v2 < -1e-12 or v3 < -1e-12:
-        raise InfeasibleClosedForm(
-            f"derived rounds ({v1!r}, {v2!r}, {v3!r}) are negative at "
-            f"({lambda1!r}, {lambda2!r})"
-        )
+    # The subcase changes only the ratio, which the instance does not need.
+    _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, True, 1e-12)
     rows = [
         [max(v1, 0.0), lambda1 * v1],
         [max(v2, 0.0), lambda2 * v2],

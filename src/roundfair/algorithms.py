@@ -54,23 +54,22 @@ def poly_round(round_values, p: float) -> np.ndarray:
     p = GREEDY equally among the agents with the largest value, and an
     all-zero round is split equally.  Weights are computed on values scaled
     by the round maximum, so large exponents cannot overflow.  The returned
-    fractions always sum to 1.
+    fractions always sum to 1.  ``round_values`` must be a non-empty 1-d
+    sequence of finite nonnegative values.
     """
     p = _check_p(p)
     values = np.asarray(round_values, dtype=float)
-    n = values.shape[0]
-    vmax = values.max() if n else 0.0
-    if vmax <= 0.0 or p == 0.0:
-        return np.full(n, 1.0 / n)
-    if math.isinf(p):
-        winners = values == vmax
-        return winners / winners.sum()
-    weights = (values / vmax) ** p
-    return weights / weights.sum()
+    if values.ndim != 1 or values.size == 0:
+        raise ValidationError(
+            f"a round needs a non-empty 1-d value vector, got shape {values.shape}"
+        )
+    if not (np.all(np.isfinite(values)) and values.min() >= 0.0):
+        raise ValidationError("round values must be finite and nonnegative")
+    return _poly_fractions(values[None, :], p)[0]
 
 
 def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized :func:`poly_round` over all rounds of a T x n matrix."""
+    """The rule of :func:`poly_round` applied to every round of a T x n matrix."""
     T, n = values.shape
     if p == 0.0:
         return np.full((T, n), 1.0 / n)
@@ -271,12 +270,7 @@ def builtin_algorithms() -> tuple[Algorithm, ...]:
 
 def algorithm_by_name(name: str, p: float | None = None) -> Algorithm:
     """Resolve a CLI-style algorithm name, with ``--p`` for the generic rules."""
-    fixed = {
-        "equal-split": Algorithm("equal-split", 0.0),
-        "proportional": Algorithm("proportional", 1.0),
-        "quadratic": Algorithm("quadratic", 2.0),
-        "greedy": Algorithm("greedy", GREEDY),
-    }
+    fixed = {a.name: a for a in builtin_algorithms() if not a.guarded}
     if name in fixed:
         return fixed[name]
     if name == "poly":

@@ -163,26 +163,26 @@ def _sig12(x: float) -> str:
 
 
 def _sig12_number(x: float):
-    if math.isinf(x) or math.isnan(x):
+    if math.isinf(x):
         return str(x)
     return float(f"{x:.12g}")
 
 
-def _record_cells(record: RunRecord) -> dict:
+def _record_cells(record: RunRecord) -> tuple:
     verdict = record.verdict
     event = record.critical_event
-    return {
-        "algorithm": record.algorithm,
-        "p": None if record.p is None else record.p,
-        "instance_name": record.instance_name,
-        "sw": verdict.social_welfare,
-        "opt": verdict.optimal_welfare,
-        "ratio": verdict.ratio,
-        "fair_share": verdict.fair_share_ok,
-        "envy_free": verdict.envy_free_ok,
-        "critical_round": None if event is None else event.round_index,
-        "critical_fraction": None if event is None else event.fraction,
-    }
+    return (
+        record.algorithm,
+        record.p,
+        record.instance_name,
+        verdict.social_welfare,
+        verdict.optimal_welfare,
+        verdict.ratio,
+        verdict.fair_share_ok,
+        verdict.envy_free_ok,
+        None if event is None else event.round_index,
+        None if event is None else event.fraction,
+    )
 
 
 def emit_report(records, format: str = "csv") -> str:
@@ -191,22 +191,7 @@ def emit_report(records, format: str = "csv") -> str:
     Rows keep their input order; an empty input yields a header-only CSV or an
     empty JSON array.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown report format {format!r}")
-    cells = [_record_cells(r) for r in records]
-    if format == "json":
-        body = []
-        for row in cells:
-            obj = {}
-            for key in REPORT_COLUMNS:
-                val = _plain(row[key])
-                if isinstance(val, float):
-                    val = _sig12_number(val)
-                obj[key] = val
-            body.append(obj)
-        return json.dumps(body, indent=2) + "\n"
-
-    return _write_csv(REPORT_COLUMNS, ([row[key] for key in REPORT_COLUMNS] for row in cells))
+    return emit_table(REPORT_COLUMNS, [_record_cells(r) for r in records], format)
 
 
 def _write_csv(columns, rows) -> str:

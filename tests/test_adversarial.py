@@ -177,6 +177,7 @@ class TestMinimizeAlpha:
             name="degenerate",
             bounds=((0.0, 1e-9),),
             evaluate=lambda x: 1.0,
+            evaluate_grid=np.ones_like,
         )
         with pytest.raises(EmptyDomain):
             minimize_alpha(degenerate)
@@ -185,15 +186,44 @@ class TestMinimizeAlpha:
         with pytest.raises(OutOfRange):
             minimize_alpha(proportional_objective(), grid_step=0.0)
 
-    def test_scalar_fallback_matches_vectorized_grid(self):
-        import dataclasses
+    @pytest.mark.parametrize(
+        "grid_step, refine_tol", [(math.nan, 1e-9), (1e-2, math.nan), (1e-2, -1.0)]
+    )
+    def test_nan_or_negative_tolerances_rejected(self, grid_step, refine_tol):
+        with pytest.raises(OutOfRange):
+            minimize_alpha(proportional_objective(), grid_step, refine_tol)
 
-        vectorized = proportional_objective()
-        scalar_only = dataclasses.replace(vectorized, evaluate_grid=None)
-        a = minimize_alpha(vectorized, grid_step=0.02)
-        b = minimize_alpha(scalar_only, grid_step=0.02)
-        assert a.argmin == pytest.approx(b.argmin, abs=1e-9)
-        assert a.value == pytest.approx(b.value, abs=1e-12)
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            proportional_objective(),
+            poly_two_round_objective(2.0),
+            poly_two_round_diagonal_objective(2.7),
+            guarded_cp1_objective(2.7),
+            guarded_cp2_objective(2.7, "mixed"),
+            guarded_cp2_objective(2.7, "both_above"),
+        ],
+        ids=lambda objective: objective.name,
+    )
+    def test_grid_agrees_with_scalar_evaluation(self, objective):
+        # The grid uses numpy's pow and the scalar path libm's, so bits may
+        # differ; feasibility must not.
+        axes = [
+            np.linspace(lo + objective.margin, hi - objective.margin, 101)
+            for lo, hi in objective.bounds
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        with np.errstate(all="ignore"):
+            grid = objective.evaluate_grid(*mesh)
+        assert grid.shape == mesh[0].shape
+        for k in range(grid.size):
+            point = tuple(float(m.flat[k]) for m in mesh)
+            try:
+                value = objective.evaluate(point)
+            except DomainError:
+                assert math.isnan(grid.flat[k]), point
+                continue
+            assert grid.flat[k] == pytest.approx(value, rel=0, abs=1e-12), point
 
 
 class TestGuardRatioCeiling:
@@ -251,6 +281,11 @@ class TestInstanceRealizations:
     def test_cp2_infeasible_point_rejected(self):
         with pytest.raises(InfeasibleClosedForm):
             guarded_cp2_instance(2.7, 1.6, 6.0)
+
+    @pytest.mark.parametrize("lam1, lam2", [(1.0, 1.0), (1.5, 0.0)])
+    def test_cp2_singular_point_rejected(self, lam1, lam2):
+        with pytest.raises(DomainError, match="singular construction"):
+            guarded_cp2_instance(2.7, lam1, lam2)
 
 
 class TestFairShareViolationInstance:

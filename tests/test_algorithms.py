@@ -61,6 +61,14 @@ class TestPolyRound:
         with pytest.raises(OutOfRange):
             poly_round([0.3, 0.7], -1)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[], [[0.3, 0.7]], 0.5, [math.nan, 0.5], [math.inf, 0.5], [-0.3, 0.6]],
+    )
+    def test_malformed_round_rejected(self, values):
+        with pytest.raises(ValidationError):
+            poly_round(values, 1)
+
 
 @given(
     st.lists(st.floats(min_value=0, max_value=10), min_size=2, max_size=6),

@@ -150,7 +150,8 @@ class TestEmitReport:
             instance_name="x",
             verdict=_sweet_spot_record().verdict,
         )
-        assert ",inf," in emit_report([record], "csv")
+        for format, text in (("csv", ",inf,"), ("json", '"p": "inf"')):
+            assert text in emit_report([record], format)
 
 
 class TestCli:
@@ -289,6 +290,13 @@ class TestCli:
 
     def test_search_objective_missing_p_exits_2(self):
         assert main(["search", "--objective", "guarded-cp1"]) == 2
+
+    def test_search_nan_refine_tol_exits_2(self, capsys):
+        code = main(["search", "--objective", "proportional", "--refine-tol", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
 
     def test_replay_lb(self, capsys):
         code = main(["replay-lb", "--algorithm", "greedy"])
