@@ -242,7 +242,7 @@ def minimize_alpha(
         if np.any(x < lows) or np.any(x > highs):
             return 1e9
         try:
-            val = objective.evaluate(tuple(x))
+            val = objective.evaluate(tuple(x.tolist()))
         except DomainError:
             return 1e9
         return val if math.isfinite(val) else 1e9

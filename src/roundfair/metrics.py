@@ -71,19 +71,38 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     )
 
 
+def _state_arrays(utilities_so_far, remaining_values, n: int):
+    """One state's utilities and remaining values as float arrays of shape ``(n,)``."""
+    u = np.asarray(utilities_so_far, dtype=float)
+    rem = np.asarray(remaining_values, dtype=float)
+    if u.shape != (n,) or rem.shape != (n,):
+        raise DimensionMismatch(
+            f"expected {n} utilities and remaining values, got {u.shape} and {rem.shape}"
+        )
+    return u, rem
+
+
+def _minimal_shares(u: np.ndarray, rem: np.ndarray, n: int, tol: float):
+    """Minimal last-round shares and stranded agents for ``(..., n)`` state arrays.
+
+    Agent i needs the share ``max(d_i - tol, 0) / rem_i`` of a last round,
+    where ``d_i = 1/n - u_i`` is agent i's deficit; an agent with nothing left
+    to come gets 0.  Agent i is stranded when she still needs a share but has
+    nothing left to come.
+    """
+    need = np.maximum(1.0 / n - u - tol, 0.0)
+    live = rem > 0.0
+    shares = np.divide(need, rem, out=np.zeros_like(need), where=live)
+    return shares, (need > 0.0) & ~live
+
+
 def _doomsday_ok(u: np.ndarray, rem: np.ndarray, n: int, tol: float) -> np.ndarray:
     """The doomsday test on every state at once: one bool per row of ``(..., n)`` arrays.
 
-    Agent i needs the minimal share ``max(d_i - tol, 0) / rem_i`` of a last
-    round, where ``d_i = 1/n - u_i`` is agent i's deficit.  A state passes
-    when no agent has a deficit above ``tol`` with nothing left to come and
-    those shares sum to at most 1.
+    A state passes when no agent is stranded and the minimal shares of
+    :func:`_minimal_shares` sum to at most 1.
     """
-    deficit = 1.0 / n - u
-    need = np.maximum(deficit - tol, 0.0)
-    live = rem > 0.0
-    shares = np.divide(need, rem, out=np.zeros_like(need), where=live)
-    stranded = (need > 0.0) & ~live
+    shares, stranded = _minimal_shares(u, rem, n, tol)
     return (shares.sum(axis=-1) <= 1.0) & ~stranded.any(axis=-1)
 
 
@@ -102,30 +121,34 @@ def doomsday_compatible(
     sum keeps a roundoff-sized deficit against a small remainder from failing
     a state that fair-share accepts.
     """
-    u = np.asarray(utilities_so_far, dtype=float)
-    rem = np.asarray(remaining_values, dtype=float)
-    if u.shape != (n,) or rem.shape != (n,):
-        raise DimensionMismatch(
-            f"expected {n} utilities and remaining values, got {u.shape} and {rem.shape}"
-        )
+    u, rem = _state_arrays(utilities_so_far, remaining_values, n)
     return bool(_doomsday_ok(u, rem, n, tol))
 
 
-def doomsday_witness(utilities_so_far, remaining_values, n: int) -> np.ndarray:
-    """Minimal single-round shares that restore fair-share from a compatible state.
+def doomsday_witness(
+    utilities_so_far, remaining_values, n: int, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Single-round shares that restore fair-share from a compatible state.
 
-    Deficit agents get exactly deficit / remaining; everyone else gets 0 and
-    any slack stays unallocated.  Only meaningful when the state is
-    doomsday-compatible, in which case the shares sum to at most 1.
+    Every agent gets at least her minimal share ``max(d_i - tol, 0) / rem_i``,
+    the share that :func:`doomsday_compatible` sums with the same ``tol``.  The
+    room those shares leave in the round then lifts every deficit agent by one
+    common fraction of the gap to her full deficit share ``d_i / rem_i``, so a
+    state carried forward keeps a margin instead of landing on the ``tol``
+    boundary, where rounding could fail it.  Should rounding push the lifted
+    shares above a sum of 1, the minimal shares are returned.  Only meaningful
+    when the state is doomsday-compatible, in which case the shares sum to at
+    most 1.
     """
-    u = np.asarray(utilities_so_far, dtype=float)
-    rem = np.asarray(remaining_values, dtype=float)
-    witness = np.zeros(n)
-    for i in range(n):
-        d = 1.0 / n - u[i]
-        if d > 0.0 and rem[i] > 0.0:
-            witness[i] = d / rem[i]
-    return witness
+    u, rem = _state_arrays(utilities_so_far, remaining_values, n)
+    minimal = _minimal_shares(u, rem, n, tol)[0]
+    gap = _minimal_shares(u, rem, n, 0.0)[0] - minimal
+    total_gap = gap.sum()
+    lift = 0.0
+    if total_gap > 0.0:
+        lift = min(max((1.0 - minimal.sum()) / total_gap, 0.0), 1.0)
+    witness = minimal + lift * gap
+    return witness if witness.sum() <= 1.0 else minimal
 
 
 def doomsday_maintained(
@@ -138,7 +161,7 @@ def doomsday_maintained(
     values and re-testing must succeed again; a compatible state can always be
     carried forward.
     """
-    witness = doomsday_witness(utilities_so_far, remaining_values, n)
+    witness = doomsday_witness(utilities_so_far, remaining_values, n, tol)
     v = np.asarray(next_round_values, dtype=float)
     u_next = np.asarray(utilities_so_far, dtype=float) + v * witness
     rem_next = np.asarray(remaining_values, dtype=float) - v
@@ -161,21 +184,27 @@ def offline_fair_share_welfare(instance: Instance) -> float:
 
     Solved as a linear program over all fractional allocations: maximize total
     utility with per-round sums at most 1 and every agent held at or above a
-    1/n share of her own total value.
+    1/n share of her own total value.  The constraint matrix is sparse: it
+    stores ``T·n`` ones plus the nonzero values, so memory grows with ``T·n``.
     """
-    from scipy.optimize import linprog  # loaded on first use: it dominates import time
+    # loaded on first use: they dominate import time
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
 
     V = instance.values
     T, n = V.shape
     c = -V.reshape(-1)  # variables x[t, i], row-major
 
-    rows = np.zeros((T, T * n))
-    for t in range(T):
-        rows[t, t * n : (t + 1) * n] = 1.0
-    fair = np.zeros((n, T * n))
-    for i in range(n):
-        fair[i, i::n] = -V[:, i]
-    A_ub = np.vstack([rows, fair])
+    # Row t sums round t's shares; row T + i caps -(agent i's utility).
+    col = np.arange(T * n)
+    A_ub = csr_array(
+        (
+            np.concatenate([np.ones(T * n), -V.reshape(-1)]),
+            (np.concatenate([col // n, T + col % n]), np.concatenate([col, col])),
+        ),
+        shape=(T + n, T * n),
+    )
+    A_ub.eliminate_zeros()
     b_ub = np.concatenate([np.ones(T), -instance.column_totals() / n])
 
     result = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")

@@ -174,7 +174,8 @@ def test_import_leaves_scipy_optimize_unloaded():
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, roundfair; print('scipy.optimize' in sys.modules)"],
+         "import sys, roundfair; "
+         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

@@ -14,6 +14,8 @@ from roundfair import (
     doomsday_witness,
     fair_share_violation_instance,
     lower_bound_instances,
+    multi_agent_instance,
+    multi_agent_offline_fair_share_opt,
     offline_fair_share_welfare,
     optimal_welfare,
     run_guarded,
@@ -285,6 +287,33 @@ class TestDoomsdayMaintenance:
                         u, rem, inst.values[t + 1], 2, 1e-9
                     )
 
+    def test_witness_stays_within_one_on_a_compatible_boundary_state(self):
+        # The deficit lies just inside tol of the limit: a witness that hands
+        # out deficit / remaining sums to 1 + 1.9e-9 here.
+        u, rem = [0.0, 0.6], [(0.5 - 1e-9) / (1 - 1e-10), 0.1]
+        assert doomsday_compatible(u, rem, 2)
+        assert doomsday_witness(u, rem, 2).sum() <= 1.0
+
+    def test_witness_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            doomsday_witness([0.1], [0.5, 0.5], 2)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_witness_sum_decides_compatibility(self, rng, tol):
+        # Half the states sit within a few tol of the boundary, where the
+        # lifted shares can round above a sum of 1.
+        for k in range(2000):
+            n = int(rng.integers(2, 6))
+            rem = rng.uniform(1e-6, 1.0, size=n)
+            if k % 2:
+                u = rng.uniform(0.0, 2.0 / n, size=n)
+            else:
+                scale = 1.0 + rng.uniform(-3.0, 3.0) * tol / rem.min()
+                u = 1.0 / n - tol - rng.dirichlet(np.ones(n)) * scale * rem
+            witness = doomsday_witness(u, rem, n, tol)
+            assert np.all(witness >= 0.0)
+            assert doomsday_compatible(u, rem, n, tol) == (witness.sum() <= 1.0)
+
 
 class TestOfflineFairShareWelfare:
     def test_orthogonal_instance_is_unconstrained(self):
@@ -301,3 +330,35 @@ class TestOfflineFairShareWelfare:
             u = utilities(inst, run_poly(inst, 1).allocation)
             assert u.sum() <= cap + 1e-8
             assert cap <= optimal_welfare(inst) + 1e-8
+
+    def test_constraint_matrix_is_sparse(self, rng, monkeypatch):
+        import scipy.optimize
+        import scipy.sparse
+
+        captured = {}
+        linprog = scipy.optimize.linprog
+
+        def spy(c, A_ub=None, **kwargs):
+            captured["A_ub"] = A_ub
+            return linprog(c, A_ub=A_ub, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        T, n = 7, 3
+        V = rng.dirichlet(np.ones(T), size=n).T
+        V[[0, 2, 5], [1, 0, 2]] = 0.0
+        offline_fair_share_welfare(validate_instance(V))
+
+        dense = np.zeros((T + n, T * n))
+        for t in range(T):
+            dense[t, t * n : (t + 1) * n] = 1.0
+        for i in range(n):
+            dense[T + i, i::n] = -V[:, i]
+        A_ub = captured["A_ub"]
+        assert scipy.sparse.issparse(A_ub)
+        assert A_ub.nnz == T * n + np.count_nonzero(V)
+        np.testing.assert_array_equal(A_ub.toarray(), dense)
+
+    @pytest.mark.parametrize("n", [100, 144])
+    def test_large_multi_agent_optimum(self, n):
+        welfare = offline_fair_share_welfare(multi_agent_instance(n))
+        assert welfare == pytest.approx(multi_agent_offline_fair_share_opt(n), abs=1e-8)
