@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     PNotAboveTwo,
 )
-from .metrics import audit
+from .metrics import DEFAULT_TOL, audit
 
 #: Feasibility slack for the two-round critical-point closed forms.  Points
 #: quoted to a few digits can land a hair outside the exact region; within
@@ -491,7 +491,7 @@ class ReplayVerdict:
     explanation: str
 
 
-def replay_lower_bound(algorithm, tol: float = 1e-9) -> ReplayVerdict:
+def replay_lower_bound(algorithm, tol: float = DEFAULT_TOL) -> ReplayVerdict:
     """Run an online allocator on both lower-bound branches and judge it.
 
     The branches share their first round, so any online allocator makes the

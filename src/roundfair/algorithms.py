@@ -8,7 +8,8 @@ family (two agents, finite p) follows the same per-round rule but watches a
 safety condition: the moment one agent's utility so far plus everything she
 still has to come drops to exactly half her total value, the rest of that item
 and all later items go to her in full.  That hand-over point is the critical
-point; tracking it keeps both final utilities at or above one half.
+point; tracking it keeps the tripped agent's final utility at or above one
+half.
 
 Rounds are processed irrevocably in order and no rule ever looks ahead or
 needs to know the number of rounds in advance.
@@ -73,29 +74,22 @@ def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
     T, n = values.shape
     if p == 0.0:
         return np.full((T, n), 1.0 / n)
-    row_max = values.max(axis=1, keepdims=True)
-    live = row_max > 0.0
+    row_max = np.maximum.reduce(values, axis=1, keepdims=True)
+    # Dead rounds (all zeros) get a row maximum and weights of 1, so they are
+    # split equally; welfare-neutral, keeps rows full.
+    dead = row_max <= 0.0
+    row_max += dead
     if math.isinf(p):
-        winners = (values == row_max) & live
-        counts = winners.sum(axis=1, keepdims=True)
-        fractions = np.divide(
-            winners, counts, out=np.zeros_like(values), where=counts > 0
-        )
+        weights = (values == row_max).astype(float)
     else:
-        scaled = np.divide(values, row_max, out=np.zeros_like(values), where=live)
-        weights = scaled**p
-        sums = weights.sum(axis=1, keepdims=True)
-        fractions = np.divide(
-            weights, sums, out=np.zeros_like(values), where=sums > 0
-        )
-    # Dead rounds (all zeros) are split equally; welfare-neutral, keeps rows full.
-    return np.where(live, fractions, 1.0 / n)
+        weights = (values / row_max) ** p
+    weights += dead
+    return weights / np.add.reduce(weights, axis=1, keepdims=True)
 
 
-def _trace_arrays(values: np.ndarray, fractions: np.ndarray):
-    gains = values * fractions
-    cumulative = np.cumsum(gains, axis=0)
-    remaining = values.sum(axis=0)[None, :] - np.cumsum(values, axis=0)
+def _trace_arrays(values: np.ndarray, cumulative: np.ndarray):
+    """Freeze the utilities through each round and add the value still to come."""
+    remaining = np.add.reduce(values) - np.add.accumulate(values)
     cumulative.setflags(write=False)
     remaining.setflags(write=False)
     return cumulative, remaining
@@ -108,8 +102,11 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     critical event can occur.
     """
     p = _check_p(p)
-    fractions = _poly_fractions(instance.values, p)
-    cumulative, remaining = _trace_arrays(instance.values, fractions)
+    values = instance.values
+    fractions = _poly_fractions(values, p)
+    cumulative, remaining = _trace_arrays(
+        values, np.add.accumulate(values * fractions)
+    )
     return RunTrace(
         allocation=validate_allocation(fractions),
         cumulative_utility=cumulative,
@@ -132,34 +129,34 @@ class GuardedState:
     tripped_agent: int | None = None
 
 
-def _pair_fractions(a: float, b: float, p: float) -> tuple[float, float]:
-    m = a if a >= b else b
-    if m <= 0.0 or p == 0.0:
-        return 0.5, 0.5
-    wa = (a / m) ** p
-    wb = (b / m) ** p
-    s = wa + wb
-    return wa / s, wb / s
+def _first_trip(u, rem, values, shares) -> tuple[int, float, int] | None:
+    """The first round whose guard binds, as ``(round, f, agent)``, or None.
 
-
-def _trip_candidates(u, rem, a: float, b: float, x1: float, x2: float):
-    """Smallest in-round fractions at which each agent's guard condition binds.
-
-    ``x1`` and ``x2`` are the power rule's shares of the round's values ``a``
-    and ``b``.  For agent i, utility accrues at rate ``share_i`` while the item
-    is split by the power rule, so after a fraction f of the round her utility
-    plus all value still to come equals ``u_i + rem_i - f * (v_i - share_i)``.
+    Row t of ``u`` and ``rem`` is the state before round t: each agent's
+    utility so far and her value still to come, round t included.  ``shares``
+    are the power rule's shares of the round ``values``.  While round t is
+    split by the power rule, agent i's utility plus her value still to come
+    after a fraction f of it is ``u_i + rem_i - f * (v_i - v_i * share_i)``.
     Setting that to 1/2 is linear in f.  Only strictly decreasing surpluses can
-    cross, and a computed crossing within TRIP_SLACK of [0, 1] is clamped inside.
+    cross, and a computed crossing within TRIP_SLACK of [0, 1] is clamped
+    inside.  Within the round, ties go to the smaller f, then the lower agent.
     """
-    out = []
-    for i, (v, x) in enumerate(((a, x1), (b, x2))):
-        slope = v - v * x
-        if slope > 0.0:
-            f = (u[i] + rem[i] - 0.5) / slope
-            if f <= 1.0 + TRIP_SLACK:
-                out.append((min(max(f, 0.0), 1.0), i))
-    return out
+    slope = values - values * shares
+    falls = slope > 0.0
+    f = u + rem - 0.5
+    with np.errstate(over="ignore"):  # a subnormal slope gives f = inf: no trip
+        np.divide(f, slope, out=f, where=falls)
+    hit = falls & (f <= 1.0 + TRIP_SLACK)
+    t = int(hit.argmax()) // hit.shape[1]  # the first round with a hit, else 0
+    candidates = [
+        (min(max(fi, 0.0), 1.0), i)
+        for i, (fi, hi) in enumerate(zip(f[t].tolist(), hit[t].tolist()))
+        if hi
+    ]
+    if not candidates:
+        return None
+    f_t, agent = min(candidates)
+    return t, f_t, agent
 
 
 def critical_fraction(
@@ -171,7 +168,8 @@ def critical_fraction(
     round at which that agent's utility so far plus her value still to come
     hits exactly one half; ties go to the smaller fraction, then the lower
     agent index.  Returns None when neither agent's condition can bind within
-    this round.
+    this round.  This is the one-row case of the trip scan in
+    :func:`run_guarded`.
     """
     p = _check_p(p)
     if math.isinf(p):
@@ -180,24 +178,26 @@ def critical_fraction(
         raise NotTwoAgents("critical points are defined for two agents")
     if state.tripped_agent is not None:
         raise ValidationError("state has already tripped")
-    a, b = float(round_values[0]), float(round_values[1])
-    candidates = _trip_candidates(
-        state.utility_so_far, state.remaining_value, a, b, *_pair_fractions(a, b, p)
+    trip = _first_trip(
+        np.array([state.utility_so_far], dtype=float),
+        np.array([state.remaining_value], dtype=float),
+        np.asarray(round_values, dtype=float)[None, :],
+        poly_round(round_values, p)[None, :],
     )
-    if not candidates:
-        return None
-    f, agent = min(candidates)
-    return agent, f
+    return None if trip is None else (trip[2], trip[1])
 
 
 def run_guarded(instance: Instance, p: float) -> RunTrace:
     """Run the guarded rule for two agents: power-weighted until a trip.
 
-    Before each round the guard solves for the earliest in-round critical
-    point.  If one exists at fraction f, the first f of that item is split by
-    the power rule, the remaining 1 - f and every later item go wholly to the
-    tripped agent, and the event is recorded.  Requires a normalized two-agent
-    instance and a finite exponent; both final utilities end at or above 1/2.
+    The guard solves, before each round, for the earliest in-round critical
+    point of the power rule's run so far.  At the first round where one exists
+    at fraction f, the first f of that item is split by the power rule, the
+    remaining 1 - f and every later item go wholly to the tripped agent, and
+    the event is recorded.  Requires a normalized two-agent instance and a
+    finite exponent.  The tripped agent ends at or above 1/2; the other agent
+    does too at the exponents the analysis uses, but not at p = 0, where a
+    trip at the end of an agent's last valued round hands her the rest.
     """
     p = _check_p(p)
     if math.isinf(p):
@@ -207,32 +207,24 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     require_normalized(instance)
 
     values = instance.values
-    T = values.shape[0]
-    fractions = np.zeros((T, 2))
-    u = [0.0, 0.0]
-    rem = [1.0, 1.0]
+    fractions = _poly_fractions(values, p)
+    cumulative = np.add.accumulate(values * fractions)
+    # The state before each round, summed round by round from zero utility
+    # and a unit of value to come.
+    u = np.concatenate([np.zeros((1, 2)), cumulative[:-1]])
+    rem = np.subtract.accumulate(np.concatenate([np.ones((1, 2)), values[:-1]]))
+    trip = _first_trip(u, rem, values, fractions)
     event = None
-    for t, row in enumerate(values):
-        a, b = row.tolist()
-        x1, x2 = _pair_fractions(a, b, p)
-        candidates = _trip_candidates(u, rem, a, b, x1, x2)
-        if candidates:
-            f, i = min(candidates)
-            j = 1 - i
-            xi, xj = (x1, x2) if i == 0 else (x2, x1)
-            fractions[t, i] = f * xi + (1.0 - f)
-            fractions[t, j] = f * xj
-            fractions[t + 1 :, i] = 1.0
-            event = CriticalEvent(round_index=t, fraction=f, agent=i)
-            break
-        fractions[t, 0] = x1
-        fractions[t, 1] = x2
-        u[0] += a * x1
-        u[1] += b * x2
-        rem[0] -= a
-        rem[1] -= b
+    if trip is not None:
+        t, f, i = trip
+        fractions[t] *= f
+        fractions[t, i] += 1.0 - f
+        fractions[t + 1 :] = 0.0
+        fractions[t + 1 :, i] = 1.0
+        cumulative = np.add.accumulate(values * fractions)
+        event = CriticalEvent(round_index=t, fraction=f, agent=i)
 
-    cumulative, remaining = _trace_arrays(values, fractions)
+    cumulative, remaining = _trace_arrays(values, cumulative)
     return RunTrace(
         allocation=validate_allocation(fractions),
         cumulative_utility=cumulative,

@@ -29,7 +29,7 @@ from .adversarial import (
 from .algorithms import algorithm_by_name
 from .core import Instance, three_round_cp, two_round_symmetric
 from .errors import RoundFairError
-from .metrics import audit, doomsday_trace
+from .metrics import DEFAULT_TOL, audit, doomsday_trace
 from .reporting import (
     RunRecord,
     emit_report,
@@ -200,14 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", required=True,
                      help="file path or generator spec, e.g. two-round-symmetric:0.599")
     run.add_argument("--name", default=None, help="override the instance name in the report")
-    run.add_argument("--tol", type=float, default=1e-9)
+    run.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_common(run)
     run.set_defaults(func=_cmd_run)
 
     verify = sub.add_parser("verify", help="audit a stored allocation against an instance")
     verify.add_argument("--instance", required=True)
     verify.add_argument("--allocation", required=True)
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_common(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay-lb", help="replay the two-branch lower bound")
     replay.add_argument("--algorithm", required=True)
     replay.add_argument("--p", type=float, default=None)
-    replay.add_argument("--tol", type=float, default=1e-9)
+    replay.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_common(replay)
     replay.set_defaults(func=_cmd_replay_lb)
 
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     doomsday.add_argument("--instance", required=True)
     doomsday.add_argument("--algorithm", required=True)
     doomsday.add_argument("--p", type=float, default=None)
-    doomsday.add_argument("--tol", type=float, default=1e-9)
+    doomsday.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_common(doomsday)
     doomsday.set_defaults(func=_cmd_doomsday)
 

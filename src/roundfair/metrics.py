@@ -1,9 +1,10 @@
 """Fairness and efficiency audits for (instance, allocation) pairs.
 
-Includes the doomsday feasibility test: a mid-run state passes when a single
-allocation of each agent's entire remaining value could still lift everyone to
-a 1/n utility share, within the audit tolerance.  An online rule preserves
-fair-share exactly when every round of every run passes this test.
+Fair-share asks every agent for 1/n of her own total value.  Includes the
+doomsday feasibility test: a mid-run state passes when a single allocation of
+each agent's entire remaining value could still lift everyone to that share,
+within the audit tolerance.  An online rule preserves fair-share exactly when
+every round of every run passes this test.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ def utilities(instance: Instance, allocation: Allocation) -> np.ndarray:
     return (instance.values * allocation.fractions).sum(axis=0)
 
 
+def fair_share(instance: Instance) -> np.ndarray:
+    """Each agent's fair-share target: her own total value over n."""
+    return instance.column_totals() / instance.n
+
+
 def optimal_welfare(instance: Instance) -> float:
     """Unconstrained welfare optimum: each round goes to whoever values it most."""
     return float(instance.values.max(axis=1).sum())
@@ -34,17 +40,16 @@ def optimal_welfare(instance: Instance) -> float:
 def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) -> Verdict:
     """Judge an allocation for welfare ratio, fair-share, and envy.
 
-    Fair-share asks every utility to reach 1/n (values are treated as
-    normalized).  Envy-freeness compares each agent's own bundle against every
-    other bundle under her own values, and is only reported when all rounds
-    were fully allocated; otherwise it is None.
+    Fair-share asks every utility to reach its :func:`fair_share` target.
+    Envy-freeness compares each agent's own bundle against every other bundle
+    under her own values, and is only reported when all rounds were fully
+    allocated; otherwise it is None.
     """
     u = utilities(instance, allocation)
-    n = instance.n
     sw = float(u.sum())
     opt = optimal_welfare(instance)
     ratio = sw / opt if opt > 0 else 1.0
-    fair_share_margin = float(u.min() - 1.0 / n)
+    fair_share_margin = float((u - fair_share(instance)).min())
 
     fully_allocated = bool(
         np.all(np.abs(allocation.fractions.sum(axis=1) - 1.0) <= tol)
@@ -82,27 +87,27 @@ def _state_arrays(utilities_so_far, remaining_values, n: int):
     return u, rem
 
 
-def _minimal_shares(u: np.ndarray, rem: np.ndarray, n: int, tol: float):
+def _minimal_shares(u: np.ndarray, rem: np.ndarray, target, tol: float):
     """Minimal last-round shares and stranded agents for ``(..., n)`` state arrays.
 
     Agent i needs the share ``max(d_i - tol, 0) / rem_i`` of a last round,
-    where ``d_i = 1/n - u_i`` is agent i's deficit; an agent with nothing left
-    to come gets 0.  Agent i is stranded when she still needs a share but has
-    nothing left to come.
+    where ``d_i = target_i - u_i`` is agent i's deficit below her (or a
+    shared scalar) target; an agent with nothing left to come gets 0.  Agent
+    i is stranded when she still needs a share but has nothing left to come.
     """
-    need = np.maximum(1.0 / n - u - tol, 0.0)
+    need = np.maximum(target - u - tol, 0.0)
     live = rem > 0.0
     shares = np.divide(need, rem, out=np.zeros_like(need), where=live)
     return shares, (need > 0.0) & ~live
 
 
-def _doomsday_ok(u: np.ndarray, rem: np.ndarray, n: int, tol: float) -> np.ndarray:
+def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarray:
     """The doomsday test on every state at once: one bool per row of ``(..., n)`` arrays.
 
     A state passes when no agent is stranded and the minimal shares of
     :func:`_minimal_shares` sum to at most 1.
     """
-    shares, stranded = _minimal_shares(u, rem, n, tol)
+    shares, stranded = _minimal_shares(u, rem, target, tol)
     return (shares.sum(axis=-1) <= 1.0) & ~stranded.any(axis=-1)
 
 
@@ -119,10 +124,11 @@ def doomsday_compatible(
     ``tol`` but has nothing left to come, else feasible exactly when those
     minimal shares sum to at most 1.  Putting the slack on the utilities rather than on the share
     sum keeps a roundoff-sized deficit against a small remainder from failing
-    a state that fair-share accepts.
+    a state that fair-share accepts.  A bare state carries no totals, so the
+    target is the normalized 1/n.
     """
     u, rem = _state_arrays(utilities_so_far, remaining_values, n)
-    return bool(_doomsday_ok(u, rem, n, tol))
+    return bool(_doomsday_ok(u, rem, 1.0 / n, tol))
 
 
 def doomsday_witness(
@@ -138,11 +144,11 @@ def doomsday_witness(
     boundary, where rounding could fail it.  Should rounding push the lifted
     shares above a sum of 1, the minimal shares are returned.  Only meaningful
     when the state is doomsday-compatible, in which case the shares sum to at
-    most 1.
+    most 1.  Its target is the normalized 1/n, as in the compatibility test.
     """
     u, rem = _state_arrays(utilities_so_far, remaining_values, n)
-    minimal = _minimal_shares(u, rem, n, tol)[0]
-    gap = _minimal_shares(u, rem, n, 0.0)[0] - minimal
+    minimal = _minimal_shares(u, rem, 1.0 / n, tol)[0]
+    gap = _minimal_shares(u, rem, 1.0 / n, 0.0)[0] - minimal
     total_gap = gap.sum()
     lift = 0.0
     if total_gap > 0.0:
@@ -171,11 +177,11 @@ def doomsday_maintained(
 def doomsday_trace(
     instance: Instance, trace: RunTrace, tol: float = DEFAULT_TOL
 ) -> list[bool]:
-    """Apply the doomsday test to the state after every round of a run."""
+    """Apply the doomsday test, against :func:`fair_share`, after every round."""
     if trace.cumulative_utility.shape != instance.values.shape:
         raise ShapeMismatch("trace does not match this instance")
     return _doomsday_ok(
-        trace.cumulative_utility, trace.remaining_value, instance.n, tol
+        trace.cumulative_utility, trace.remaining_value, fair_share(instance), tol
     ).tolist()
 
 
@@ -183,8 +189,8 @@ def offline_fair_share_welfare(instance: Instance) -> float:
     """Best social welfare any offline allocation can reach subject to fair-share.
 
     Solved as a linear program over all fractional allocations: maximize total
-    utility with per-round sums at most 1 and every agent held at or above a
-    1/n share of her own total value.  The constraint matrix is sparse: it
+    utility with per-round sums at most 1 and every agent held at or above her
+    :func:`fair_share` target.  The constraint matrix is sparse: it
     stores ``T·n`` ones plus the nonzero values, so memory grows with ``T·n``.
     """
     # loaded on first use: they dominate import time
@@ -205,7 +211,7 @@ def offline_fair_share_welfare(instance: Instance) -> float:
         shape=(T + n, T * n),
     )
     A_ub.eliminate_zeros()
-    b_ub = np.concatenate([np.ones(T), -instance.column_totals() / n])
+    b_ub = np.concatenate([np.ones(T), -fair_share(instance)])
 
     result = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
     if not result.success:

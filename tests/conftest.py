@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roundfair import validate_instance
+from roundfair.algorithms import TRIP_SLACK
+
+# Reproducible property searches: ``pytest --hypothesis-profile=ci``.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def random_instance(rng, n=2, max_rounds=20, min_rounds=1):
@@ -25,6 +30,47 @@ def late_trip_values(rng, rounds):
     b = rng.gamma(200.0, size=rounds)
     b[stretch:] = 0.0
     return np.column_stack([a / a.sum(), b / b.sum()])
+
+
+def guarded_reference(values, p):
+    """Reference guarded run: the power rule and the trip solve, one round at a time.
+
+    This is the scalar definition of the guarded rule, kept to check the array
+    implementation in ``run_guarded`` against.  Before each round it solves,
+    for each agent, the fraction f of the round at which her utility so far
+    plus her value still to come (counted from a unit total) falls to 1/2
+    under the power rule's shares.  The first round with a crossing in
+    [0, 1 + TRIP_SLACK] trips: the smaller f wins, then the lower agent.
+    Returns the fractions and ``(round, f, agent)`` or None.
+    """
+    values = np.asarray(values, dtype=float)
+    fractions = np.zeros(values.shape)
+    u = [0.0, 0.0]
+    rem = [1.0, 1.0]
+    for t, (a, b) in enumerate(values.tolist()):
+        m = max(a, b)
+        if m <= 0.0 or p == 0.0:
+            x = (0.5, 0.5)
+        else:
+            wa, wb = (a / m) ** p, (b / m) ** p
+            x = (wa / (wa + wb), wb / (wa + wb))
+        candidates = []
+        for i, v in enumerate((a, b)):
+            slope = v - v * x[i]
+            if slope > 0.0:
+                f = (u[i] + rem[i] - 0.5) / slope
+                if f <= 1.0 + TRIP_SLACK:
+                    candidates.append((min(max(f, 0.0), 1.0), i))
+        if candidates:
+            f, i = min(candidates)
+            fractions[t] = [f * x[0], f * x[1]]
+            fractions[t, i] += 1.0 - f
+            fractions[t + 1 :, i] = 1.0
+            return fractions, (t, f, i)
+        fractions[t] = x
+        u = [u[0] + a * x[0], u[1] + b * x[1]]
+        rem = [rem[0] - a, rem[1] - b]
+    return fractions, None
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st, target
 
 from roundfair import (
     GREEDY,
@@ -11,6 +12,9 @@ from roundfair import (
     builtin_algorithms,
     critical_fraction,
     fair_share_violation_instance,
+    guard_ratio_ceiling,
+    guarded_cp1_instance,
+    guarded_cp2_instance,
     poly_round,
     run_guarded,
     run_poly,
@@ -19,13 +23,15 @@ from roundfair import (
     validate_instance,
 )
 from roundfair.errors import (
+    DomainError,
     InfiniteP,
     NotNormalized,
     NotTwoAgents,
     OutOfRange,
     ValidationError,
 )
-from conftest import random_instance, random_instances
+from roundfair.metrics import DEFAULT_TOL
+from conftest import guarded_reference, late_trip_values, random_instance, random_instances
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -281,6 +287,12 @@ class TestCriticalFraction:
         with pytest.raises(InfiniteP):
             critical_fraction(state, (0.2, 0.3), GREEDY)
 
+    @pytest.mark.parametrize("bad", [(-0.1, 0.3), (math.nan, 0.3), (math.inf, 0.3)])
+    def test_rejects_bad_round_values(self, bad):
+        state = GuardedState(0, (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValidationError):
+            critical_fraction(state, bad, 2.7)
+
     def test_rejects_tripped_state(self):
         state = GuardedState(1, (0.5, 0.4), (0.2, 0.2), tripped_agent=0)
         with pytest.raises(ValidationError):
@@ -405,6 +417,15 @@ class TestRunGuarded:
             u = utilities(inst, trace.allocation)
             assert u == pytest.approx([0.5, 0.5], abs=1e-12)
 
+    def test_subnormal_value_warns_nothing(self):
+        # the guard's slope for agent 0 in round 0 is subnormal, so her
+        # crossing fraction overflows to inf: no trip, and no RuntimeWarning
+        inst = validate_instance([[1e-310, 0.5], [1.0, 0.5]], require_normalized=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_guarded(inst, 2.7)
+        assert trace.critical_event is None
+
     def test_trace_arrays_are_immutable(self, rng):
         inst = random_instance(rng)
         trace = run_guarded(inst, 2.7)
@@ -412,6 +433,93 @@ class TestRunGuarded:
             trace.cumulative_utility[0, 0] = 9.9
         with pytest.raises(ValueError):
             trace.allocation.fractions[0, 0] = 9.9
+
+
+def _assert_matches_reference(inst, p) -> bool:
+    """run_guarded against the scalar reference; returns whether it tripped."""
+    trace = run_guarded(inst, p)
+    fractions, trip = guarded_reference(inst.values, p)
+    event = trace.critical_event
+    if trip is None:
+        assert event is None
+    else:
+        t, f, i = trip
+        assert (event.round_index, event.agent) == (t, i)
+        assert abs(event.fraction - f) <= 1e-12
+    assert np.abs(trace.allocation.fractions - fractions).max() <= 1e-12
+    return trip is not None
+
+
+class TestGuardedReference:
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 1.0, 2.0, 2.7, 5.0, 10.0, 50.0])
+    def test_random_pools(self, p):
+        trips = sum(
+            _assert_matches_reference(inst, p) for inst in random_instances(606, 300)
+        )
+        assert trips > 0
+
+    @pytest.mark.parametrize("seed", [9, 19, 20])
+    def test_late_trip_on_long_horizon(self, seed):
+        values = late_trip_values(np.random.default_rng(seed), 100_000)
+        inst = validate_instance(values, require_normalized=True)
+        assert _assert_matches_reference(inst, 2.7)
+
+
+#: Exponents for the trip-boundary search, with the largest lambda1 at which
+#: ``guarded_cp1_instance`` is constructible (the power lambda1**p overflows a
+#: float beyond about 1.15 at p = 5000); None asks ``guard_ratio_ceiling``.
+STRESS_P = {1e-3: 1.0, 2.7: None, 50.0: None, 5000.0: 1.15}
+
+
+@st.composite
+def near_trip_instances(draw):
+    """A cp1 or cp2 construction whose guard binds at a round's end, nudged
+    around that point, split into up to 9,999 rounds, with each column sum
+    moved off 1 by up to 0.9e-9."""
+    p = draw(st.sampled_from(sorted(STRESS_P)))
+    top = STRESS_P[p] or guard_ratio_ceiling(p)
+    lambda1 = draw(st.floats(1.0, top))
+    lambda2 = draw(st.one_of(st.none(), st.floats(0.0, 16.0)))
+    try:
+        if lambda2 is None:
+            values = guarded_cp1_instance(p, lambda1).values.copy()
+        else:
+            values = guarded_cp2_instance(p, lambda1, lambda2).values.copy()
+    except (DomainError, ValidationError, OverflowError):
+        assume(False)  # no instance realizes this point in floats
+    agent = draw(st.integers(0, 1))
+    src, dst = draw(st.permutations(range(3)))[:2]
+    scale = 10.0 ** draw(st.integers(-16, -5))
+    shift = min(values[src, agent], draw(st.floats(0.0, 1.0)) * scale)
+    values[src, agent] -= shift
+    values[dst, agent] += shift
+    pieces = draw(st.integers(1, 3333))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.ones(pieces), size=3).reshape(-1, 1)
+    values = np.repeat(values, pieces, axis=0) * weights
+    off = np.array([draw(st.floats(-0.9e-9, 0.9e-9)) for _ in range(2)])
+    values *= (1.0 + off) / values.sum(axis=0)
+    return p, validate_instance(values, require_normalized=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_trip_instances())
+def test_guard_holds_at_the_trip_boundary(case):
+    p, inst = case
+    trace = run_guarded(inst, p)
+    event = trace.critical_event
+    # At p = 1e-3 the power rule's shares barely depend on the values, so a
+    # trip that TRIP_SLACK admits at f just above 1 can hand the other agent's
+    # later value to the tripped agent: only the tripped agent is held there.
+    held = [0, 1] if event is None or p > 1.0 else [event.agent]
+    margin = float(utilities(inst, trace.allocation)[held].min() - 0.5)
+    target(-margin, label="shortfall below 1/2")
+    assert margin >= -DEFAULT_TOL
+    first = critical_fraction(GuardedState(0, (0.0, 0.0), (1.0, 1.0)), inst.values[0], p)
+    if event is not None and event.round_index == 0:
+        assert first == (event.agent, event.fraction)
+    else:
+        assert first is None
 
 
 class TestAlgorithmRegistry:

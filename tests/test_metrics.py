@@ -26,6 +26,7 @@ from roundfair import (
     validate_instance,
 )
 from roundfair.errors import DimensionMismatch, ShapeMismatch
+from roundfair.metrics import fair_share
 from conftest import late_trip_values, random_instance
 
 
@@ -120,6 +121,38 @@ class TestAudit:
                 verdict = audit(inst, run_poly(inst, p).allocation, 1e-9)
                 if verdict.envy_free_ok:
                     assert verdict.fair_share_margin >= -1e-9
+
+
+class TestFairShareTarget:
+    """Fair-share is each agent's own total over n, so scale does not matter."""
+
+    UNNORMALIZED = validate_instance([[0.05, 0.05], [0.05, 0.05]])
+    LOPSIDED = validate_instance([[0.3, 0.05], [0.1, 0.05]])
+    CROSSED = validate_allocation([[0.0, 1.0], [1.0, 0.0]])
+
+    def test_target_is_own_total_over_n(self, rng):
+        assert fair_share(self.LOPSIDED).tolist() == [0.2, 0.05]
+        inst = random_instance(rng, n=3)
+        assert fair_share(inst) == pytest.approx(np.full(3, 1 / 3), abs=1e-15)
+
+    def test_equal_split_of_unnormalized_instance_is_fair(self):
+        verdict = audit(self.UNNORMALIZED, EQUAL_SPLIT)
+        assert verdict.fair_share_ok and verdict.envy_free_ok
+        assert verdict.fair_share_margin == 0.0
+        trace = run_poly(self.UNNORMALIZED, 0)
+        assert doomsday_trace(self.UNNORMALIZED, trace) == [True, True]
+
+    def test_unnormalized_shortfall_is_measured_against_own_total(self):
+        verdict = audit(self.LOPSIDED, self.CROSSED)
+        assert not verdict.fair_share_ok
+        # agent 0 gets 0.1 of her 0.2 target; agent 1 gets exactly her 0.05
+        assert verdict.fair_share_margin == pytest.approx(-0.1)
+        trace = RunTrace(
+            allocation=self.CROSSED,
+            cumulative_utility=np.array([[0.0, 0.05], [0.1, 0.05]]),
+            remaining_value=np.array([[0.1, 0.05], [0.0, 0.0]]),
+        )
+        assert doomsday_trace(self.LOPSIDED, trace) == [False, False]
 
 
 class TestDoomsdayCompatible:

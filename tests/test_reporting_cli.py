@@ -28,6 +28,12 @@ LB_DOC = """\
 0.432 0.573
 """
 
+UNNORMALIZED_DOC = """\
+2 2
+0.05 0.05
+0.05 0.05
+"""
+
 
 class TestParsing:
     def test_lower_bound_document(self):
@@ -257,6 +263,34 @@ class TestCli:
             )
             == 2
         )
+
+    def test_verify_unnormalized_equal_split_is_fair(self, tmp_path, capsys):
+        # Each agent's own total is 0.1, so half of it is her fair share.
+        inst_path = tmp_path / "inst.txt"
+        inst_path.write_text(UNNORMALIZED_DOC)
+        alloc_path = tmp_path / "alloc.txt"
+        alloc_path.write_text("2 2\n0.5 0.5\n0.5 0.5\n")
+        code = main(
+            ["verify", "--instance", str(inst_path), "--allocation", str(alloc_path)]
+        )
+        assert code == 0
+        assert ",true,true,,\n" in capsys.readouterr().out
+
+    def test_run_unnormalized_equal_split_is_fair(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text(UNNORMALIZED_DOC)
+        code = main(["run", "--algorithm", "equal-split", "--instance", str(path),
+                     "--format", "json"])
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["fair_share"] is True and row["envy_free"] is True
+
+    def test_doomsday_unnormalized_equal_split(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text(UNNORMALIZED_DOC)
+        code = main(["doomsday", "--instance", str(path), "--algorithm", "equal-split"])
+        assert code == 0
+        assert capsys.readouterr().out == "round,compatible\n0,true\n1,true\n"
 
     def test_sweep_rows_in_order(self, capsys):
         code = main(["sweep", "--p-values", "2,2.7", "--grid-step", "0.005"])
