@@ -76,6 +76,11 @@ def _cp2_ratio(p, lambda1, lambda2, mixed: bool):
     return alg / opt, v1, v2, v3, den
 
 
+def _overflow(p: float, point) -> DomainError:
+    """The error for a closed form whose float powers overflow at ``point``."""
+    return DomainError(f"p = {p!r} overflows floating point at {point!r}")
+
+
 def alpha_proportional(v1: float, v2: float) -> float:
     """Welfare ratio of the proportional rule on the crossed two-round family.
 
@@ -106,7 +111,10 @@ def alpha_guarded_cp1(p: float, lambda1: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    return _cp1_ratio(p, lambda1)
+    try:
+        return _cp1_ratio(p, lambda1)
+    except OverflowError:
+        raise _overflow(p, lambda1) from None
 
 
 def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: float):
@@ -117,11 +125,16 @@ def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: flo
         ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, mixed)
     except ZeroDivisionError:  # floats raise where arrays give inf: singular
         den = 0.0
+    except OverflowError:
+        raise _overflow(p, (lambda1, lambda2)) from None
     if den <= 0.0:
         raise DomainError(
             f"singular construction at ({lambda1!r}, {lambda2!r}): "
             "the tight conditions admit no solution here"
         )
+    if not all(map(math.isfinite, (ratio, v1, v2, v3, den))):
+        # a product of large powers overflowed to inf and then made NaN
+        raise _overflow(p, (lambda1, lambda2))
     if v1 < -slack or v2 < -slack or v3 < -slack:
         raise InfeasibleClosedForm(
             f"derived rounds ({v1!r}, {v2!r}, {v3!r}) are negative at "
@@ -165,15 +178,21 @@ def alpha_guarded_cp2(
 # ---------------------------------------------------------------------------
 # search over the closed forms
 
+#: Grid points ``minimize_alpha`` evaluates per block of leading rows, so the
+#: scan's temporaries stay at a few hundred kB whatever the grid size.
+_GRID_BLOCK_POINTS = 2**16
+
 
 @dataclass(frozen=True)
 class AlphaObjective:
     """A named ratio function over an open box, on points and on grids.
 
-    ``evaluate`` raises DomainError outside the feasible set;
-    ``evaluate_grid`` takes meshgrid coordinate arrays and returns ratios with
-    NaN at infeasible points.  ``margin`` keeps the search away from the open
-    boundary and its singular denominators.
+    ``evaluate`` raises DomainError outside the feasible set.
+    ``evaluate_grid`` takes open coordinate arrays, one per axis, as
+    ``np.meshgrid(..., indexing="ij", sparse=True)`` builds them; the search
+    passes one block of the grid at a time.  It returns ratios that broadcast
+    to the block's shape, with NaN at infeasible points.  ``margin`` keeps the
+    search away from the open boundary and its singular denominators.
     """
 
     name: str
@@ -190,12 +209,19 @@ class AlphaObjective:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a grid-then-refine minimization."""
+    """Outcome of a grid-then-refine minimization.
+
+    ``grid_point`` and ``grid_value`` are the best grid point and its grid
+    ratio, before refinement; ``evaluations`` counts grid points plus the
+    refine's objective calls.
+    """
 
     argmin: tuple[float, ...]
     value: float
     evaluations: int
     refined: bool
+    grid_point: tuple[float, ...]
+    grid_value: float
 
 
 def minimize_alpha(
@@ -203,8 +229,9 @@ def minimize_alpha(
 ) -> SearchResult:
     """Minimize a ratio objective: coarse grid scan, then simplex refinement.
 
-    The grid covers the domain shrunk by ``margin`` at step ``grid_step`` in
-    row-major order (first minimum wins ties), and a Nelder-Mead descent from
+    The grid covers the domain shrunk by ``margin`` at step ``grid_step``; it
+    is scanned in blocks of leading rows, so memory stays bounded, and in
+    row-major order (first minimum wins ties).  A Nelder-Mead descent from
     the best grid point runs until the point moves less than ``refine_tol``.
     Fully deterministic.
     """
@@ -222,18 +249,29 @@ def minimize_alpha(
             ax = np.append(ax, stop)
         axes.append(ax)
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    with np.errstate(all="ignore"):
-        grid_vals = np.asarray(objective.evaluate_grid(*mesh), dtype=float)
-    evaluations = grid_vals.size
-    if np.all(np.isnan(grid_vals)):
+    # One block of leading rows at a time, on open coordinates: per-axis
+    # powers are computed on 1-D data and no full-size grid is ever built.
+    shape = tuple(ax.size for ax in axes)
+    row_size = math.prod(shape[1:])
+    rows = max(1, _GRID_BLOCK_POINTS // row_size)
+    best_flat, best_val = -1, math.nan
+    for first in range(0, shape[0], rows):
+        block = axes[0][first : first + rows]
+        open_mesh = np.meshgrid(block, *axes[1:], indexing="ij", sparse=True)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(objective.evaluate_grid(*open_mesh), dtype=float)
+        if np.isnan(vals).all():
+            continue
+        vals = np.broadcast_to(vals, (block.size,) + shape[1:])
+        k = int(np.nanargmin(vals))
+        if best_flat < 0 or vals.flat[k] < best_val:
+            best_flat = first * row_size + k
+            best_val = float(vals.flat[k])
+    if best_flat < 0:
         raise EmptyDomain(f"objective {objective.name!r} has no feasible grid point")
-
-    best_flat = int(np.nanargmin(grid_vals))
-    x0 = np.array(
-        [m.reshape(-1)[best_flat] for m in mesh], dtype=float
-    )
-    best_val = float(grid_vals.reshape(-1)[best_flat])
+    index = np.unravel_index(best_flat, shape)
+    x0 = np.array([ax[i] for ax, i in zip(axes, index)], dtype=float)
+    evaluations = math.prod(shape)
 
     lows = np.array([lo + objective.margin for lo, _ in objective.bounds])
     highs = np.array([hi - objective.margin for _, hi in objective.bounds])
@@ -270,6 +308,8 @@ def minimize_alpha(
         value=float(value),
         evaluations=evaluations,
         refined=refined,
+        grid_point=tuple(float(v) for v in x0),
+        grid_value=best_val,
     )
 
 
@@ -339,10 +379,13 @@ def guard_ratio_ceiling(p: float) -> float:
         return 2.0 * x ** (p - 1.0) - x**p - 1.0
 
     hi = 1.5
-    while h(hi) > 0.0:
-        hi *= 1.5
-        if hi > 1e6:
-            raise DomainError(f"no feasibility ceiling found for p = {p!r}")
+    try:
+        while h(hi) > 0.0:
+            hi *= 1.5
+            if hi > 1e6:
+                raise DomainError(f"no feasibility ceiling found for p = {p!r}")
+    except OverflowError:
+        raise _overflow(p, hi) from None
     return float(brentq(h, 1.0 + 1e-12, hi, xtol=1e-13))
 
 
@@ -422,7 +465,10 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
         raise DomainError(f"need p > 0, got {p!r}")
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    lp = lambda1**p
+    try:
+        lp = lambda1**p
+    except OverflowError:
+        raise _overflow(p, lambda1) from None
     v1 = (1.0 + lp) / (2.0 * lp)
     if lambda1 * v1 > 1.0 + 1e-12:
         raise InfeasibleClosedForm(

@@ -73,6 +73,28 @@ def guarded_reference(values, p):
     return fractions, None
 
 
+def dense_grid_argmin(objective, grid_step):
+    """Reference grid scan: the whole grid as one full meshgrid.
+
+    This is the scan ``minimize_alpha`` once did in a single step, kept to
+    check its blocked scan against.  Returns the best grid point (first
+    minimum in row-major order), its value and the number of grid points.
+    """
+    axes = []
+    for lo, hi in objective.bounds:
+        start, stop = lo + objective.margin, hi - objective.margin
+        ax = np.arange(start, stop, grid_step)
+        if ax.size == 0 or ax[-1] < stop - 1e-15:
+            ax = np.append(ax, stop)
+        axes.append(ax)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    with np.errstate(all="ignore"):
+        grid_vals = np.asarray(objective.evaluate_grid(*mesh), dtype=float)
+    best_flat = int(np.nanargmin(grid_vals))
+    point = tuple(float(m.reshape(-1)[best_flat]) for m in mesh)
+    return point, float(grid_vals.reshape(-1)[best_flat]), grid_vals.size
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

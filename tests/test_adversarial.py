@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,10 +45,20 @@ from roundfair.errors import (
     OutOfRange,
     PNotAboveTwo,
 )
-from roundfair.adversarial import AlphaObjective
-from conftest import random_instance
+from roundfair.adversarial import _GRID_BLOCK_POINTS, AlphaObjective
+from conftest import dense_grid_argmin, random_instance
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+#: The six closed-form objectives at the exponents the paper quotes.
+SIX_OBJECTIVES = (
+    proportional_objective(),
+    poly_two_round_objective(2.0),
+    poly_two_round_diagonal_objective(2.7),
+    guarded_cp1_objective(2.7),
+    guarded_cp2_objective(2.7, "mixed"),
+    guarded_cp2_objective(2.7, "both_above"),
+)
 
 
 class TestClosedForms:
@@ -193,18 +205,7 @@ class TestMinimizeAlpha:
         with pytest.raises(OutOfRange):
             minimize_alpha(proportional_objective(), grid_step, refine_tol)
 
-    @pytest.mark.parametrize(
-        "objective",
-        [
-            proportional_objective(),
-            poly_two_round_objective(2.0),
-            poly_two_round_diagonal_objective(2.7),
-            guarded_cp1_objective(2.7),
-            guarded_cp2_objective(2.7, "mixed"),
-            guarded_cp2_objective(2.7, "both_above"),
-        ],
-        ids=lambda objective: objective.name,
-    )
+    @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
     def test_grid_agrees_with_scalar_evaluation(self, objective):
         # The grid uses numpy's pow and the scalar path libm's, so bits may
         # differ; feasibility must not.
@@ -224,6 +225,132 @@ class TestMinimizeAlpha:
                 assert math.isnan(grid.flat[k]), point
                 continue
             assert grid.flat[k] == pytest.approx(value, rel=0, abs=1e-12), point
+        # Open coordinates, as the search passes them, give the same bits
+        # once broadcast, on the whole grid and on a block of leading rows.
+        for rows in (slice(None), slice(7, 40)):
+            open_mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", sparse=True)
+            with np.errstate(all="ignore"):
+                sparse = objective.evaluate_grid(*open_mesh)
+            np.testing.assert_array_equal(
+                np.broadcast_to(sparse, grid[rows].shape), grid[rows]
+            )
+
+
+def _counting(objective):
+    """The objective with its grid calls recorded as their broadcast shapes."""
+    shapes = []
+
+    def grid(*coords):
+        assert all(sum(n > 1 for n in c.shape) <= 1 for c in coords), "not open"
+        shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
+        return objective.evaluate_grid(*coords)
+
+    return dataclasses.replace(objective, evaluate_grid=grid), shapes
+
+
+def _synthetic(grid, dimension=2):
+    """A unit-box objective whose scalar form is its grid form on one point."""
+    return AlphaObjective(
+        name="synthetic",
+        bounds=((0.0, 1.0),) * dimension,
+        evaluate=lambda x: float(grid(*np.asarray(x, dtype=float))),
+        evaluate_grid=grid,
+    )
+
+
+def _two_bands(x, *rest):
+    """-1 on x in [0.30, 0.35) and [0.80, 0.85), shifted by (y - 0.5)**2: equal
+    minima on many rows of different blocks; 0 elsewhere."""
+    band = ((0.30 <= x) & (x < 0.35)) | ((0.80 <= x) & (x < 0.85))
+    return np.where(band, sum((y - 0.5) ** 2 for y in rest) - 1.0, 0.0)
+
+
+class TestBlockedGridScan:
+    """``minimize_alpha``'s blocked scan against the full-mesh reference."""
+
+    @pytest.fixture(autouse=True)
+    def _record_refine_calls(self, monkeypatch):
+        import scipy.optimize
+
+        real = scipy.optimize.minimize
+        self.nfev = []
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            self.nfev.append(int(res.nfev))
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+
+    def _assert_matches_dense(self, objective, grid_step):
+        counted, shapes = _counting(objective)
+        result = minimize_alpha(counted, grid_step)
+        point, value, size = dense_grid_argmin(objective, grid_step)
+        assert result.grid_point == point
+        assert result.grid_value == value
+        assert sum(math.prod(s) for s in shapes) == size
+        assert max(math.prod(s) for s in shapes) <= _GRID_BLOCK_POINTS
+        assert result.evaluations == size + self.nfev[-1]
+        return result, shapes
+
+    @pytest.mark.parametrize("grid_step", [1e-3, 5e-3, 2e-2])
+    @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
+    def test_six_objectives(self, objective, grid_step):
+        self._assert_matches_dense(objective, grid_step)
+
+    @pytest.mark.parametrize("dimension, grid_step", [(2, 1e-3), (1, 1e-5)])
+    def test_first_of_equal_minima_in_different_blocks_wins(self, dimension, grid_step):
+        result, shapes = self._assert_matches_dense(
+            _synthetic(_two_bands, dimension), grid_step
+        )
+        assert len(shapes) > 1
+        assert result.grid_value == pytest.approx(-1.0, abs=1e-6)
+        assert 0.30 <= result.grid_point[0] < 0.31
+
+    def test_leading_blocks_all_nan(self):
+        def grid(x, y):
+            return np.where(x < 0.5, np.nan, (x - 0.7) ** 2 + (y - 0.3) ** 2)
+
+        _, shapes = self._assert_matches_dense(_synthetic(grid), 1e-3)
+        assert len(shapes) > 8  # at least 7 all-NaN blocks precede the minimum
+
+    @pytest.mark.parametrize(
+        "grid, row",
+        [
+            (lambda x, y: (x - 0.4) ** 2, 400),  # shape (B, 1) on open coordinates
+            (lambda x, y: (y - 0.4) ** 2, 0),  # shape (1, N)
+        ],
+        ids=["rows", "columns"],
+    )
+    def test_lower_dimensional_grid_broadcasts(self, grid, row):
+        result, _ = self._assert_matches_dense(_synthetic(grid), 1e-3)
+        assert result.grid_point[0] == pytest.approx(1e-6 + row * 1e-3)
+
+    def test_every_block_nan_is_an_empty_domain(self):
+        def grid(x, y):
+            return np.full(np.broadcast_shapes(x.shape, y.shape), np.nan)
+
+        with pytest.raises(EmptyDomain):
+            minimize_alpha(_synthetic(grid))
+
+    def test_grid_point_precedes_refinement(self):
+        result = minimize_alpha(guarded_cp1_objective(2.7), grid_step=1e-2)
+        assert result.refined
+        assert result.value <= result.grid_value
+        assert result.grid_point != result.argmin
+
+    def test_peak_memory_stays_bounded(self):
+        # numpy reports its buffers to tracemalloc.  A full mesh of this
+        # 497 x 15,001 grid peaks near 700 MB; the blocked scan near 4 MB.
+        objective = guarded_cp2_objective(2.7, "both_above")
+        minimize_alpha(proportional_objective(), grid_step=2e-2)  # import scipy first
+        tracemalloc.start()
+        try:
+            minimize_alpha(objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestGuardRatioCeiling:
@@ -242,6 +369,32 @@ class TestGuardRatioCeiling:
             assert inst.values[0, 1] == pytest.approx(1.0, abs=1e-9)
             with pytest.raises(InfeasibleClosedForm):
                 guarded_cp1_instance(p, lam + 1e-3)
+
+
+class TestLargeExponent:
+    """Float powers that overflow at large p surface as DomainError, never as
+    a bare OverflowError or as NaN rounds."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: guard_ratio_ceiling(5000),
+            lambda: alpha_guarded_cp1(5000, 1.5),
+            lambda: guarded_cp1_instance(5000, 1.5),
+            lambda: guarded_cp1_objective(5000),
+            lambda: guarded_cp2_instance(5000, 1.0960015837476516, 1.0945541686675568),
+        ],
+        ids=[
+            "guard_ratio_ceiling",
+            "alpha_guarded_cp1",
+            "guarded_cp1_instance",
+            "guarded_cp1_objective",
+            "guarded_cp2_instance",
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="p = 5000 overflows"):
+            call()
 
 
 class TestInstanceRealizations:

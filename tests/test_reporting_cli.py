@@ -325,6 +325,13 @@ class TestCli:
     def test_search_objective_missing_p_exits_2(self):
         assert main(["search", "--objective", "guarded-cp1"]) == 2
 
+    def test_search_overflowing_p_exits_2(self, capsys):
+        code = main(["search", "--objective", "guarded-cp1", "--p", "5000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("roundfair: error: p = 5000.0 overflows")
+
     def test_search_nan_refine_tol_exits_2(self, capsys):
         code = main(["search", "--objective", "proportional", "--refine-tol", "nan"])
         assert code == 2
