@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._solvers import brentq, nelder_mead
 from .algorithms import Algorithm
 from .core import Instance, validate_instance
 from .errors import (
@@ -76,9 +77,10 @@ def _cp2_ratio(p, lambda1, lambda2, mixed: bool):
     return alg / opt, v1, v2, v3, den
 
 
-def _overflow(p: float, point) -> DomainError:
-    """The error for a closed form whose float powers overflow at ``point``."""
-    return DomainError(f"p = {p!r} overflows floating point at {point!r}")
+def _overflow(p: float, point, flow: str = "overflows") -> DomainError:
+    """The error for a closed form whose float powers overflow (or, with
+    ``flow="underflows"``, underflow) at ``point``."""
+    return DomainError(f"p = {p!r} {flow} floating point at {point!r}")
 
 
 def alpha_proportional(v1: float, v2: float) -> float:
@@ -98,7 +100,10 @@ def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
-    return _poly_two_round_ratio(p, v1, v2)
+    try:
+        return _poly_two_round_ratio(p, v1, v2)
+    except ZeroDivisionError:  # both powers of a denominator underflowed to 0
+        raise _overflow(p, (float(v1), float(v2)), "underflows") from None
 
 
 def alpha_guarded_cp1(p: float, lambda1: float) -> float:
@@ -232,12 +237,13 @@ def minimize_alpha(
     The grid covers the domain shrunk by ``margin`` at step ``grid_step``; it
     is scanned in blocks of leading rows, so memory stays bounded, and in
     row-major order (first minimum wins ties).  A Nelder-Mead descent from
-    the best grid point runs until the point moves less than ``refine_tol``.
-    Fully deterministic.
+    the best grid point (``_solvers.nelder_mead``, a port of scipy's
+    non-adaptive Nelder-Mead) runs until the point moves less than
+    ``refine_tol``, within 600 evaluations per dimension.  Fully
+    deterministic.
     """
     if not (grid_step > 0 and refine_tol > 0):
         raise OutOfRange("grid_step and refine_tol must be positive")
-    from scipy.optimize import minimize  # loaded on first use: it dominates import time
 
     axes = []
     for lo, hi in objective.bounds:
@@ -285,22 +291,15 @@ def minimize_alpha(
             return 1e9
         return val if math.isfinite(val) else 1e9
 
-    res = minimize(
-        penalized,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": refine_tol,
-            "fatol": 1e-15,
-            "maxiter": 600 * objective.dimension,
-            "maxfev": 600 * objective.dimension,
-        },
+    budget = 600 * objective.dimension
+    res = nelder_mead(
+        penalized, x0, xatol=refine_tol, fatol=1e-15, maxiter=budget, maxfev=budget
     )
-    evaluations += int(res.nfev)
+    evaluations += res.nfev
     refined = False
     argmin = x0
-    if res.x is not None and penalized(np.asarray(res.x)) <= best_val:
-        argmin = np.asarray(res.x, dtype=float)
+    if penalized(res.x) <= best_val:
+        argmin = res.x
         refined = True
     value = objective.evaluate(tuple(argmin))
     return SearchResult(
@@ -369,11 +368,10 @@ def guard_ratio_ceiling(p: float) -> float:
     The second agent's implied first-round value grows with lambda1 and hits
     her whole unit budget where ``2 x**(p-1) - x**p - 1`` crosses zero; beyond
     that no instance exists.  Only exponents above 2 admit any such instance.
+    The root comes from ``_solvers.brentq``, a port of scipy's ``brentq``.
     """
     if p <= 2.0:
         raise DomainError(f"the guard cannot bind at the end of round 1 for p <= 2, got {p!r}")
-
-    from scipy.optimize import brentq  # loaded on first use: it dominates import time
 
     def h(x: float) -> float:
         return 2.0 * x ** (p - 1.0) - x**p - 1.0
@@ -386,7 +384,7 @@ def guard_ratio_ceiling(p: float) -> float:
                 raise DomainError(f"no feasibility ceiling found for p = {p!r}")
     except OverflowError:
         raise _overflow(p, hi) from None
-    return float(brentq(h, 1.0 + 1e-12, hi, xtol=1e-13))
+    return brentq(h, 1.0 + 1e-12, hi, xtol=1e-13)
 
 
 def guarded_cp1_objective(p: float) -> AlphaObjective:

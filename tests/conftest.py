@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from roundfair import validate_instance
+from roundfair._solvers import SimplexResult
 from roundfair.algorithms import TRIP_SLACK
 
 # Reproducible property searches: ``pytest --hypothesis-profile=ci``.
@@ -93,6 +94,25 @@ def dense_grid_argmin(objective, grid_step):
     best_flat = int(np.nanargmin(grid_vals))
     point = tuple(float(m.reshape(-1)[best_flat]) for m in mesh)
     return point, float(grid_vals.reshape(-1)[best_flat]), grid_vals.size
+
+
+def scipy_nelder_mead(func, x0, **options):
+    """Reference simplex: scipy's Nelder-Mead, which ``_solvers.nelder_mead``
+    ports, kept to check the port against.  Takes the port's keyword options
+    (``xatol``, ``fatol``, ``maxiter``, ``maxfev``) and returns its result type.
+    """
+    from scipy.optimize import minimize
+
+    res = minimize(func, x0, method="Nelder-Mead", options=options)
+    return SimplexResult(x=res.x, fun=float(res.fun), nfev=int(res.nfev), nit=int(res.nit))
+
+
+def scipy_brentq(f, a, b, **options):
+    """Reference root finder: scipy's brentq, which ``_solvers.brentq`` ports,
+    kept to check the port against."""
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, **options)
 
 
 @pytest.fixture

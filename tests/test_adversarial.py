@@ -45,6 +45,7 @@ from roundfair.errors import (
     OutOfRange,
     PNotAboveTwo,
 )
+from roundfair import adversarial
 from roundfair.adversarial import _GRID_BLOCK_POINTS, AlphaObjective
 from conftest import dense_grid_argmin, random_instance
 
@@ -270,17 +271,15 @@ class TestBlockedGridScan:
 
     @pytest.fixture(autouse=True)
     def _record_refine_calls(self, monkeypatch):
-        import scipy.optimize
-
-        real = scipy.optimize.minimize
+        real = adversarial.nelder_mead
         self.nfev = []
 
         def recording(*args, **kwargs):
             res = real(*args, **kwargs)
-            self.nfev.append(int(res.nfev))
+            self.nfev.append(res.nfev)
             return res
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(adversarial, "nelder_mead", recording)
 
     def _assert_matches_dense(self, objective, grid_step):
         counted, shapes = _counting(objective)
@@ -343,7 +342,7 @@ class TestBlockedGridScan:
         # numpy reports its buffers to tracemalloc.  A full mesh of this
         # 497 x 15,001 grid peaks near 700 MB; the blocked scan near 4 MB.
         objective = guarded_cp2_objective(2.7, "both_above")
-        minimize_alpha(proportional_objective(), grid_step=2e-2)  # import scipy first
+        minimize_alpha(proportional_objective(), grid_step=2e-2)  # warm up first
         tracemalloc.start()
         try:
             minimize_alpha(objective)
@@ -395,6 +394,18 @@ class TestLargeExponent:
     def test_overflow_is_a_domain_error(self, call):
         with pytest.raises(DomainError, match="p = 5000 overflows"):
             call()
+
+    def test_underflowed_denominator_is_a_domain_error(self):
+        # 0.6**5000 and 0.4**5000 are both 0.0, so a quotient would be 0/0
+        with pytest.raises(DomainError, match=r"p = 5000 underflows .* \(0\.6, 0\.6\)"):
+            alpha_poly_two_round(5000, 0.6, 0.6)
+
+    @pytest.mark.parametrize(
+        "objective", [poly_two_round_objective, poly_two_round_diagonal_objective]
+    )
+    def test_refine_skips_underflowed_points(self, objective):
+        result = minimize_alpha(objective(5000), grid_step=2e-2)
+        assert math.isfinite(result.value) and 0.0 < result.value <= 1.0
 
 
 class TestInstanceRealizations:

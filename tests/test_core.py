@@ -168,14 +168,35 @@ def test_three_round_cp_roundtrip(v11, v21):
     assert np.all(np.abs(inst.column_totals() - 1.0) <= 1e-12)
 
 
+#: Imports roundfair, runs the analysis commands in process, then the offline
+#: LP, and prints which scipy modules are loaded after each step.
+SCIPY_LOADS = """
+import contextlib, io, sys
+import roundfair
+from roundfair.cli import main
+
+def loaded():
+    print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)
+
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["search", "--objective", "proportional", "--grid-step", "0.02"]) == 0
+    assert main(["sweep", "--p-values", "2,2.7,3", "--grid-step", "0.02"]) == 0
+roundfair.guard_ratio_ceiling(2.7)
+loaded()
+roundfair.offline_fair_share_welfare(roundfair.validate_instance([[0.5, 1.0], [0.5, 0.0]]))
+loaded()
+"""
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     src = str(Path(roundfair.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, roundfair; "
-         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"],
+        [sys.executable, "-c", SCIPY_LOADS],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "False False"
+    # search, sweep and the guard ceiling run on the in-repo solvers; only
+    # the offline LP loads scipy.optimize.
+    assert proc.stdout.split("\n") == ["False False", "False False", "True True", ""]

@@ -332,6 +332,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("roundfair: error: p = 5000.0 overflows")
 
+    @pytest.mark.parametrize("objective", ["poly-two-round", "poly-two-round-diagonal"])
+    def test_search_underflowing_p_exits_0(self, capsys, objective):
+        # Both powers of a denominator underflow on part of the domain; the
+        # refine treats those points as infeasible instead of raising.
+        code = main(["search", "--objective", objective, "--p", "5000", "--grid-step", "0.02"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].startswith(f"{objective},5000,")
+
     def test_search_nan_refine_tol_exits_2(self, capsys):
         code = main(["search", "--objective", "proportional", "--refine-tol", "nan"])
         assert code == 2
