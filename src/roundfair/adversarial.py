@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from ._solvers import brentq, nelder_mead
 from .algorithms import Algorithm
-from .core import Instance, validate_instance
+from .core import (
+    CLOSED_FORM_SLACK,
+    DEFAULT_TOL,
+    ENTRY_TOL,
+    REFINE_TOL,
+    Instance,
+    validate_instance,
+)
 from .errors import (
     DomainError,
     EmptyDomain,
@@ -26,13 +33,7 @@ from .errors import (
     OutOfRange,
     PNotAboveTwo,
 )
-from .metrics import DEFAULT_TOL, audit
-
-#: Feasibility slack for the two-round critical-point closed forms.  Points
-#: quoted to a few digits can land a hair outside the exact region; within
-#: this slack the ratio is still evaluated (never clamped), beyond it the
-#: point is rejected.
-CLOSED_FORM_SLACK = 1e-3
+from .metrics import audit
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,9 @@ def alpha_guarded_cp2(
 #: scan's temporaries stay at a few hundred kB whatever the grid size.
 _GRID_BLOCK_POINTS = 2**16
 
+#: Default spacing of the worst-case search's grid, on every axis.
+GRID_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class AlphaObjective:
@@ -196,8 +200,9 @@ class AlphaObjective:
     ``evaluate_grid`` takes open coordinate arrays, one per axis, as
     ``np.meshgrid(..., indexing="ij", sparse=True)`` builds them; the search
     passes one block of the grid at a time.  It returns ratios that broadcast
-    to the block's shape, with NaN at infeasible points.  ``margin`` keeps the
-    search away from the open boundary and its singular denominators.
+    to the block's shape, with NaN at infeasible points.  ``margin``, the same
+    for every objective, keeps the search away from the open boundary and its
+    singular denominators.
     """
 
     name: str
@@ -205,7 +210,7 @@ class AlphaObjective:
     evaluate: Callable[[Sequence[float]], float]
     evaluate_grid: Callable[..., np.ndarray]
     p: float | None = None
-    margin: float = 1e-6
+    margin: ClassVar[float] = 1e-6
 
     @property
     def dimension(self) -> int:
@@ -230,7 +235,9 @@ class SearchResult:
 
 
 def minimize_alpha(
-    objective: AlphaObjective, grid_step: float = 1e-3, refine_tol: float = 1e-9
+    objective: AlphaObjective,
+    grid_step: float = GRID_STEP,
+    refine_tol: float = REFINE_TOL,
 ) -> SearchResult:
     """Minimize a ratio objective: coarse grid scan, then simplex refinement.
 
@@ -368,13 +375,17 @@ def guard_ratio_ceiling(p: float) -> float:
     The second agent's implied first-round value grows with lambda1 and hits
     her whole unit budget where ``2 x**(p-1) - x**p - 1`` crosses zero; beyond
     that no instance exists.  Only exponents above 2 admit any such instance.
-    The root comes from ``_solvers.brentq``, a port of scipy's ``brentq``.
+    The function is evaluated as ``2 expm1((p-1) L) - expm1(p L)`` with
+    ``L = log(x)``, which does not cancel to 0 near x = 1, so the root stays
+    accurate as p approaches 2.  The root comes from ``_solvers.brentq``, a
+    port of scipy's ``brentq``, bracketed from the first float above 1.
     """
     if p <= 2.0:
         raise DomainError(f"the guard cannot bind at the end of round 1 for p <= 2, got {p!r}")
 
     def h(x: float) -> float:
-        return 2.0 * x ** (p - 1.0) - x**p - 1.0
+        log_x = math.log1p(x - 1.0)
+        return 2.0 * math.expm1((p - 1.0) * log_x) - math.expm1(p * log_x)
 
     hi = 1.5
     try:
@@ -384,7 +395,7 @@ def guard_ratio_ceiling(p: float) -> float:
                 raise DomainError(f"no feasibility ceiling found for p = {p!r}")
     except OverflowError:
         raise _overflow(p, hi) from None
-    return brentq(h, 1.0 + 1e-12, hi, xtol=1e-13)
+    return brentq(h, math.nextafter(1.0, 2.0), hi, xtol=1e-13)
 
 
 def guarded_cp1_objective(p: float) -> AlphaObjective:
@@ -468,7 +479,7 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
     except OverflowError:
         raise _overflow(p, lambda1) from None
     v1 = (1.0 + lp) / (2.0 * lp)
-    if lambda1 * v1 > 1.0 + 1e-12:
+    if lambda1 * v1 > 1.0 + ENTRY_TOL:
         raise InfeasibleClosedForm(
             f"lambda1 = {lambda1!r} exceeds the feasibility ceiling for p = {p!r}"
         )
@@ -483,7 +494,7 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
 def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
     """Three-round instance on which the guard trips exactly at the end of round 2."""
     # The subcase changes only the ratio, which the instance does not need.
-    _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, True, 1e-12)
+    _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, True, ENTRY_TOL)
     rows = [
         [max(v1, 0.0), lambda1 * v1],
         [max(v2, 0.0), lambda2 * v2],
@@ -553,7 +564,7 @@ def replay_lower_bound(algorithm, tol: float = DEFAULT_TOL) -> ReplayVerdict:
 
     x11 = float(trace1.allocation.fractions[0, 0])
     x11_second = float(trace2.allocation.fractions[0, 0])
-    if abs(x11 - x11_second) > 1e-9:
+    if abs(x11 - x11_second) > DEFAULT_TOL:
         prefix = (
             f"warning: round-1 decisions differ across branches "
             f"({x11:.6f} vs {x11_second:.6f}); allocator is not online. "
@@ -627,21 +638,22 @@ def multi_agent_welfare_caps(n: int) -> tuple[float, float]:
     return 2.0 - gap, 3.0 - gap
 
 
-def truncation_adversary(algorithm, prefix, tol: float = 1e-12):
+def truncation_adversary(algorithm, prefix):
     """Hunt for a fair-share failure of an allocator on unnormalized values.
 
     Runs the allocator over the prefix rounds; if after some round an agent's
-    utility falls below a 1/n share of the value she has seen so far, returns
-    the prefix truncated there plus one all-zero round, an instance on which
-    the allocator under-serves that agent no matter what.  Returns None when
-    the allocator tracked an equal split of everyone's seen value throughout.
+    utility falls below a 1/n share of the value she has seen so far by more
+    than ``DEFAULT_TOL``, the slack :func:`audit` allows, returns the prefix
+    truncated there plus one all-zero round, an instance on which the
+    allocator under-serves that agent no matter what.  Returns None when the
+    allocator tracked an equal split of everyone's seen value throughout.
     """
     instance = validate_instance(prefix)
     runner = algorithm.run if isinstance(algorithm, Algorithm) else algorithm
     trace = runner(instance)
     n = instance.n
     seen = np.cumsum(instance.values, axis=0)
-    shortfall = trace.cumulative_utility < seen / n - tol
+    shortfall = trace.cumulative_utility < seen / n - DEFAULT_TOL
     bad_rounds = np.nonzero(shortfall.any(axis=1))[0]
     if bad_rounds.size == 0:
         return None
@@ -670,8 +682,8 @@ class SweepRow:
 
 def sweep_tradeoff_curves(
     p_values: Sequence[float],
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-9,
+    grid_step: float = GRID_STEP,
+    refine_tol: float = REFINE_TOL,
 ) -> list[SweepRow]:
     """Trace both worst-case curves across exponents in [2, 3].
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TRIP_SLACK,
     CriticalEvent,
     Instance,
     RunTrace,
@@ -33,11 +34,6 @@ from .errors import InfiniteP, NotTwoAgents, OutOfRange, ValidationError
 
 #: Distinguished exponent selecting the winner-take-all rule.
 GREEDY = math.inf
-
-#: Slack when deciding that a within-round trip fraction still lies in [0, 1].
-#: Absorbs roundoff so a crossing that lands exactly on a round boundary is
-#: never missed, which would otherwise forfeit the fair-share guarantee.
-TRIP_SLACK = 1e-9
 
 
 def _check_p(p: float) -> float:

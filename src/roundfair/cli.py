@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .adversarial import (
+    GRID_STEP,
     fair_share_violation_instance,
     lower_bound_instances,
     minimize_alpha,
@@ -27,9 +28,15 @@ from .adversarial import (
     sweep_tradeoff_curves,
 )
 from .algorithms import algorithm_by_name
-from .core import Instance, three_round_cp, two_round_symmetric
+from .core import (
+    DEFAULT_TOL,
+    REFINE_TOL,
+    Instance,
+    three_round_cp,
+    two_round_symmetric,
+)
 from .errors import RoundFairError
-from .metrics import DEFAULT_TOL, audit, doomsday_trace
+from .metrics import audit, doomsday_trace
 from .reporting import (
     RunRecord,
     emit_report,
@@ -46,9 +53,7 @@ def _resolve_instances(spec: str) -> list[tuple[str, Instance]]:
         return [(spec, two_round_symmetric(float(args)))]
     if kind == "three-round-cp":
         parts = [float(x) for x in args.split(",")]
-        if len(parts) == 2:
-            parts.append(1e-6)
-        if len(parts) != 3:
+        if len(parts) not in (2, 3):
             raise RoundFairError(
                 "three-round-cp takes v11,v21[,eps] as arguments"
             )
@@ -213,16 +218,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="trace the worst-case trade-off curves over p")
     sweep.add_argument("--p-values", required=True, help="comma-separated exponents in [2, 3]")
-    sweep.add_argument("--grid-step", type=float, default=1e-3)
-    sweep.add_argument("--refine-tol", type=float, default=1e-9)
+    sweep.add_argument("--grid-step", type=float, default=GRID_STEP)
+    sweep.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     add_common(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     search = sub.add_parser("search", help="minimize a closed-form ratio objective")
     search.add_argument("--objective", required=True)
     search.add_argument("--p", type=float, default=None)
-    search.add_argument("--grid-step", type=float, default=1e-3)
-    search.add_argument("--refine-tol", type=float, default=1e-9)
+    search.add_argument("--grid-step", type=float, default=GRID_STEP)
+    search.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     add_common(search)
     search.set_defaults(func=_cmd_search)
 

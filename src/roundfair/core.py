@@ -4,6 +4,15 @@ An instance is a T x n matrix of nonnegative values, one row per round and one
 column per agent.  Agents have additive utilities, and an instance is called
 normalized when every agent's column sums to 1.  All types are immutable after
 construction and safe to share across workers.
+
+Tolerance policy.  Every slack the package applies is defined below, once,
+and other modules import it.  Each slack is absolute and named for the scale
+it sits on: ``DEFAULT_TOL`` for sums of unit-scale numbers (column sums, round
+sums, utilities against their targets or other bundles), ``ENTRY_TOL`` for
+one computed entry, ``TRIP_SLACK`` for the guard's within-round trip
+fraction, ``CLOSED_FORM_SLACK`` for round values derived from quoted
+parameters, and ``REFINE_TOL`` for the worst-case search's coordinates.
+Solver precisions used once, inside one routine, stay inline there.
 """
 
 from __future__ import annotations
@@ -20,14 +29,29 @@ from .errors import (
     ValidationError,
 )
 
-#: Absolute tolerance on each agent's unit column sum.
-NORMALIZATION_TOL = 1e-9
+#: Absolute slack on a sum of unit-scale values, shares or utilities.
+DEFAULT_TOL = 1e-9
 
-#: Tolerance on allocation entries lying in [0, 1].
+#: Roundoff allowed on one computed entry, such as a share lying in [0, 1].
 ENTRY_TOL = 1e-12
 
-#: Tolerance on per-round allocation sums not exceeding 1.
-ROW_SUM_TOL = 1e-9
+#: Slack when deciding that a within-round trip fraction still lies in [0, 1].
+#: Absorbs roundoff so a crossing that lands exactly on a round boundary is
+#: never missed, which would otherwise forfeit the fair-share guarantee.  It
+#: sits on the scale of f, not of utility: near p = 0 the shares barely depend
+#: on the values, so a trip it admits can cost the other agent more than
+#: ``DEFAULT_TOL`` of utility (a known defect of the guarded rule at small p).
+TRIP_SLACK = 1e-9
+
+#: Feasibility slack for the two-round critical-point closed forms.  Points
+#: quoted to a few digits can land a hair outside the exact region; within
+#: this slack the ratio is still evaluated (never clamped), beyond it the
+#: point is rejected.
+CLOSED_FORM_SLACK = 1e-3
+
+#: Default x-scale stop of the worst-case search's refine: every vertex of its
+#: simplex within this of the best one, in every coordinate.
+REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +141,7 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
 
     The matrix must be non-empty and rectangular with nonnegative finite
     entries.  When ``require_normalized`` is set, every agent's column must
-    sum to 1 within ``NORMALIZATION_TOL``; otherwise the instance is accepted
+    sum to 1 within ``DEFAULT_TOL``; otherwise the instance is accepted
     as-is and its ``normalized`` flag records whether the sums happen to hold.
     """
     try:
@@ -137,7 +161,7 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
         raise NegativeValue(int(t), int(i), float(matrix[t, i]))
 
     totals = matrix.sum(axis=0)
-    off = np.abs(totals - 1.0) > NORMALIZATION_TOL
+    off = np.abs(totals - 1.0) > DEFAULT_TOL
     normalized = not bool(off.any())
     if require_normalized and not normalized:
         agent = int(np.argmax(off))
@@ -151,7 +175,7 @@ def validate_allocation(fractions) -> Allocation:
 
     The matrix is copied once and frozen.  Entries must be finite and lie in
     [0, 1] within ``ENTRY_TOL``; each round may allocate at most 1 within
-    ``ROW_SUM_TOL``.
+    ``DEFAULT_TOL``.
     """
     matrix = np.array(fractions, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
@@ -161,7 +185,7 @@ def validate_allocation(fractions) -> Allocation:
         raise ValidationError("allocation entries must be finite and lie in [0, 1]")
     row_sums = matrix.sum(axis=1)
     t = int(row_sums.argmax())
-    if row_sums[t] > 1.0 + ROW_SUM_TOL:
+    if row_sums[t] > 1.0 + DEFAULT_TOL:
         raise ValidationError(f"round {t} allocates {row_sums[t]!r} > 1")
     matrix.setflags(write=False)
     return Allocation(fractions=matrix)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Allocation, Instance, RunTrace, Verdict
+from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict
 from .errors import DimensionMismatch, ShapeMismatch
-
-DEFAULT_TOL = 1e-9
 
 
 def utilities(instance: Instance, allocation: Allocation) -> np.ndarray:

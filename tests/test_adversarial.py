@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from roundfair import (
     GREEDY,
+    RunTrace,
     algorithm_by_name,
     alpha_guarded_cp1,
     alpha_guarded_cp2,
@@ -36,6 +38,8 @@ from roundfair import (
     truncation_adversary,
     two_round_instance,
     utilities,
+    validate_allocation,
+    validate_instance,
 )
 from roundfair.errors import (
     DomainError,
@@ -369,6 +373,21 @@ class TestGuardRatioCeiling:
             with pytest.raises(InfeasibleClosedForm):
                 guarded_cp1_instance(p, lam + 1e-3)
 
+    @pytest.mark.parametrize("p", [2.0001, 2.0 + 1e-6])
+    def test_ceiling_near_two_is_the_root(self, p):
+        # 2 x**(p-1) - x**p - 1 cancels to 0 in floats near x = 1; in 40-digit
+        # decimals it changes sign within 1e-12 of the computed ceiling.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            dp = decimal.Decimal(p)
+
+            def h(x):
+                log_x = decimal.Decimal(x).ln()
+                return 2 * (log_x * (dp - 1)).exp() - (log_x * dp).exp() - 1
+
+            lam = guard_ratio_ceiling(p)
+            assert h(lam - 1e-12) > 0 > h(lam + 1e-12)
+
 
 class TestLargeExponent:
     """Float powers that overflow at large p surface as DomainError, never as
@@ -578,6 +597,26 @@ class TestTruncationAdversary:
             u = utilities(failing, trace.allocation)
             totals = failing.column_totals()
             assert (u < totals / failing.n - 1e-12).any()
+            assert not audit(failing, trace.allocation).fair_share_ok
+
+    def test_shortfall_within_the_audit_tolerance_passes(self):
+        # Agent 0 ends 5e-10 below half of the value she has seen: audit
+        # accepts that, so the adversary must not report it.
+        def short_by_5e_10(instance):
+            fractions = np.full(instance.values.shape, 0.5)
+            fractions[0] += np.array([-5e-10, 5e-10]) / instance.values[0, 0]
+            return RunTrace(
+                allocation=validate_allocation(fractions),
+                cumulative_utility=np.cumsum(instance.values * fractions, axis=0),
+                remaining_value=np.zeros(instance.values.shape),
+            )
+
+        prefix = [[0.3, 0.6]]
+        assert truncation_adversary(short_by_5e_10, prefix) is None
+        padded = validate_instance([[0.3, 0.6], [0.0, 0.0]])
+        verdict = audit(padded, short_by_5e_10(padded).allocation)
+        assert verdict.fair_share_ok
+        assert verdict.fair_share_margin == pytest.approx(-5e-10, abs=1e-15)
 
 
 class TestSweep:

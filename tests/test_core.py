@@ -1,7 +1,9 @@
+import ast
 import math
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -200,3 +202,21 @@ def test_import_leaves_scipy_optimize_unloaded():
     # search, sweep and the guard ceiling run on the in-repo solvers; only
     # the offline LP loads scipy.optimize.
     assert proc.stdout.split("\n") == ["False False", "False False", "True True", ""]
+
+
+def test_tolerance_literals_are_written_only_in_core():
+    # core.py holds the tolerance policy; every other module imports its
+    # named slacks instead of repeating 1e-9 or 1e-12.
+    package = Path(roundfair.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "core.py")
+    found = []
+    for path in modules:
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type != tokenize.NUMBER:
+                    continue
+                value = ast.literal_eval(tok.string)
+                if isinstance(value, float) and value in (1e-9, 1e-12):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert len(modules) >= 7
+    assert found == []

@@ -322,6 +322,18 @@ class TestCli:
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert float(row[3]) == pytest.approx(0.916945, abs=1e-5)
 
+    def test_search_guarded_cp1_just_above_two(self, capsys):
+        # The ceiling at p = 2.0001 is about 1 + 1e-4: a box the grid can scan.
+        code = main(["search", "--objective", "guarded-cp1", "--p", "2.0001"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("guarded-cp1,2.0001,")
+
+    def test_sweep_just_above_two_has_a_trip_row(self, capsys):
+        code = main(["sweep", "--p-values", "2.0001", "--grid-step", "0.005"])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "2.0001" and float(row[2]) > 0.99
+
     def test_search_objective_missing_p_exits_2(self):
         assert main(["search", "--objective", "guarded-cp1"]) == 2
 
