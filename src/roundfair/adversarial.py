@@ -10,6 +10,7 @@ so every closed form can be cross-checked by simulation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -44,6 +45,9 @@ from .metrics import audit
 # checks) and on broadcasting arrays (the objectives' grid scans, which mask
 # infeasible points with NaN instead).
 
+#: Smallest positive normal float; a power below it has lost precision.
+_MIN_NORMAL = sys.float_info.min
+
 
 def _proportional_ratio(v1, v2):
     return 2.0 * (1.0 + 2.0 * v1 * v2 - v1 - v2) / (
@@ -52,9 +56,20 @@ def _proportional_ratio(v1, v2):
 
 
 def _poly_two_round_ratio(p, v1, v2):
-    a = ((1.0 - v1) ** (p + 1) + v2 ** (p + 1)) / ((1.0 - v1) ** p + v2**p)
-    b = ((1.0 - v2) ** (p + 1) + v1 ** (p + 1)) / ((1.0 - v2) ** p + v1**p)
-    return (a + b) / (v1 + v2)
+    """The two-round ratio and where it is lost: (ratio, lost).
+
+    A point is lost where both powers in one denominator lie below the
+    smallest normal float.  The quotient then keeps only the few bits of a
+    subnormal, or is 0/0, which raises ZeroDivisionError on floats.
+    """
+    x1, y1 = (1.0 - v1) ** p, v2**p
+    x2, y2 = (1.0 - v2) ** p, v1**p
+    lost = ((x1 < _MIN_NORMAL) & (y1 < _MIN_NORMAL)) | (
+        (x2 < _MIN_NORMAL) & (y2 < _MIN_NORMAL)
+    )
+    a = ((1.0 - v1) ** (p + 1) + v2 ** (p + 1)) / (x1 + y1)
+    b = ((1.0 - v2) ** (p + 1) + v1 ** (p + 1)) / (x2 + y2)
+    return (a + b) / (v1 + v2), lost
 
 
 def _cp1_ratio(p, lambda1):
@@ -102,9 +117,12 @@ def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
     try:
-        return _poly_two_round_ratio(p, v1, v2)
+        ratio, lost = _poly_two_round_ratio(p, v1, v2)
     except ZeroDivisionError:  # both powers of a denominator underflowed to 0
-        raise _overflow(p, (float(v1), float(v2)), "underflows") from None
+        lost = True
+    if lost:
+        raise _overflow(p, (float(v1), float(v2)), "underflows")
+    return ratio
 
 
 def alpha_guarded_cp1(p: float, lambda1: float) -> float:
@@ -202,7 +220,8 @@ class AlphaObjective:
     passes one block of the grid at a time.  It returns ratios that broadcast
     to the block's shape, with NaN at infeasible points.  ``margin``, the same
     for every objective, keeps the search away from the open boundary and its
-    singular denominators.
+    singular denominators; an axis narrower than four margins gives up a
+    quarter of its width on each side instead.
     """
 
     name: str
@@ -241,8 +260,9 @@ def minimize_alpha(
 ) -> SearchResult:
     """Minimize a ratio objective: coarse grid scan, then simplex refinement.
 
-    The grid covers the domain shrunk by ``margin`` at step ``grid_step``; it
-    is scanned in blocks of leading rows, so memory stays bounded, and in
+    The grid covers the domain shrunk on each side by ``margin``, or by a
+    quarter of the axis where that is less, at step ``grid_step``; it is
+    scanned in blocks of leading rows, so memory stays bounded, and in
     row-major order (first minimum wins ties).  A Nelder-Mead descent from
     the best grid point (``_solvers.nelder_mead``, a port of scipy's
     non-adaptive Nelder-Mead) runs until the point moves less than
@@ -252,15 +272,19 @@ def minimize_alpha(
     if not (grid_step > 0 and refine_tol > 0):
         raise OutOfRange("grid_step and refine_tol must be positive")
 
-    axes = []
+    axes, box = [], []
     for lo, hi in objective.bounds:
-        start, stop = lo + objective.margin, hi - objective.margin
+        # An axis narrower than 4 margins, as the trip families' are for p
+        # just above 2, keeps its middle half.
+        margin = min(objective.margin, (hi - lo) / 4)
+        start, stop = lo + margin, hi - margin
         if stop <= start:
             raise EmptyDomain(f"objective {objective.name!r} has an empty box")
         ax = np.arange(start, stop, grid_step)
         if ax.size == 0 or ax[-1] < stop - 1e-15:
             ax = np.append(ax, stop)
         axes.append(ax)
+        box.append((start, stop))
 
     # One block of leading rows at a time, on open coordinates: per-axis
     # powers are computed on 1-D data and no full-size grid is ever built.
@@ -286,8 +310,7 @@ def minimize_alpha(
     x0 = np.array([ax[i] for ax, i in zip(axes, index)], dtype=float)
     evaluations = math.prod(shape)
 
-    lows = np.array([lo + objective.margin for lo, _ in objective.bounds])
-    highs = np.array([hi - objective.margin for _, hi in objective.bounds])
+    lows, highs = np.array(box).T
 
     def penalized(x: np.ndarray) -> float:
         if np.any(x < lows) or np.any(x > highs):
@@ -342,8 +365,8 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
         raise DomainError(f"need p > 0, got {p!r}")
 
     def grid(v1, v2):
-        out = _poly_two_round_ratio(p, v1, v2)
-        out[v1 + v2 <= 1.0] = np.nan
+        out, lost = _poly_two_round_ratio(p, v1, v2)
+        out[lost | (v1 + v2 <= 1.0)] = np.nan
         return out
 
     return AlphaObjective(
@@ -360,11 +383,16 @@ def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
     if p <= 0:
         raise DomainError(f"need p > 0, got {p!r}")
 
+    def grid(v):
+        out, lost = _poly_two_round_ratio(p, v, v)
+        out[lost] = np.nan
+        return out
+
     return AlphaObjective(
         name="poly-two-round-diagonal",
         bounds=((0.5, 1.0),),
         evaluate=lambda x: alpha_poly_two_round(p, x[0], x[0]),
-        evaluate_grid=lambda v: _poly_two_round_ratio(p, v, v),
+        evaluate_grid=grid,
         p=p,
     )
 

@@ -69,7 +69,7 @@ def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
     """The rule of :func:`poly_round` applied to every round of a T x n matrix."""
     T, n = values.shape
     if p == 0.0:
-        return np.full((T, n), 1.0 / n)
+        return np.full((T, n), 1.0 / n, order="F")
     row_max = np.maximum.reduce(values, axis=1, keepdims=True)
     # Dead rounds (all zeros) get a row maximum and weights of 1, so they are
     # split equally; welfare-neutral, keeps rows full.
@@ -83,9 +83,16 @@ def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
     return weights / np.add.reduce(weights, axis=1, keepdims=True)
 
 
+def _cumulative_utility(values: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Each agent's utility through each round, summed in the gains' own buffer."""
+    gains = values * fractions
+    return np.add.accumulate(gains, out=gains)
+
+
 def _trace_arrays(values: np.ndarray, cumulative: np.ndarray):
     """Freeze the utilities through each round and add the value still to come."""
-    remaining = np.add.reduce(values) - np.add.accumulate(values)
+    remaining = np.add.accumulate(values)
+    np.subtract(np.add.reduce(values), remaining, out=remaining)
     cumulative.setflags(write=False)
     remaining.setflags(write=False)
     return cumulative, remaining
@@ -100,9 +107,7 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     p = _check_p(p)
     values = instance.values
     fractions = _poly_fractions(values, p)
-    cumulative, remaining = _trace_arrays(
-        values, np.add.accumulate(values * fractions)
-    )
+    cumulative, remaining = _trace_arrays(values, _cumulative_utility(values, fractions))
     return RunTrace(
         allocation=validate_allocation(fractions),
         cumulative_utility=cumulative,
@@ -137,13 +142,15 @@ def _first_trip(u, rem, values, shares) -> tuple[int, float, int] | None:
     cross, and a computed crossing within TRIP_SLACK of [0, 1] is clamped
     inside.  Within the round, ties go to the smaller f, then the lower agent.
     """
-    slope = values - values * shares
+    slope = values * shares
+    np.subtract(values, slope, out=slope)
     falls = slope > 0.0
-    f = u + rem - 0.5
+    f = u + rem
+    f -= 0.5
     with np.errstate(over="ignore"):  # a subnormal slope gives f = inf: no trip
         np.divide(f, slope, out=f, where=falls)
     hit = falls & (f <= 1.0 + TRIP_SLACK)
-    t = int(hit.argmax()) // hit.shape[1]  # the first round with a hit, else 0
+    t = int(hit.any(axis=1).argmax())  # the first round with a hit, else 0
     candidates = [
         (min(max(fi, 0.0), 1.0), i)
         for i, (fi, hi) in enumerate(zip(f[t].tolist(), hit[t].tolist()))
@@ -204,11 +211,16 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
 
     values = instance.values
     fractions = _poly_fractions(values, p)
-    cumulative = np.add.accumulate(values * fractions)
+    cumulative = _cumulative_utility(values, fractions)
     # The state before each round, summed round by round from zero utility
-    # and a unit of value to come.
-    u = np.concatenate([np.zeros((1, 2)), cumulative[:-1]])
-    rem = np.subtract.accumulate(np.concatenate([np.ones((1, 2)), values[:-1]]))
+    # and a unit of value to come, in buffers laid out like ``values``.
+    u = np.empty_like(values)
+    u[0] = 0.0
+    u[1:] = cumulative[:-1]
+    rem = np.empty_like(values)
+    rem[0] = 1.0
+    rem[1:] = values[:-1]
+    np.subtract.accumulate(rem, out=rem)
     trip = _first_trip(u, rem, values, fractions)
     event = None
     if trip is not None:
@@ -217,7 +229,7 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
         fractions[t, i] += 1.0 - f
         fractions[t + 1 :] = 0.0
         fractions[t + 1 :, i] = 1.0
-        cumulative = np.add.accumulate(values * fractions)
+        cumulative = _cumulative_utility(values, fractions)
         event = CriticalEvent(round_index=t, fraction=f, agent=i)
 
     cumulative, remaining = _trace_arrays(values, cumulative)

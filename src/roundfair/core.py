@@ -5,6 +5,13 @@ column per agent.  Agents have additive utilities, and an instance is called
 normalized when every agent's column sums to 1.  All types are immutable after
 construction and safe to share across workers.
 
+Storage layout.  Every T x n array the package builds (instance values,
+allocation fractions, a trace's utilities and remaining values) is stored
+column-major (``order="F"``), one contiguous column per agent.  Per-agent sums
+then run over contiguous memory and per-round reductions as n passes over
+columns, instead of T inner loops of length n, and no result depends on the
+layout the caller's matrix had.
+
 Tolerance policy.  Every slack the package applies is defined below, once,
 and other modules import it.  Each slack is absolute and named for the scale
 it sits on: ``DEFAULT_TOL`` for sums of unit-scale numbers (column sums, round
@@ -56,7 +63,10 @@ REFINE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A T x n matrix of round valuations; ``values[t][i]`` is agent i's value in round t."""
+    """A T x n matrix of round valuations; ``values[t][i]`` is agent i's value in round t.
+
+    ``values`` is column-major and read-only.
+    """
 
     values: np.ndarray
     normalized: bool
@@ -78,7 +88,10 @@ class Instance:
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
-    """Per-round fractions; ``fractions[t][i]`` is the share of round t given to agent i."""
+    """Per-round fractions; ``fractions[t][i]`` is the share of round t given to agent i.
+
+    ``fractions`` is column-major and read-only.
+    """
 
     fractions: np.ndarray
 
@@ -106,7 +119,8 @@ class RunTrace:
 
     ``cumulative_utility[t][i]`` is agent i's utility through round t, and
     ``remaining_value[t][i]`` the value still to arrive strictly after round t.
-    At most one critical event can occur per run.
+    At most one critical event can occur per run.  Both arrays are
+    column-major and read-only, like the allocation's fractions.
     """
 
     allocation: Allocation
@@ -139,13 +153,14 @@ class Verdict:
 def validate_instance(values, require_normalized: bool = False) -> Instance:
     """Check a raw valuation matrix and wrap it as an immutable :class:`Instance`.
 
-    The matrix must be non-empty and rectangular with nonnegative finite
-    entries.  When ``require_normalized`` is set, every agent's column must
-    sum to 1 within ``DEFAULT_TOL``; otherwise the instance is accepted
-    as-is and its ``normalized`` flag records whether the sums happen to hold.
+    The matrix is copied once, column-major, and frozen.  It must be
+    non-empty and rectangular with nonnegative finite entries.  When
+    ``require_normalized`` is set, every agent's column must sum to 1 within
+    ``DEFAULT_TOL``; otherwise the instance is accepted as-is and its
+    ``normalized`` flag records whether the sums happen to hold.
     """
     try:
-        matrix = np.array(values, dtype=float)
+        matrix = np.array(values, dtype=float, order="F")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"values are not a rectangular numeric matrix: {exc}") from None
     if matrix.ndim != 2:
@@ -173,11 +188,11 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
 def validate_allocation(fractions) -> Allocation:
     """Check fraction bounds and per-round sums, and wrap as an :class:`Allocation`.
 
-    The matrix is copied once and frozen.  Entries must be finite and lie in
-    [0, 1] within ``ENTRY_TOL``; each round may allocate at most 1 within
-    ``DEFAULT_TOL``.
+    The matrix is copied once, column-major, and frozen.  Entries must be
+    finite and lie in [0, 1] within ``ENTRY_TOL``; each round may allocate at
+    most 1 within ``DEFAULT_TOL``.
     """
-    matrix = np.array(fractions, dtype=float)
+    matrix = np.array(fractions, dtype=float, order="F")
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
     # min and max propagate NaN, and every comparison with NaN is False.

@@ -192,12 +192,42 @@ class TestMinimizeAlpha:
     def test_empty_domain(self):
         degenerate = AlphaObjective(
             name="degenerate",
-            bounds=((0.0, 1e-9),),
+            bounds=((0.5, 0.5),),
             evaluate=lambda x: 1.0,
             evaluate_grid=np.ones_like,
         )
         with pytest.raises(EmptyDomain):
             minimize_alpha(degenerate)
+
+    def test_narrow_box_keeps_its_middle_half(self):
+        # Narrower than 4 margins: the box shrinks by a quarter of its width
+        # on each side, not by the whole margin.
+        narrow = AlphaObjective(
+            name="narrow",
+            bounds=((0.0, 1e-9),),
+            evaluate=lambda x: (x[0] - 1e-9) ** 2,
+            evaluate_grid=lambda x: (x - 1e-9) ** 2,
+        )
+        result = minimize_alpha(narrow)
+        low, high = 0.25e-9, 1e-9 - 0.25e-9
+        assert result.grid_point == (high,)
+        assert low <= result.argmin[0] <= high
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            guarded_cp1_objective,
+            lambda p: guarded_cp2_objective(p, "mixed"),
+            lambda p: guarded_cp2_objective(p, "both_above"),
+        ],
+        ids=["cp1", "cp2-mixed", "cp2-both-above"],
+    )
+    def test_trip_family_box_just_above_two(self, objective):
+        # The box (1, ceiling) is about p - 2 = 1e-6 wide here, less than
+        # two margins.
+        result = minimize_alpha(objective(2.0 + 1e-6))
+        assert 1.0 < result.argmin[0] < guard_ratio_ceiling(2.0 + 1e-6)
+        assert 0.99 < result.value <= 1.0
 
     def test_bad_parameters(self):
         with pytest.raises(OutOfRange):
@@ -418,6 +448,35 @@ class TestLargeExponent:
         # 0.6**5000 and 0.4**5000 are both 0.0, so a quotient would be 0/0
         with pytest.raises(DomainError, match=r"p = 5000 underflows .* \(0\.6, 0\.6\)"):
             alpha_poly_two_round(5000, 0.6, 0.6)
+
+    @pytest.mark.parametrize("v1, v2", [(0.862, 0.862), (0.8622, 0.8618), (0.1, 0.95)])
+    def test_subnormal_denominator_is_a_domain_error(self, v1, v2):
+        # One power of a denominator is subnormal and the other below it, so
+        # their quotient keeps only a few bits.
+        with pytest.raises(DomainError, match="p = 5000 underflows"):
+            alpha_poly_two_round(5000, v1, v2)
+
+    def test_grid_masks_subnormal_denominators(self):
+        v = np.array([0.5, 0.862, 0.999])
+        with np.errstate(all="ignore"):  # as in the search's scan: 0/0 at (0.5, 0.5)
+            two_round = poly_two_round_objective(5000).evaluate_grid(v[:, None], v[None, :])
+            diagonal = poly_two_round_diagonal_objective(5000).evaluate_grid(v)
+        assert np.isnan(two_round[1, 1]) and np.isnan(diagonal[1])
+        assert two_round[2, 2] == alpha_poly_two_round(5000, 0.999, 0.999)
+        assert diagonal[2] == two_round[2, 2]
+
+    def test_normal_denominators_keep_their_value(self):
+        # The smallest normal float is 2.2e-308; 0.93**9000 is about 1e-284.
+        assert alpha_poly_two_round(9000, 0.93, 0.93) > 0.999
+
+    @pytest.mark.parametrize(
+        "objective", [poly_two_round_objective, poly_two_round_diagonal_objective]
+    )
+    def test_search_avoids_subnormal_denominators(self, objective):
+        # The default grid reaches (0.862, 0.862), where 0.862**5000 is
+        # subnormal; the noisy ratio there read 0.773 and 0.967.
+        result = minimize_alpha(objective(5000))
+        assert result.value > 0.999
 
     @pytest.mark.parametrize(
         "objective", [poly_two_round_objective, poly_two_round_diagonal_objective]

@@ -334,6 +334,21 @@ class TestCli:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[0] == "2.0001" and float(row[2]) > 0.99
 
+    @pytest.mark.parametrize(
+        "objective", ["guarded-cp1", "guarded-cp2-mixed", "guarded-cp2-both-above"]
+    )
+    def test_search_trip_family_at_p_2_000001(self, capsys, objective):
+        # The box is narrower than two margins; the search keeps its middle half.
+        code = main(["search", "--objective", objective, "--p", "2.000001"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"{objective},2.000001,")
+
+    def test_sweep_at_p_2_000001_has_a_trip_row(self, capsys):
+        code = main(["sweep", "--p-values", "2.000001", "--grid-step", "0.005"])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "2.000001" and float(row[2]) > 0.99
+
     def test_search_objective_missing_p_exits_2(self):
         assert main(["search", "--objective", "guarded-cp1"]) == 2
 
