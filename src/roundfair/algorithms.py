@@ -71,16 +71,19 @@ def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
     if p == 0.0:
         return np.full((T, n), 1.0 / n, order="F")
     row_max = np.maximum.reduce(values, axis=1, keepdims=True)
-    # Dead rounds (all zeros) get a row maximum and weights of 1, so they are
-    # split equally; welfare-neutral, keeps rows full.
-    dead = row_max <= 0.0
-    row_max += dead
+    # Dead rounds (all zeros) get weights of 1, so they are split equally;
+    # welfare-neutral, keeps rows full.  Every value of a dead round equals
+    # its maximum 0, and its scaled values 0/0 are nan, which fmin takes to
+    # 1; every other scaled value is at most 1 already.
     if math.isinf(p):
         weights = (values == row_max).astype(float)
     else:
-        weights = (values / row_max) ** p
-    weights += dead
-    return weights / np.add.reduce(weights, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            weights = values / row_max
+        np.fmin(weights, 1.0, out=weights)
+        weights **= p
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    return weights
 
 
 def _cumulative_utility(values: np.ndarray, fractions: np.ndarray) -> np.ndarray:
@@ -130,35 +133,34 @@ class GuardedState:
     tripped_agent: int | None = None
 
 
-def _first_trip(u, rem, values, shares) -> tuple[int, float, int] | None:
+def _first_trip(surplus, values, gains) -> tuple[int, float, int] | None:
     """The first round whose guard binds, as ``(round, f, agent)``, or None.
 
-    Row t of ``u`` and ``rem`` is the state before round t: each agent's
-    utility so far and her value still to come, round t included.  ``shares``
-    are the power rule's shares of the round ``values``.  While round t is
-    split by the power rule, agent i's utility plus her value still to come
-    after a fraction f of it is ``u_i + rem_i - f * (v_i - v_i * share_i)``.
-    Setting that to 1/2 is linear in f.  Only strictly decreasing surpluses can
-    cross, and a computed crossing within TRIP_SLACK of [0, 1] is clamped
-    inside.  Within the round, ties go to the smaller f, then the lower agent.
+    Row t of ``surplus`` is the guard surplus before round t: each agent's
+    utility so far plus her value still to come, round t included, minus 1/2.
+    It is overwritten.  ``gains`` are the products ``v_i * share_i`` of the
+    round ``values`` and the power rule's shares.  While round t is split by
+    the power rule, agent i's surplus after a fraction f of it is
+    ``surplus_i - f * (v_i - v_i * share_i)``.  Setting that to 0 is linear
+    in f.  Only strictly decreasing surpluses can cross, and a computed
+    crossing within TRIP_SLACK of [0, 1] is clamped inside.  Within the
+    round, ties go to the smaller f, then the lower agent.
     """
-    slope = values * shares
-    np.subtract(values, slope, out=slope)
-    falls = slope > 0.0
-    f = u + rem
-    f -= 0.5
-    with np.errstate(over="ignore"):  # a subnormal slope gives f = inf: no trip
-        np.divide(f, slope, out=f, where=falls)
-    hit = falls & (f <= 1.0 + TRIP_SLACK)
-    t = int(hit.any(axis=1).argmax())  # the first round with a hit, else 0
-    candidates = [
-        (min(max(fi, 0.0), 1.0), i)
-        for i, (fi, hi) in enumerate(zip(f[t].tolist(), hit[t].tolist()))
-        if hi
-    ]
-    if not candidates:
+    slope = values - gains
+    # Where the slope is 0 the quotient is inf or nan and the mask below drops
+    # it; a subnormal slope gives f = inf, which cannot hit.
+    with np.errstate(all="ignore"):
+        f = np.divide(surplus, slope, out=surplus)
+    hit = f <= 1.0 + TRIP_SLACK
+    hit &= slope > 0.0
+    # Each agent's first hit, if she has one; the earliest of them trips.
+    hits = [(t, i) for i, t in enumerate(hit.argmax(axis=0).tolist()) if hit[t, i]]
+    if not hits:
         return None
-    f_t, agent = min(candidates)
+    t = min(hits)[0]
+    f_t, agent = min(
+        (min(max(float(f[t, i]), 0.0), 1.0), i) for r, i in hits if r == t
+    )
     return t, f_t, agent
 
 
@@ -181,12 +183,11 @@ def critical_fraction(
         raise NotTwoAgents("critical points are defined for two agents")
     if state.tripped_agent is not None:
         raise ValidationError("state has already tripped")
-    trip = _first_trip(
-        np.array([state.utility_so_far], dtype=float),
-        np.array([state.remaining_value], dtype=float),
-        np.asarray(round_values, dtype=float)[None, :],
-        poly_round(round_values, p)[None, :],
-    )
+    surplus = np.array([state.utility_so_far], dtype=float)
+    surplus += np.array([state.remaining_value], dtype=float)
+    surplus -= 0.5
+    values = np.asarray(round_values, dtype=float)[None, :]
+    trip = _first_trip(surplus, values, values * poly_round(round_values, p))
     return None if trip is None else (trip[2], trip[1])
 
 
@@ -211,17 +212,18 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
 
     values = instance.values
     fractions = _poly_fractions(values, p)
-    cumulative = _cumulative_utility(values, fractions)
-    # The state before each round, summed round by round from zero utility
-    # and a unit of value to come, in buffers laid out like ``values``.
-    u = np.empty_like(values)
-    u[0] = 0.0
-    u[1:] = cumulative[:-1]
-    rem = np.empty_like(values)
-    rem[0] = 1.0
-    rem[1:] = values[:-1]
-    np.subtract.accumulate(rem, out=rem)
-    trip = _first_trip(u, rem, values, fractions)
+    gains = values * fractions
+    cumulative = np.add.accumulate(gains)
+    # The guard surplus before each round: the value still to come, summed
+    # round by round from a unit, plus the utility so far (none before round
+    # 0), less 1/2, in a buffer laid out like ``values``.
+    surplus = np.empty_like(values)
+    surplus[0] = 1.0
+    surplus[1:] = values[:-1]
+    np.subtract.accumulate(surplus, out=surplus)
+    surplus[1:] += cumulative[:-1]
+    surplus -= 0.5
+    trip = _first_trip(surplus, values, gains)
     event = None
     if trip is not None:
         t, f, i = trip

@@ -83,7 +83,7 @@ class Instance:
 
     def column_totals(self) -> np.ndarray:
         """Each agent's total value over all rounds."""
-        return self.values.sum(axis=0)
+        return np.add.reduce(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +195,14 @@ def validate_allocation(fractions) -> Allocation:
     matrix = np.array(fractions, dtype=float, order="F")
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
-    # min and max propagate NaN, and every comparison with NaN is False.
-    if not (matrix.min() >= -ENTRY_TOL and matrix.max() <= 1.0 + ENTRY_TOL):
+    # The extreme entries are read at argmin and argmax, which cost less than
+    # numpy's min and max reductions on a short run.  Both pick the first NaN,
+    # and every comparison with NaN is False.
+    entries = matrix.ravel(order="K")
+    if not (
+        entries[entries.argmin()] >= -ENTRY_TOL
+        and entries[entries.argmax()] <= 1.0 + ENTRY_TOL
+    ):
         raise ValidationError("allocation entries must be finite and lie in [0, 1]")
     row_sums = matrix.sum(axis=1)
     t = int(row_sums.argmax())

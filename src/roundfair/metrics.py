@@ -32,7 +32,7 @@ def fair_share(instance: Instance) -> np.ndarray:
 
 def optimal_welfare(instance: Instance) -> float:
     """Unconstrained welfare optimum: each round goes to whoever values it most."""
-    return float(instance.values.max(axis=1).sum())
+    return float(np.add.reduce(np.maximum.reduce(instance.values, axis=1)))
 
 
 def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) -> Verdict:
@@ -44,21 +44,29 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     allocated; otherwise it is None.
     """
     u = utilities(instance, allocation)
-    sw = float(u.sum())
+    sw = float(np.add.reduce(u))
     opt = optimal_welfare(instance)
     ratio = sw / opt if opt > 0 else 1.0
-    fair_share_margin = float((u - fair_share(instance)).min())
+    # Minima and maxima are read at argmin and argmax: on a short run numpy's
+    # min and max reductions cost more to set up than they have to compare.
+    # Both pick the first nan, as min and max propagate it.
+    margins = u - fair_share(instance)
+    fair_share_margin = float(margins[margins.argmin()])
 
+    # Every round sums to 1 within tol exactly when the extreme sums do:
+    # subtracting 1 is monotone, so it commutes with min and max.
+    row_sums = np.add.reduce(allocation.fractions, axis=1)
     fully_allocated = bool(
-        np.all(np.abs(allocation.fractions.sum(axis=1) - 1.0) <= tol)
+        row_sums[row_sums.argmin()] - 1.0 >= -tol
+        and row_sums[row_sums.argmax()] - 1.0 <= tol
     )
     envy_free_ok = None
     envy_margin = None
     if fully_allocated:
         # bundle_value[i][j] = agent i's value for agent j's bundle
         bundle_value = instance.values.T @ allocation.fractions
-        own = np.diag(bundle_value)
-        envy_margin = float((own[:, None] - bundle_value).min())
+        envy = bundle_value.diagonal()[:, None] - bundle_value
+        envy_margin = float(envy.flat[envy.argmin()])
         envy_free_ok = bool(envy_margin >= -tol)
 
     return Verdict(
@@ -85,28 +93,41 @@ def _state_arrays(utilities_so_far, remaining_values, n: int):
     return u, rem
 
 
-def _minimal_shares(u: np.ndarray, rem: np.ndarray, target, tol: float):
-    """Minimal last-round shares and stranded agents for ``(..., n)`` state arrays.
+def _need(u: np.ndarray, target, tol: float) -> np.ndarray:
+    """Each agent's ``max(d_i - tol, 0)``, where ``d_i = target_i - u_i`` is her
+    deficit below her (or a shared scalar) target."""
+    need = target - u
+    need -= tol
+    return np.maximum(need, 0.0, out=need)
 
-    Agent i needs the share ``max(d_i - tol, 0) / rem_i`` of a last round,
-    where ``d_i = target_i - u_i`` is agent i's deficit below her (or a
-    shared scalar) target; an agent with nothing left to come gets 0.  Agent
-    i is stranded when she still needs a share but has nothing left to come.
+
+def _minimal_shares(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarray:
+    """Minimal last-round shares for ``(..., n)`` state arrays.
+
+    Agent i needs the share :func:`_need` over ``rem_i`` of a last round; an
+    agent with nothing left to come gets 0.
     """
-    need = np.maximum(target - u - tol, 0.0)
-    live = rem > 0.0
-    shares = np.divide(need, rem, out=np.zeros_like(need), where=live)
-    return shares, (need > 0.0) & ~live
+    need = _need(u, target, tol)
+    return np.divide(need, rem, out=np.zeros_like(need), where=rem > 0.0)
 
 
 def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarray:
     """The doomsday test on every state at once: one bool per row of ``(..., n)`` arrays.
 
-    A state passes when no agent is stranded and the minimal shares of
-    :func:`_minimal_shares` sum to at most 1.
+    A state passes when no agent is stranded, that is still needs a share
+    but has nothing left to come, and the minimal shares of
+    :func:`_minimal_shares` sum to at most 1.  Both parts are one sum here,
+    since a stranded agent's share counts as inf.
     """
-    shares, stranded = _minimal_shares(u, rem, target, tol)
-    return (shares.sum(axis=-1) <= 1.0) & ~stranded.any(axis=-1)
+    need = _need(u, target, tol)
+    shares = np.where(need > 0.0, np.inf, 0.0)
+    # Quotients over a remainder of 0 or below are not copied; over a
+    # subnormal one a need may overflow to inf, which fails the state as it
+    # should.
+    with np.errstate(all="ignore"):
+        np.divide(need, rem, out=need)
+    np.copyto(shares, need, where=rem > 0.0)
+    return np.add.reduce(shares, axis=-1) <= 1.0
 
 
 def doomsday_compatible(
@@ -145,31 +166,14 @@ def doomsday_witness(
     most 1.  Its target is the normalized 1/n, as in the compatibility test.
     """
     u, rem = _state_arrays(utilities_so_far, remaining_values, n)
-    minimal = _minimal_shares(u, rem, 1.0 / n, tol)[0]
-    gap = _minimal_shares(u, rem, 1.0 / n, 0.0)[0] - minimal
+    minimal = _minimal_shares(u, rem, 1.0 / n, tol)
+    gap = _minimal_shares(u, rem, 1.0 / n, 0.0) - minimal
     total_gap = gap.sum()
     lift = 0.0
     if total_gap > 0.0:
         lift = min(max((1.0 - minimal.sum()) / total_gap, 0.0), 1.0)
     witness = minimal + lift * gap
     return witness if witness.sum() <= 1.0 else minimal
-
-
-def doomsday_maintained(
-    utilities_so_far, remaining_values, next_round_values, n: int,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Re-check compatibility after advancing one round with the minimal witness.
-
-    From a compatible state, applying the witness shares to the next round's
-    values and re-testing must succeed again; a compatible state can always be
-    carried forward.
-    """
-    witness = doomsday_witness(utilities_so_far, remaining_values, n, tol)
-    v = np.asarray(next_round_values, dtype=float)
-    u_next = np.asarray(utilities_so_far, dtype=float) + v * witness
-    rem_next = np.asarray(remaining_values, dtype=float) - v
-    return doomsday_compatible(u_next, rem_next, n, tol)
 
 
 def doomsday_trace(

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from roundfair import validate_instance
+from roundfair import doomsday_compatible, doomsday_witness, validate_instance
 from roundfair._solvers import SimplexResult
 from roundfair.algorithms import TRIP_SLACK
+from roundfair.core import DEFAULT_TOL
 
 # Reproducible property searches: ``pytest --hypothesis-profile=ci``.
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -72,6 +73,22 @@ def guarded_reference(values, p):
         u = [u[0] + a * x[0], u[1] + b * x[1]]
         rem = [rem[0] - a, rem[1] - b]
     return fractions, None
+
+
+def doomsday_maintained(
+    utilities_so_far, remaining_values, next_round_values, n, tol=DEFAULT_TOL
+):
+    """Re-check compatibility after advancing one round with the witness.
+
+    From a compatible state, applying the ``doomsday_witness`` shares to the
+    next round's values and re-testing must succeed again; a compatible state
+    can always be carried forward.
+    """
+    witness = doomsday_witness(utilities_so_far, remaining_values, n, tol)
+    v = np.asarray(next_round_values, dtype=float)
+    u_next = np.asarray(utilities_so_far, dtype=float) + v * witness
+    rem_next = np.asarray(remaining_values, dtype=float) - v
+    return doomsday_compatible(u_next, rem_next, n, tol)
 
 
 def dense_grid_argmin(objective, grid_step):

@@ -15,7 +15,7 @@ import pytest
 import roundfair as rf
 from roundfair.cli import main as cli_main
 from roundfair.errors import DomainError, InfeasibleClosedForm
-from conftest import random_instances
+from conftest import doomsday_maintained, random_instances
 
 
 def _cli_output(args):
@@ -178,7 +178,7 @@ def test_criterion_09_doomsday_characterization():
             assert all(flags) == fair, (algorithm.name, k)
             for t in range(inst.num_rounds - 1):
                 if flags[t]:
-                    assert rf.doomsday_maintained(
+                    assert doomsday_maintained(
                         trace.cumulative_utility[t],
                         trace.remaining_value[t],
                         inst.values[t + 1],

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st, target
 
 from roundfair import (
     GREEDY,
+    Algorithm,
     GuardedState,
     algorithm_by_name,
     builtin_algorithms,
@@ -20,6 +21,7 @@ from roundfair import (
     run_poly,
     two_round_symmetric,
     utilities,
+    validate_allocation,
     validate_instance,
 )
 from roundfair.errors import (
@@ -433,6 +435,44 @@ class TestRunGuarded:
             trace.cumulative_utility[0, 0] = 9.9
         with pytest.raises(ValueError):
             trace.allocation.fractions[0, 0] = 9.9
+
+
+def _rule_instances():
+    """Normalized random instances of 2-20 rounds and 2-5 agents, some with a
+    dead round, plus a single round and a run with two dead rounds."""
+    rng = np.random.default_rng(11)
+    instances = []
+    for n in (2, 2, 3, 5):
+        for k in range(25):
+            values = random_instance(rng, n=n, min_rounds=2).values.copy()
+            if k % 5 == 0:
+                values[rng.integers(values.shape[0])] = 0.0
+                values /= values.sum(axis=0)
+            instances.append(validate_instance(values, require_normalized=True))
+    instances.append(validate_instance([[1.0, 1.0]]))
+    instances.append(validate_instance([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    return instances
+
+
+def test_rule_allocations_match_public_validation():
+    # A rule's allocation must be what validate_allocation makes of its
+    # fractions: column-major, read-only and the same bits, trips included.
+    rules = list(builtin_algorithms())
+    rules += [Algorithm(f"guarded-{p:g}", p, guarded=True) for p in (0.0, 1e-3, 1.0, 5.0, 50.0)]
+    rules += [Algorithm(f"poly-{p:g}", p) for p in (0.5, 3.0, 50.0)]
+    runs = trips = 0
+    for inst in _rule_instances():
+        for rule in rules:
+            if rule.guarded and inst.n != 2:
+                continue
+            trace = rule.run(inst)
+            fractions = trace.allocation.fractions
+            assert fractions.flags.f_contiguous and not fractions.flags.writeable
+            checked = validate_allocation(fractions).fractions
+            assert checked.tobytes(order="A") == fractions.tobytes(order="A")
+            runs += 1
+            trips += trace.critical_event is not None
+    assert runs > 1000 and trips > 50
 
 
 def _assert_matches_reference(inst, p) -> bool:

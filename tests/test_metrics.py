@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from roundfair import (
     GREEDY,
+    Allocation,
     RunTrace,
     audit,
     builtin_algorithms,
     doomsday_compatible,
-    doomsday_maintained,
     doomsday_trace,
     doomsday_witness,
     fair_share_violation_instance,
@@ -26,8 +27,9 @@ from roundfair import (
     validate_instance,
 )
 from roundfair.errors import DimensionMismatch, ShapeMismatch
+from roundfair.core import DEFAULT_TOL
 from roundfair.metrics import fair_share
-from conftest import late_trip_values, random_instance
+from conftest import doomsday_maintained, late_trip_values, random_instance
 
 
 ORTHOGONAL = validate_instance([[1, 0], [0, 1]])
@@ -113,6 +115,44 @@ class TestAudit:
             fractions = rng.dirichlet(np.ones(4), size=inst.num_rounds)[:, :3]
             verdict = audit(inst, validate_allocation(fractions), 1e-9)
             assert 0.0 <= verdict.ratio <= 1.0 + 1e-9
+
+    @staticmethod
+    def _loop_audit(values, fractions, tol):
+        """Full allocation, envy-freeness and envy margin, one entry at a time."""
+        T, n = len(values), len(values[0])
+        if not all(abs(sum(row) - 1.0) <= tol for row in fractions):
+            return False, None, None
+        bundle = [
+            [sum(values[t][i] * fractions[t][j] for t in range(T)) for j in range(n)]
+            for i in range(n)
+        ]
+        margin = min(bundle[i][i] - bundle[i][j] for i in range(n) for j in range(n))
+        return True, margin >= -tol, margin
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, -1.0, 2.0, -2.0, -2.5e8])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_row_sums_at_the_tolerance_match_a_loop(self, offset, step):
+        # Round 1's shares sum to the float at 1 + offset * tol, or one ulp
+        # either side; -2.5e8 tol leaves it a quarter short, a partial round.
+        # Sums above 1 + tol are ones validate_allocation rejects, so the
+        # matrix is wrapped as it is.
+        tol = DEFAULT_TOL
+        total = 1.0 + offset * tol
+        if step:
+            total = float(np.nextafter(total, step * np.inf))
+        values = [[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]]
+        for first in (0.25, 0.9):  # at 0.9 agent 1 envies agent 0's bundle
+            rows = [[first, 1.0 - first], [0.25, total - 0.25], [0.5, 0.5]]
+            assert sum(rows[1]) == total
+            allocation = Allocation(fractions=np.asfortranarray(rows))
+            verdict = audit(validate_instance(values), allocation, tol)
+            full, envy_free, margin = self._loop_audit(values, rows, tol)
+            assert (verdict.envy_free_ok is not None) == full
+            assert verdict.envy_free_ok == envy_free
+            if full:
+                assert verdict.envy_margin == pytest.approx(margin, abs=1e-15)
+            else:
+                assert verdict.envy_margin is None
 
     def test_envy_freeness_implies_fair_share_when_full(self, rng):
         for p in (0, 1, 2):
@@ -279,19 +319,31 @@ class TestDoomsdayTrace:
         deficit[near] = rng.uniform(-2 * tol, 2 * tol, size=near.sum())
         # Every fourth state has one agent with nothing left to come.
         remaining[::4, 0] = 0.0
+        # Odd states put the last agent on the kernel's edge cases, with and
+        # without need: the roundoff below zero that ``totals - cumsum`` can
+        # leave, an exact zero with no need at all (0/0 in the kernel), and
+        # subnormal remainders, over which a need overflows to inf.
+        remaining[1::8, -1] = -1e-17
+        remaining[3::8, -1] = 0.0
+        deficit[3::16, -1] = 0.0
+        remaining[5::8, -1] = 1e-310
+        remaining[7::8, -1] = 5e-324
+        deficit[7::16, -1] = 0.0
         trace = RunTrace(
             allocation=validate_allocation(np.full((T, n), 1.0 / n)),
             cumulative_utility=1.0 / n - deficit,
             remaining_value=remaining,
         )
-        flags = doomsday_trace(inst, trace, tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = doomsday_trace(inst, trace, tol)
         assert len(flags) == T and set(flags) <= {True, False}
         for t in range(T):
             u, rem = trace.cumulative_utility[t], remaining[t]
             assert flags[t] == doomsday_compatible(u, rem, n, tol)
             # reference: the closed form as a loop over agents
             load, stranded = 0.0, False
-            for d, r in zip(1.0 / n - u, rem):
+            for d, r in zip((1.0 / n - u).tolist(), rem.tolist()):
                 if d > tol:
                     stranded |= r <= 0.0
                     load += (d - tol) / r if r > 0.0 else 0.0
