@@ -1,0 +1,149 @@
+"""Golden CLI corpus: every call in ``CALLS`` with its exact output.
+
+``cli.jsonl`` holds one JSON record per call: ``argv``, ``stdout``,
+``stderr`` and ``exit``.  ``tests/test_golden.py`` replays every call and
+compares the records byte for byte.  A change that alters any output
+regenerates the file with
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+and lists each changed line, with its cause, in CHANGES.md.  The calls run
+``roundfair.cli.main`` in process, with this directory as the working
+directory, so the file paths in ``argv`` are relative to it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from roundfair.cli import main
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE / "cli.jsonl"
+
+FORMATS = ("csv", "json")
+
+#: The four fixed built-ins plus the guarded rule, by ``--p``; the guarded
+#: built-ins are guarded at 2, 2.7 and 3.
+ALGORITHMS = (
+    ("equal-split",),
+    ("proportional",),
+    ("quadratic",),
+    ("greedy",),
+    *(("guarded", p) for p in ("0", "1e-3", "2", "2.000001", "2.7", "3", "50")),
+)
+
+INSTANCES = (
+    "two-round-symmetric:0.599",
+    "three-round-cp:0.76,0.97",
+    "three-round-cp:0.6,0.7,0.01",
+    "fs-violation:2.7",
+    "multi-agent:4",
+    "lb-pair",
+    "files/two-agents-5.txt",
+    "files/one-round.txt",
+    "files/three-agents-12.txt",
+    "files/six-agents-60.txt",
+    "files/unnormalized.txt",
+    "files/dead-round.txt",
+    "files/late-trip-40.txt",
+)
+
+VERIFY = (
+    ("two-agents-5", "two-agents-5-equal"),
+    ("two-agents-5", "two-agents-5-all-to-first"),
+    ("unnormalized", "unnormalized-equal"),
+    ("unnormalized", "unnormalized-to-agent-1"),
+    ("dead-round", "dead-round-half"),
+    ("three-agents-12", "three-agents-12-thirds"),
+    ("two-agents-5", "three-agents-12-thirds"),
+)
+
+OBJECTIVES = (
+    "poly-two-round",
+    "poly-two-round-diagonal",
+    "guarded-cp1",
+    "guarded-cp2-mixed",
+    "guarded-cp2-both-above",
+)
+
+SEARCH_P = ("1", "2", "2.000001", "2.7", "3", "5000")
+
+#: The certified constants at the default grid step: 0.828, 0.894 and 0.916.
+CERTIFIED = (
+    ("proportional",),
+    ("poly-two-round", "--p", "2"),
+    ("poly-two-round", "--p", "2.7"),
+    ("guarded-cp1", "--p", "2.7"),
+)
+
+SWEEPS = (
+    ("--p-values", "2,2.7,3"),
+    ("--p-values", "2.000001,2.5", "--grid-step", "0.01"),
+    ("--p-values", "2,5"),
+)
+
+
+def _algorithm_args(algorithm):
+    args = ["--algorithm", algorithm[0]]
+    if len(algorithm) > 1:
+        args += ["--p", algorithm[1]]
+    return args
+
+
+def _calls():
+    for fmt in FORMATS:
+        tail = ["--format", fmt]
+        for algorithm in ALGORITHMS:
+            for instance in INSTANCES:
+                yield ["run", *_algorithm_args(algorithm), "--instance", instance, *tail]
+                yield ["doomsday", *_algorithm_args(algorithm), "--instance", instance, *tail]
+            yield ["replay-lb", *_algorithm_args(algorithm), *tail]
+        for instance, allocation in VERIFY:
+            yield [
+                "verify",
+                "--instance", f"files/{instance}.txt",
+                "--allocation", f"files/{allocation}.txt",
+                *tail,
+            ]
+        yield ["search", "--objective", "proportional", "--grid-step", "0.02", *tail]
+        for objective in OBJECTIVES:
+            for p in SEARCH_P:
+                yield [
+                    "search", "--objective", objective, "--p", p, "--grid-step", "0.02", *tail
+                ]
+        for sweep in SWEEPS:
+            yield ["sweep", *sweep, *tail]
+    for objective in CERTIFIED:
+        yield ["search", "--objective", *objective]
+
+
+#: Every argv the corpus records, in file order.
+CALLS = tuple(_calls())
+
+
+def record(argv) -> dict:
+    """Run one CLI call in process from this directory and capture it."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return {"argv": list(argv), "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def render(rec: dict) -> str:
+    """One corpus line."""
+    return json.dumps(rec) + "\n"
+
+
+if __name__ == "__main__":
+    CORPUS.write_text("".join(render(record(argv)) for argv in CALLS), encoding="utf-8")
+    print(f"wrote {len(CALLS)} records to {CORPUS}")
