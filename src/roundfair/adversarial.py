@@ -10,7 +10,6 @@ so every closed form can be cross-checked by simulation.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -43,10 +42,9 @@ from .metrics import audit
 # Each ratio has one arithmetic body written with plain operators, so the same
 # code runs on floats (the public ``alpha_*`` functions, which add the domain
 # checks) and on broadcasting arrays (the objectives' grid scans, which mask
-# infeasible points with NaN instead).
-
-#: Smallest positive normal float; a power below it has lost precision.
-_MIN_NORMAL = sys.float_info.min
+# infeasible points with NaN instead).  Every power in a body has a base of at
+# most 1, so no power overflows and none that matters underflows: the bodies
+# are defined at every finite p.
 
 
 def _proportional_ratio(v1, v2):
@@ -56,47 +54,46 @@ def _proportional_ratio(v1, v2):
 
 
 def _poly_two_round_ratio(p, v1, v2):
-    """The two-round ratio and where it is lost: (ratio, lost).
-
-    A point is lost where both powers in one denominator lie below the
-    smallest normal float.  The quotient then keeps only the few bits of a
-    subnormal, or is 0/0, which raises ZeroDivisionError on floats.
+    """The two-round ratio.  Each round's share-weighted value
+    ``(x**(p+1) + y**(p+1)) / (x**p + y**p)`` is written as
+    ``m (1 + t s) / (1 + t)`` with ``m = max(x, y)``, ``s = min(x, y) / m`` and
+    ``t = s**p``, so it is defined on the whole family for every finite p > 0.
     """
-    x1, y1 = (1.0 - v1) ** p, v2**p
-    x2, y2 = (1.0 - v2) ** p, v1**p
-    lost = ((x1 < _MIN_NORMAL) & (y1 < _MIN_NORMAL)) | (
-        (x2 < _MIN_NORMAL) & (y2 < _MIN_NORMAL)
-    )
-    a = ((1.0 - v1) ** (p + 1) + v2 ** (p + 1)) / (x1 + y1)
-    b = ((1.0 - v2) ** (p + 1) + v1 ** (p + 1)) / (x2 + y2)
-    return (a + b) / (v1 + v2), lost
+
+    def quotient(x, y):
+        m = np.maximum(x, y)
+        s = np.minimum(x, y) / m
+        t = s**p
+        return m * (1.0 + t * s) / (1.0 + t)
+
+    return (quotient(1.0 - v1, v2) + quotient(1.0 - v2, v1)) / (v1 + v2)
 
 
 def _cp1_ratio(p, lambda1):
-    lp = lambda1**p
-    return (lp + lp * lambda1) / (3.0 * lp - 1.0)
+    return (1.0 + lambda1) / (3.0 - lambda1**-p)
 
 
 def _cp2_ratio(p, lambda1, lambda2, mixed: bool):
     """Trip-at-round-2 ratio with the round values implied by the tight utility
     and exhaustion conditions.  Returns (ratio, v1, v2, v3, denominator); the
-    construction is singular where the denominator is not positive."""
-    l1p = lambda1**p
-    l2p = lambda2**p
-    l2q = lambda2 ** (p - 1.0)
-    den = l1p * (1.0 + l2p) - lambda1 * l2q * (1.0 + l1p)
-    v1 = (1.0 + l2p - 2.0 * l2q) * (1.0 + l1p) / (2.0 * den)
+    construction is singular where the denominator is not positive.
+
+    The conditions are divided through by ``lambda1**p * m2**p`` with
+    ``m2 = max(1, lambda2)``, so every power has a base of at most 1.  With
+    ``r2 = lambda2 / m2``, ``lambda2**(p-1)`` scales to ``r2**p / lambda2``.
+    """
+    m2 = np.maximum(1.0, lambda2)
+    a = lambda1**-p
+    b = m2**-p
+    c = (lambda2 / m2) ** p
+    d = c / lambda2
+    den = b + c - d * (lambda1 * (a + 1.0))
+    v1 = (b + c - 2.0 * d) * (0.5 * (a + 1.0)) / den
     v2 = (1.0 - v1 * lambda1) / lambda2
     v3 = 1.0 - v1 - v2
-    alg = 0.5 + v1 * lambda1 * l1p / (1.0 + l1p) + v2 * lambda2 * l2p / (1.0 + l2p)
+    alg = 0.5 + v1 * (lambda1 / (1.0 + a)) + v2 * (lambda2 * c / (b + c))
     opt = 2.0 - v1 - v2 * lambda2 if mixed else 2.0 - v1 - v2
     return alg / opt, v1, v2, v3, den
-
-
-def _overflow(p: float, point, flow: str = "overflows") -> DomainError:
-    """The error for a closed form whose float powers overflow (or, with
-    ``flow="underflows"``, underflow) at ``point``."""
-    return DomainError(f"p = {p!r} {flow} floating point at {point!r}")
 
 
 def alpha_proportional(v1: float, v2: float) -> float:
@@ -116,13 +113,7 @@ def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
-    try:
-        ratio, lost = _poly_two_round_ratio(p, v1, v2)
-    except ZeroDivisionError:  # both powers of a denominator underflowed to 0
-        lost = True
-    if lost:
-        raise _overflow(p, (float(v1), float(v2)), "underflows")
-    return ratio
+    return float(_poly_two_round_ratio(p, v1, v2))
 
 
 def alpha_guarded_cp1(p: float, lambda1: float) -> float:
@@ -135,30 +126,20 @@ def alpha_guarded_cp1(p: float, lambda1: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    try:
-        return _cp1_ratio(p, lambda1)
-    except OverflowError:
-        raise _overflow(p, lambda1) from None
+    return _cp1_ratio(p, lambda1)
 
 
 def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: float):
     """Scalar :func:`_cp2_ratio` with its singular and infeasible points
     rejected: round values more than ``slack`` below zero mean no instance
     realizes the point.  Returns (ratio, v1, v2, v3)."""
-    try:
-        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, mixed)
-    except ZeroDivisionError:  # floats raise where arrays give inf: singular
-        den = 0.0
-    except OverflowError:
-        raise _overflow(p, (lambda1, lambda2)) from None
-    if den <= 0.0:
+    with np.errstate(all="ignore"):  # a singular point divides by zero
+        ratio, v1, v2, v3, den = map(float, _cp2_ratio(p, lambda1, lambda2, mixed))
+    if not (den > 0.0 and all(map(math.isfinite, (ratio, v1, v2, v3)))):
         raise DomainError(
             f"singular construction at ({lambda1!r}, {lambda2!r}): "
             "the tight conditions admit no solution here"
         )
-    if not all(map(math.isfinite, (ratio, v1, v2, v3, den))):
-        # a product of large powers overflowed to inf and then made NaN
-        raise _overflow(p, (lambda1, lambda2))
     if v1 < -slack or v2 < -slack or v3 < -slack:
         raise InfeasibleClosedForm(
             f"derived rounds ({v1!r}, {v2!r}, {v3!r}) are negative at "
@@ -365,8 +346,8 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
         raise DomainError(f"need p > 0, got {p!r}")
 
     def grid(v1, v2):
-        out, lost = _poly_two_round_ratio(p, v1, v2)
-        out[lost | (v1 + v2 <= 1.0)] = np.nan
+        out = _poly_two_round_ratio(p, v1, v2)
+        out[v1 + v2 <= 1.0] = np.nan
         return out
 
     return AlphaObjective(
@@ -383,16 +364,11 @@ def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
     if p <= 0:
         raise DomainError(f"need p > 0, got {p!r}")
 
-    def grid(v):
-        out, lost = _poly_two_round_ratio(p, v, v)
-        out[lost] = np.nan
-        return out
-
     return AlphaObjective(
         name="poly-two-round-diagonal",
         bounds=((0.5, 1.0),),
         evaluate=lambda x: alpha_poly_two_round(p, x[0], x[0]),
-        evaluate_grid=grid,
+        evaluate_grid=lambda v: _poly_two_round_ratio(p, v, v),
         p=p,
     )
 
@@ -403,27 +379,23 @@ def guard_ratio_ceiling(p: float) -> float:
     The second agent's implied first-round value grows with lambda1 and hits
     her whole unit budget where ``2 x**(p-1) - x**p - 1`` crosses zero; beyond
     that no instance exists.  Only exponents above 2 admit any such instance.
-    The function is evaluated as ``2 expm1((p-1) L) - expm1(p L)`` with
-    ``L = log(x)``, which does not cancel to 0 near x = 1, so the root stays
-    accurate as p approaches 2.  The root comes from ``_solvers.brentq``, a
-    port of scipy's ``brentq``, bracketed from the first float above 1.
+    On (1, 2) that function has the sign of
+    ``(p-1) log1p(x-1) + log1p(1-x)``, which neither overflows nor cancels to
+    0 near x = 1, so the root stays accurate as p approaches 2 and is finite
+    for every finite p; at x = 2 the function is -1.  The root comes from
+    ``_solvers.brentq``, a port of scipy's ``brentq``, on the fixed bracket
+    from the first float above 1 to 2.  It tends to 2 as p grows and reads
+    2.0 from p of about 47 up, where the root lies within ``xtol`` of 2.
     """
     if p <= 2.0:
         raise DomainError(f"the guard cannot bind at the end of round 1 for p <= 2, got {p!r}")
 
     def h(x: float) -> float:
-        log_x = math.log1p(x - 1.0)
-        return 2.0 * math.expm1((p - 1.0) * log_x) - math.expm1(p * log_x)
+        if x >= 2.0:
+            return -1.0
+        return (p - 1.0) * math.log1p(x - 1.0) + math.log1p(1.0 - x)
 
-    hi = 1.5
-    try:
-        while h(hi) > 0.0:
-            hi *= 1.5
-            if hi > 1e6:
-                raise DomainError(f"no feasibility ceiling found for p = {p!r}")
-    except OverflowError:
-        raise _overflow(p, hi) from None
-    return brentq(h, math.nextafter(1.0, 2.0), hi, xtol=1e-13)
+    return brentq(h, math.nextafter(1.0, 2.0), 2.0, xtol=1e-13)
 
 
 def guarded_cp1_objective(p: float) -> AlphaObjective:
@@ -502,11 +474,7 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
         raise DomainError(f"need p > 0, got {p!r}")
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    try:
-        lp = lambda1**p
-    except OverflowError:
-        raise _overflow(p, lambda1) from None
-    v1 = (1.0 + lp) / (2.0 * lp)
+    v1 = 0.5 * (1.0 + lambda1**-p)
     if lambda1 * v1 > 1.0 + ENTRY_TOL:
         raise InfeasibleClosedForm(
             f"lambda1 = {lambda1!r} exceeds the feasibility ceiling for p = {p!r}"

@@ -169,10 +169,11 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
         raise EmptyInstance("instance has no rounds or no agents")
     if matrix.shape[1] < 2:
         raise ValidationError("an instance needs at least two agents")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ValidationError("all values must be finite")
-    if np.any(matrix < 0):
-        t, i = np.argwhere(matrix < 0)[0]
+    negative = matrix < 0
+    if negative.any():
+        t, i = np.argwhere(negative)[0]
         raise NegativeValue(int(t), int(i), float(matrix[t, i]))
 
     totals = matrix.sum(axis=0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import DimensionMismatch, ShapeMismatch, ValidationError
 
 
 def utilities(instance: Instance, allocation: Allocation) -> np.ndarray:
@@ -83,13 +83,16 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
 
 
 def _state_arrays(utilities_so_far, remaining_values, n: int):
-    """One state's utilities and remaining values as float arrays of shape ``(n,)``."""
+    """One state's utilities and remaining values as finite float arrays of
+    shape ``(n,)``."""
     u = np.asarray(utilities_so_far, dtype=float)
     rem = np.asarray(remaining_values, dtype=float)
     if u.shape != (n,) or rem.shape != (n,):
         raise DimensionMismatch(
             f"expected {n} utilities and remaining values, got {u.shape} and {rem.shape}"
         )
+    if not (np.isfinite(u).all() and np.isfinite(rem).all()):
+        raise ValidationError("utilities and remaining values must be finite")
     return u, rem
 
 

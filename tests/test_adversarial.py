@@ -420,17 +420,23 @@ class TestGuardRatioCeiling:
 
 
 class TestLargeExponent:
-    """Float powers that overflow at large p surface as DomainError, never as
-    a bare OverflowError or as NaN rounds."""
+    """Every power in a closed form has a base of at most 1, so each one is
+    finite, and realized by simulation, at any finite p."""
 
     @pytest.mark.parametrize(
-        "call",
+        "call, expected",
         [
-            lambda: guard_ratio_ceiling(5000),
-            lambda: alpha_guarded_cp1(5000, 1.5),
-            lambda: guarded_cp1_instance(5000, 1.5),
-            lambda: guarded_cp1_objective(5000),
-            lambda: guarded_cp2_instance(5000, 1.0960015837476516, 1.0945541686675568),
+            (lambda: guard_ratio_ceiling(5000), 2.0),
+            (lambda: alpha_guarded_cp1(5000, 1.5), 2.5 / 3),
+            (
+                lambda: guarded_cp1_instance(5000, 1.5).values.tolist(),
+                [[0.5, 0.75], [0.5, 0.0], [0.0, 0.25]],
+            ),
+            (lambda: guarded_cp1_objective(5000).bounds, ((1.0, 2.0),)),
+            (
+                lambda: guarded_cp2_instance(5000, 1.5, 0.5).values.tolist(),
+                [[0.5, 0.75], [0.5, 0.25], [0.0, 0.0]],
+            ),
         ],
         ids=[
             "guard_ratio_ceiling",
@@ -440,30 +446,41 @@ class TestLargeExponent:
             "guarded_cp2_instance",
         ],
     )
-    def test_overflow_is_a_domain_error(self, call):
-        with pytest.raises(DomainError, match="p = 5000 overflows"):
-            call()
+    def test_trip_family_value_at_p_5000(self, call, expected):
+        assert call() == expected
 
-    def test_underflowed_denominator_is_a_domain_error(self):
-        # 0.6**5000 and 0.4**5000 are both 0.0, so a quotient would be 0/0
-        with pytest.raises(DomainError, match=r"p = 5000 underflows .* \(0\.6, 0\.6\)"):
-            alpha_poly_two_round(5000, 0.6, 0.6)
+    def test_cp2_singular_point_at_p_5000(self):
+        # lambda1 > lambda2 > 1: the scaled denominator tends to 1 - l1/l2 < 0
+        with pytest.raises(DomainError, match="singular construction"):
+            guarded_cp2_instance(5000, 1.0960015837476516, 1.0945541686675568)
+
+    def test_underflowed_powers_leave_the_larger_value(self):
+        # 0.6**5000 and 0.4**5000 are both 0.0; each round goes to the agent
+        # who values it at 0.6
+        assert alpha_poly_two_round(5000, 0.6, 0.6) == 1.0
 
     @pytest.mark.parametrize("v1, v2", [(0.862, 0.862), (0.8622, 0.8618), (0.1, 0.95)])
-    def test_subnormal_denominator_is_a_domain_error(self, v1, v2):
-        # One power of a denominator is subnormal and the other below it, so
-        # their quotient keeps only a few bits.
-        with pytest.raises(DomainError, match="p = 5000 underflows"):
-            alpha_poly_two_round(5000, v1, v2)
+    def test_subnormal_powers_keep_the_ratio(self, v1, v2):
+        # The unscaled powers are subnormal here; 50-digit decimals give the
+        # ratio they stand for.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a, b = decimal.Decimal(v1), decimal.Decimal(v2)
 
-    def test_grid_masks_subnormal_denominators(self):
+            def quotient(x, y):
+                return (x**5001 + y**5001) / (x**5000 + y**5000)
+
+            exact = (quotient(1 - a, b) + quotient(1 - b, a)) / (a + b)
+        assert alpha_poly_two_round(5000, v1, v2) == pytest.approx(float(exact), rel=1e-15)
+
+    def test_grid_matches_the_scalar_ratio_at_p_5000(self):
         v = np.array([0.5, 0.862, 0.999])
-        with np.errstate(all="ignore"):  # as in the search's scan: 0/0 at (0.5, 0.5)
-            two_round = poly_two_round_objective(5000).evaluate_grid(v[:, None], v[None, :])
-            diagonal = poly_two_round_diagonal_objective(5000).evaluate_grid(v)
-        assert np.isnan(two_round[1, 1]) and np.isnan(diagonal[1])
-        assert two_round[2, 2] == alpha_poly_two_round(5000, 0.999, 0.999)
-        assert diagonal[2] == two_round[2, 2]
+        two_round = poly_two_round_objective(5000).evaluate_grid(v[:, None], v[None, :])
+        diagonal = poly_two_round_diagonal_objective(5000).evaluate_grid(v)
+        assert np.isnan(two_round[0, 0])  # v1 + v2 = 1 is outside the family
+        for i, j in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 2)]:
+            assert two_round[i, j] == alpha_poly_two_round(5000, v[i], v[j])
+        assert diagonal.tolist() == [1.0, two_round[1, 1], two_round[2, 2]]
 
     def test_normal_denominators_keep_their_value(self):
         # The smallest normal float is 2.2e-308; 0.93**9000 is about 1e-284.
@@ -474,7 +491,7 @@ class TestLargeExponent:
     )
     def test_search_avoids_subnormal_denominators(self, objective):
         # The default grid reaches (0.862, 0.862), where 0.862**5000 is
-        # subnormal; the noisy ratio there read 0.773 and 0.967.
+        # subnormal; an unscaled quotient there read 0.773 and 0.967.
         result = minimize_alpha(objective(5000))
         assert result.value > 0.999
 
@@ -484,6 +501,26 @@ class TestLargeExponent:
     def test_refine_skips_underflowed_points(self, objective):
         result = minimize_alpha(objective(5000), grid_step=2e-2)
         assert math.isfinite(result.value) and 0.0 < result.value <= 1.0
+
+    @pytest.mark.parametrize("p", [50.0, 5000.0, 1e6])
+    @pytest.mark.parametrize(
+        "name",
+        ["poly-two-round", "guarded-cp1", "guarded-cp2-mixed", "guarded-cp2-both-above"],
+    )
+    def test_search_minimum_is_realized_by_simulation(self, name, p):
+        result = minimize_alpha(adversarial.objective_by_name(name, p), grid_step=2e-2)
+        x = result.argmin
+        if name == "poly-two-round":
+            inst = two_round_instance(*x)
+            trace = run_poly(inst, p)
+        else:
+            inst = (
+                guarded_cp1_instance(p, *x) if name == "guarded-cp1" else guarded_cp2_instance(p, *x)
+            )
+            trace = run_guarded(inst, p)
+            trip_round = 0 if name == "guarded-cp1" else 1
+            assert trace.critical_event.round_index == trip_round
+        assert audit(inst, trace.allocation).ratio == pytest.approx(result.value, abs=1e-9)
 
 
 class TestInstanceRealizations:

@@ -26,7 +26,7 @@ from roundfair import (
     validate_allocation,
     validate_instance,
 )
-from roundfair.errors import DimensionMismatch, ShapeMismatch
+from roundfair.errors import DimensionMismatch, ShapeMismatch, ValidationError
 from roundfair.core import DEFAULT_TOL
 from roundfair.metrics import fair_share
 from conftest import doomsday_maintained, late_trip_values, random_instance
@@ -213,6 +213,17 @@ class TestDoomsdayCompatible:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             doomsday_compatible([0.5, 0.5, 0.5], [0.1, 0.1], 2)
+
+    @pytest.mark.parametrize("function", [doomsday_compatible, doomsday_witness])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("argument", [0, 1])
+    def test_non_finite_state_is_rejected(self, function, bad, argument):
+        # A nan remaining value once counted as nothing left to come, so
+        # ([nan, 0.5], [0.0, 0.5]) was called compatible.
+        state = [[0.0, 0.5], [0.5, 0.5]]
+        state[argument][0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            function(*state, 2)
 
     def test_slack_is_on_the_utility_scale(self):
         # The deficit exceeds the small remainder by roundoff only: a last

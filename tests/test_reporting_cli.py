@@ -352,17 +352,19 @@ class TestCli:
     def test_search_objective_missing_p_exits_2(self):
         assert main(["search", "--objective", "guarded-cp1"]) == 2
 
-    def test_search_overflowing_p_exits_2(self, capsys):
+    def test_search_guarded_cp1_at_p_5000(self, capsys):
+        # lambda1**p overflows a float past lambda1 = 1.15; the closed form
+        # raises only lambda1**-p, and the ratio tends to 2/3 as p grows.
         code = main(["search", "--objective", "guarded-cp1", "--p", "5000"])
-        assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("roundfair: error: p = 5000.0 overflows")
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[1] == "guarded-cp1,5000,1.00162351948,0.667274614888,1055,true"
 
     @pytest.mark.parametrize("objective", ["poly-two-round", "poly-two-round-diagonal"])
     def test_search_underflowing_p_exits_0(self, capsys, objective):
-        # Both powers of a denominator underflow on part of the domain; the
-        # refine treats those points as infeasible instead of raising.
+        # Both unscaled powers of a denominator underflow on part of the
+        # domain; the scaled quotient keeps its value there.
         code = main(["search", "--objective", objective, "--p", "5000", "--grid-step", "0.02"])
         captured = capsys.readouterr()
         assert code == 0
