@@ -6,6 +6,11 @@ Each performs the same float operations in the same order as the original,
 so both return bit-identical results; importing ``scipy.optimize`` costs more
 than the rest of a CLI call, and these two routines are all the analysis
 commands need of it.
+
+Both run on Python floats.  ``nelder_mead`` keeps its simplex as lists: the
+refines the package runs have one or two coordinates, where numpy's fixed
+cost per call on 1- and 2-element arrays outweighs the arithmetic.  The
+objective still receives each point as a fresh float64 array.
 """
 
 from __future__ import annotations
@@ -51,19 +56,21 @@ def nelder_mead(
     Stops when every vertex lies within ``xatol`` of the best one and every
     value within ``fatol`` of its value, or when ``maxiter`` iterations or
     ``maxfev`` evaluations are spent; an iteration cut short by the budget
-    keeps the simplex as it was.  ``func`` receives a copy of each point.
+    keeps the simplex as it was.  The simplex and its values are Python
+    floats, updated element by element with scipy's expressions in scipy's
+    order; ``func`` still receives a fresh float64 array for each point, and
+    the returned ``x`` is one.
     """
-    x0 = np.asarray(x0, dtype=float).flatten()
+    x0 = np.asarray(x0, dtype=float).flatten().tolist()
     N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
+    sim = [x0]
     for k in range(N):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         if y[k] != 0:
             y[k] = (1 + _NONZDELT) * y[k]
         else:
             y[k] = _ZDELT
-        sim[k + 1] = y
+        sim.append(y)
 
     nfev = 0
 
@@ -72,9 +79,9 @@ def nelder_mead(
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return func(np.copy(x))
+        return float(func(np.array(x)))
 
-    fsim = np.full((N + 1,), np.inf)
+    fsim = [math.inf] * (N + 1)
     try:
         for k in range(N + 1):
             fsim[k] = f(sim[k])
@@ -82,23 +89,26 @@ def nelder_mead(
         pass
     # scipy sorts the initial simplex twice; both are kept so ties order alike.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _ranked(sim, fsim)
 
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
         try:
-            if (
-                np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-            ):
+            best, worst = sim[0], sim[-1]
+            # A NaN fails these tests as it fails scipy's np.max(...) <= tol.
+            close = all(abs(c - b) <= xatol for v in sim[1:] for c, b in zip(v, best))
+            if close and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:]):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+            # np.add.reduce starts from +0.0 and adds the rows in order; the
+            # builtin sum may compensate, so it is not used.
+            total = [0.0] * N
+            for v in sim[:-1]:
+                total = [t + c for t, c in zip(total, v)]
+            xbar = [t / N for t in total]
+            xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -108,29 +118,44 @@ def nelder_mead(
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
                     fxc = f(xc)
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[-1], fsim[-1] = xc, fxc
                 else:  # inside contraction
-                    xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
                     fxcc = f(xcc)
                     shrink = not fxcc < fsim[-1]
                     if not shrink:
                         sim[-1], fsim[-1] = xcc, fxcc
                 if shrink:
                     for j in range(1, N + 1):
-                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        sim[j] = [b + _SIGMA * (c - b) for b, c in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
             iterations += 1
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _ranked(sim, fsim)
 
-    return SimplexResult(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, nit=iterations)
+    # np.min, which scipy reports, is NaN if any value is; NaN sorts last.
+    fun = fsim[0] if fsim[-1] == fsim[-1] else math.nan
+    return SimplexResult(x=np.array(sim[0]), fun=fun, nfev=nfev, nit=iterations)
+
+
+def _ranked(sim: list, fsim: list) -> tuple[list, list]:
+    """The vertices and values in ``np.argsort``'s order of the values.
+
+    Up to three values (one- and two-dimensional searches) that order is
+    ascending with NaN last and ties kept in place, and a Python sort gives
+    it.  Among four or more, numpy's vectorized sort may swap tied values, so
+    numpy sorts them.
+    """
+    if len(fsim) <= 3:
+        order = sorted(range(len(fsim)), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
+    else:
+        order = np.argsort(fsim).tolist()
+    return [sim[k] for k in order], [fsim[k] for k in order]
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float) -> float:

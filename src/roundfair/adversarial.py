@@ -120,13 +120,28 @@ def alpha_guarded_cp1(p: float, lambda1: float) -> float:
     """Guarded-rule welfare ratio when the guard trips at the end of round 1.
 
     ``lambda1`` is the opponent-to-holder value ratio on the first item; the
-    construction forces lambda1 >= 1.
+    construction forces lambda1 >= 1, and points past the guard's ceiling,
+    which no instance realizes, raise InfeasibleClosedForm.
     """
+    _cp1_first_round(p, lambda1)
+    return _cp1_ratio(p, lambda1)
+
+
+def _cp1_first_round(p: float, lambda1: float) -> float:
+    """Agent 1's first-round value ``v1`` in the trip-at-round-1 instance,
+    the one at which the trip condition binds.  Raises InfeasibleClosedForm
+    where agent 2's value ``lambda1 * v1`` exceeds its unit budget: past
+    ``guard_ratio_ceiling(p)``, and at every lambda1 > 1 when p <= 2."""
     if p <= 0:
         raise DomainError(f"need p > 0, got {p!r}")
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    return _cp1_ratio(p, lambda1)
+    v1 = 0.5 * (1.0 + lambda1**-p)
+    if lambda1 * v1 > 1.0 + ENTRY_TOL:
+        raise InfeasibleClosedForm(
+            f"lambda1 = {lambda1!r} exceeds the feasibility ceiling for p = {p!r}"
+        )
+    return v1
 
 
 def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: float):
@@ -291,13 +306,13 @@ def minimize_alpha(
     x0 = np.array([ax[i] for ax, i in zip(axes, index)], dtype=float)
     evaluations = math.prod(shape)
 
-    lows, highs = np.array(box).T
-
     def penalized(x: np.ndarray) -> float:
-        if np.any(x < lows) or np.any(x > highs):
-            return 1e9
+        point = tuple(x.tolist())
+        for v, (lo, hi) in zip(point, box):
+            if v < lo or v > hi:  # a NaN coordinate goes on to evaluate
+                return 1e9
         try:
-            val = objective.evaluate(tuple(x.tolist()))
+            val = objective.evaluate(point)
         except DomainError:
             return 1e9
         return val if math.isfinite(val) else 1e9
@@ -470,15 +485,7 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
     Round 1 is (v1, lambda1 * v1) with v1 chosen so the trip condition binds
     there; the leftovers arrive as one round per agent.
     """
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p!r}")
-    if lambda1 < 1.0:
-        raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
-    v1 = 0.5 * (1.0 + lambda1**-p)
-    if lambda1 * v1 > 1.0 + ENTRY_TOL:
-        raise InfeasibleClosedForm(
-            f"lambda1 = {lambda1!r} exceeds the feasibility ceiling for p = {p!r}"
-        )
+    v1 = _cp1_first_round(p, lambda1)
     rows = [
         [v1, min(lambda1 * v1, 1.0)],
         [1.0 - v1, 0.0],

@@ -127,6 +127,16 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             alpha_guarded_cp1(2.7, 0.9)
 
+    @pytest.mark.parametrize("p, lambda1", [(2.7, 1.9), (1.0, 1.5)])
+    def test_guarded_cp1_rejects_unrealizable_points(self, p, lambda1):
+        # Past the ceiling at p = 2.7 (1.4955), and at any lambda1 > 1 for
+        # p <= 2, the ratio would read 1.027 and 1.071 with no instance behind it.
+        with pytest.raises(InfeasibleClosedForm):
+            guarded_cp1_instance(p, lambda1)
+        with pytest.raises(InfeasibleClosedForm):
+            alpha_guarded_cp1(p, lambda1)
+        assert alpha_guarded_cp1(2.7, 1.0) == 1.0
+
     def test_guarded_cp2_named_points(self):
         assert alpha_guarded_cp2(2.7, 1.3362, 0.711757, "mixed") >= 0.93 - 1e-3
         assert alpha_guarded_cp2(2.7, 1.49709, 6.55238, "both_above") >= 0.93 - 1e-3

@@ -6,13 +6,22 @@ conftest), on the searches the package runs and on synthetic cases that reach
 every branch.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from roundfair import adversarial, guard_ratio_ceiling, minimize_alpha, objective_by_name
-from roundfair._solvers import brentq, nelder_mead
+from roundfair import (
+    adversarial,
+    guard_ratio_ceiling,
+    minimize_alpha,
+    objective_by_name,
+    sweep_tradeoff_curves,
+)
+from roundfair import _solvers as solvers
+from roundfair._solvers import _ranked, brentq, nelder_mead
 from conftest import scipy_brentq, scipy_nelder_mead
 
 
@@ -34,6 +43,33 @@ def _walled(x):
     return float((x[0] - 1.2) ** 2 + (x[1] - 1.1) ** 2)
 
 
+def _walled_bowl(centre, wall=1e9):
+    """``_walled`` in any dimension: a bowl around ``centre`` that is ``wall``
+    outside the unit box."""
+    centre = np.asarray(centre, dtype=float)
+
+    def func(x):
+        if np.any(x < 0.0) or np.any(x > 1.0):
+            return wall
+        return float(np.sum((x - centre) ** 2))
+
+    return func
+
+
+def _nan_region(x):
+    """NaN beyond x[0] = 0.6, with the bowl's centre inside the NaN region."""
+    if x[0] > 0.6:
+        return math.nan
+    return float((x[0] - 0.8) ** 2 + (x[1] - 0.3) ** 2)
+
+
+def _nan_start(x):
+    """NaN on the start point of (0.5, 0.5), finite on the other two vertices."""
+    if x[0] + x[1] < 1.01:
+        return math.nan
+    return float((x[0] - 0.9) ** 2 + (x[1] - 0.6) ** 2)
+
+
 def _options(budget, xatol=1e-9, fatol=1e-15):
     return dict(xatol=xatol, fatol=fatol, maxiter=budget, maxfev=budget)
 
@@ -48,6 +84,16 @@ NELDER_MEAD_CASES = {
     # kinks make the contractions fail, so the simplex shrinks
     "kinked-shrinks": (lambda x: float(np.max(np.abs(x - 0.25))), [0.9, -0.4], _options(1200)),
     "penalty-walls": (_walled, [0.9, 0.95], _options(1200)),
+    # NaN trial points fail every comparison, so they contract and shrink
+    "nan-region": (_nan_region, [0.5, 0.5], _options(1200)),
+    "nan-start": (_nan_start, [0.5, 0.5], _options(1200)),
+    # one start vertex is inf: inf - inf is NaN in the stop test
+    "inf-wall": (_walled_bowl((1.2, 1.1), wall=math.inf), [0.99, 0.5], _options(1200)),
+    # both moved start vertices are outside, tied at 1e9
+    "tied-penalties": (_walled_bowl((1.2, 1.1)), [0.99, 0.99], _options(1200)),
+    "walled-bowl-3d": (_walled_bowl((1.2, 1.1, -0.3)), [0.9, 0.95, 0.1], _options(1800)),
+    # each shrink halves the 0.00025 edge exactly: it stops on reaching xatol
+    "stops-at-xatol": (lambda x: 1.0, [0.0], _options(200, 0.00025 / 4)),
     "iteration-budget": (_rosenbrock, [-1.2, 1.0], dict(xatol=1e-9, fatol=1e-15, maxiter=5, maxfev=400)),
 }
 
@@ -83,6 +129,65 @@ def test_nelder_mead_budget_spent_mid_shrink_matches_scipy():
     assert ours.x.tolist() == [0.5125, 0.5] and ours.fun == 0.0
 
 
+def test_nelder_mead_reports_nan_like_scipy():
+    # The budget ends with the NaN start vertex still in the simplex: scipy
+    # reports np.min of the values, which is NaN, beside the best vertex.
+    options = dict(xatol=1e-9, fatol=1e-15, maxiter=100, maxfev=3)
+    ours = nelder_mead(_nan_start, [0.5, 0.5], **options)
+    ref = scipy_nelder_mead(_nan_start, [0.5, 0.5], **options)
+    assert ours.x.tobytes() == ref.x.tobytes() and ours.x.tolist() == [0.525, 0.5]
+    assert math.isnan(ours.fun) and math.isnan(ref.fun)
+    assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit) == (3, 1)
+
+
+_SORT_VALUES = (0.0, -0.0, 1.0, 2.0, 1e9, math.inf, -math.inf, math.nan)
+
+
+def test_vertex_order_is_argsorts():
+    # Every pattern of ties, signed zeros, infinities and NaN in up to four
+    # values orders as np.argsort orders it.  Up to three, the vertex counts
+    # of the package's one- and two-dimensional refines, numpy is not called.
+    for n in range(1, 5):
+        for values in itertools.product(_SORT_VALUES, repeat=n):
+            fsim = list(values)
+            order = [v[0] for v in _ranked([[k] for k in range(n)], fsim)[0]]
+            assert order == np.argsort(np.array(fsim)).tolist(), values
+
+
+@pytest.mark.parametrize("x0", [[0.4], [-1.2, 1.0]])
+def test_nelder_mead_calls_numpy_only_for_points(monkeypatch, x0):
+    # One- and two-dimensional refines run on floats: numpy reads x0, then
+    # builds each point handed to func and the returned x.
+    calls = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(solvers, "np", Numpy())
+    func = _rosenbrock if len(x0) > 1 else NELDER_MEAD_CASES["one-dimensional"][0]
+    res = nelder_mead(func, x0, **_options(400))
+    assert calls.count("asarray") == 1
+    assert calls.count("array") == res.nfev + 1 == len(calls) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_nelder_mead_walled_quadratics_match_scipy(dim, data):
+    centre = data.draw(st.lists(st.floats(-0.5, 1.5), min_size=dim, max_size=dim), label="centre")
+    x0 = data.draw(
+        st.lists(st.sampled_from([0.0, 0.5, 0.99]) | st.floats(0.0, 1.0), min_size=dim, max_size=dim),
+        label="x0",
+    )
+    maxfev = data.draw(st.integers(1, 300 * dim), label="maxfev")
+    func = _walled_bowl(centre)
+    options = dict(xatol=1e-9, fatol=1e-15, maxiter=600 * dim, maxfev=maxfev)
+    _assert_same_simplex(
+        nelder_mead(func, x0, **options), scipy_nelder_mead(func, x0, **options)
+    )
+
+
 def test_nelder_mead_passes_copies():
     seen = []
 
@@ -100,8 +205,8 @@ def test_nelder_mead_passes_copies():
 OBJECTIVE_CASES = (
     [("proportional", None)]
     + [("poly-two-round", p) for p in (1.0, 2.0, 2.7, 4.0)]
-    + [("poly-two-round-diagonal", p) for p in (2.0, 2.7, 3.0)]
-    + [("guarded-cp1", p) for p in (2.3, 2.7, 3.0)]
+    + [("poly-two-round-diagonal", p) for p in (2.0, 2.01, 2.5, 2.7, 2.99, 3.0)]
+    + [("guarded-cp1", p) for p in (2.01, 2.3, 2.5, 2.7, 2.99, 3.0)]
     + [(f"guarded-cp2-{sub}", p) for sub in ("mixed", "both-above") for p in (2.7, 3.0)]
 )
 
@@ -121,6 +226,47 @@ def test_search_refine_matches_scipy(monkeypatch, name, p, grid_step):
     result = minimize_alpha(objective_by_name(name, p), grid_step)
     assert len(refines) == 1
     assert result.evaluations > refines[0].nfev > 0
+
+
+#: The fine sweep and the six searches of the benchmark's ``analysis`` workload.
+ANALYSIS_SWEEP_P = [round(2.0 + 0.01 * k, 10) for k in range(101)]
+ANALYSIS_SEARCHES = (
+    ("proportional", None),
+    ("poly-two-round", 2.0),
+    ("poly-two-round-diagonal", 2.0),
+    ("guarded-cp1", 2.7),
+    ("guarded-cp2-mixed", 2.7),
+    ("guarded-cp2-both-above", 2.7),
+)
+
+
+def test_sweep_and_analysis_searches_match_scipy_refine(monkeypatch):
+    refines = []
+
+    def both(func, x0, **options):
+        ours = nelder_mead(func, x0, **options)
+        _assert_same_simplex(ours, scipy_nelder_mead(func, x0, **options))
+        refines.append(ours)
+        return ours
+
+    def analysis():
+        rows = sweep_tradeoff_curves(ANALYSIS_SWEEP_P)
+        searches = [minimize_alpha(objective_by_name(name, p)) for name, p in ANALYSIS_SEARCHES]
+        return rows, searches
+
+    monkeypatch.setattr(adversarial, "nelder_mead", both)
+    rows, searches = analysis()
+    # two refines per exponent, except at p = 2, where no trip family exists
+    assert len(refines) == 2 * len(ANALYSIS_SWEEP_P) - 1 + len(ANALYSIS_SEARCHES)
+    monkeypatch.setattr(adversarial, "nelder_mead", scipy_nelder_mead)
+    ref_rows, ref_searches = analysis()
+
+    def table(sweep):
+        return [(row.p, row.no_cp_alpha, row.with_cp_alpha) for row in sweep]
+
+    assert np.array_equal(table(rows), table(ref_rows), equal_nan=True)
+    assert [row.p for row in rows] == ANALYSIS_SWEEP_P and math.isnan(rows[0].with_cp_alpha)
+    assert searches == ref_searches
 
 
 #: Exponents in (2, 100]: three right above 2, then 120 evenly spaced.
