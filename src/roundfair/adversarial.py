@@ -40,20 +40,29 @@ from .metrics import audit
 # closed-form welfare ratios
 #
 # Each ratio has one arithmetic body written with plain operators, so the same
-# code runs on floats (the public ``alpha_*`` functions, which add the domain
-# checks) and on broadcasting arrays (the objectives' grid scans, which mask
-# infeasible points with NaN instead).  Every power in a body has a base of at
-# most 1, so no power overflows and none that matters underflows: the bodies
-# are defined at every finite p.
+# code runs on Python floats (the public ``alpha_*`` functions, which add the
+# domain checks) and on broadcasting arrays (the objectives' grid scans, which
+# mask infeasible points with NaN instead).  A body that needs an elementwise
+# max or min takes it as an argument: builtin ``max``/``min`` at one point,
+# ``np.maximum``/``np.minimum`` on grids, and an interval form would pass its
+# own.  On the families' domains every power in a body has a base of at most
+# 1, so no power overflows and none that matters underflows: the bodies are
+# defined at every finite p.  Where an array gives inf or NaN, floats raise
+# ZeroDivisionError at a singular point and OverflowError at a power with a
+# base above 1.
 
 
 def _proportional_ratio(v1, v2):
-    return 2.0 * (1.0 + 2.0 * v1 * v2 - v1 - v2) / (
-        (1.0 - (v1 - v2) ** 2) * (v1 + v2)
+    """The proportional rule's ratio, factored so that numerator and
+    denominator vanish together at the corners (1, 0) and (0, 1), where the
+    ratio tends to 1.  Each factor ``1 - v + w`` subtracts first, so the small
+    coordinate survives."""
+    return 2.0 * ((1.0 - v1) * (1.0 - v2) + v1 * v2) / (
+        (1.0 - v1 + v2) * (1.0 - v2 + v1) * (v1 + v2)
     )
 
 
-def _poly_two_round_ratio(p, v1, v2):
+def _poly_two_round_ratio(p, v1, v2, maximum, minimum):
     """The two-round ratio.  Each round's share-weighted value
     ``(x**(p+1) + y**(p+1)) / (x**p + y**p)`` is written as
     ``m (1 + t s) / (1 + t)`` with ``m = max(x, y)``, ``s = min(x, y) / m`` and
@@ -61,8 +70,8 @@ def _poly_two_round_ratio(p, v1, v2):
     """
 
     def quotient(x, y):
-        m = np.maximum(x, y)
-        s = np.minimum(x, y) / m
+        m = maximum(x, y)
+        s = minimum(x, y) / m
         t = s**p
         return m * (1.0 + t * s) / (1.0 + t)
 
@@ -73,7 +82,7 @@ def _cp1_ratio(p, lambda1):
     return (1.0 + lambda1) / (3.0 - lambda1**-p)
 
 
-def _cp2_ratio(p, lambda1, lambda2, mixed: bool):
+def _cp2_ratio(p, lambda1, lambda2, mixed: bool, maximum):
     """Trip-at-round-2 ratio with the round values implied by the tight utility
     and exhaustion conditions.  Returns (ratio, v1, v2, v3, denominator); the
     construction is singular where the denominator is not positive.
@@ -82,7 +91,7 @@ def _cp2_ratio(p, lambda1, lambda2, mixed: bool):
     ``m2 = max(1, lambda2)``, so every power has a base of at most 1.  With
     ``r2 = lambda2 / m2``, ``lambda2**(p-1)`` scales to ``r2**p / lambda2``.
     """
-    m2 = np.maximum(1.0, lambda2)
+    m2 = maximum(1.0, lambda2)
     a = lambda1**-p
     b = m2**-p
     c = (lambda2 / m2) ** p
@@ -113,7 +122,7 @@ def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
         raise DomainError(f"need p > 0, got {p!r}")
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
-    return float(_poly_two_round_ratio(p, v1, v2))
+    return float(_poly_two_round_ratio(p, v1, v2, max, min))
 
 
 def alpha_guarded_cp1(p: float, lambda1: float) -> float:
@@ -148,9 +157,12 @@ def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: flo
     """Scalar :func:`_cp2_ratio` with its singular and infeasible points
     rejected: round values more than ``slack`` below zero mean no instance
     realizes the point.  Returns (ratio, v1, v2, v3)."""
-    with np.errstate(all="ignore"):  # a singular point divides by zero
-        ratio, v1, v2, v3, den = map(float, _cp2_ratio(p, lambda1, lambda2, mixed))
-    if not (den > 0.0 and all(map(math.isfinite, (ratio, v1, v2, v3)))):
+    try:
+        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, mixed, max)
+        regular = den > 0.0 and all(map(math.isfinite, (ratio, v1, v2, v3)))
+    except (ZeroDivisionError, OverflowError):  # inf or NaN on arrays
+        regular = False
+    if not regular:
         raise DomainError(
             f"singular construction at ({lambda1!r}, {lambda2!r}): "
             "the tight conditions admit no solution here"
@@ -198,8 +210,9 @@ def alpha_guarded_cp2(
 # ---------------------------------------------------------------------------
 # search over the closed forms
 
-#: Grid points ``minimize_alpha`` evaluates per block of leading rows, so the
-#: scan's temporaries stay at a few hundred kB whatever the grid size.
+#: Grid points ``minimize_alpha`` evaluates per block, a slice of the grid's
+#: longest axis, so the scan's temporaries stay at a few hundred kB whatever
+#: the grid size.
 _GRID_BLOCK_POINTS = 2**16
 
 #: Default spacing of the worst-case search's grid, on every axis.
@@ -257,9 +270,10 @@ def minimize_alpha(
     """Minimize a ratio objective: coarse grid scan, then simplex refinement.
 
     The grid covers the domain shrunk on each side by ``margin``, or by a
-    quarter of the axis where that is less, at step ``grid_step``; it is
-    scanned in blocks of leading rows, so memory stays bounded, and in
-    row-major order (first minimum wins ties).  A Nelder-Mead descent from
+    quarter of the axis where that is less, at step ``grid_step``.  It is
+    scanned in blocks that split its longest axis, so memory stays bounded
+    and each value of that axis is evaluated once; of equal minima the first
+    in row-major order wins.  A Nelder-Mead descent from
     the best grid point (``_solvers.nelder_mead``, a port of scipy's
     non-adaptive Nelder-Mead) runs until the point moves less than
     ``refine_tol``, within 600 evaluations per dimension.  Fully
@@ -282,29 +296,36 @@ def minimize_alpha(
         axes.append(ax)
         box.append((start, stop))
 
-    # One block of leading rows at a time, on open coordinates: per-axis
-    # powers are computed on 1-D data and no full-size grid is ever built.
+    # One slice of the longest axis at a time, on open coordinates: per-axis
+    # powers are computed on 1-D data, each value of the longest axis once per
+    # search, and no full-size grid is ever built.
     shape = tuple(ax.size for ax in axes)
-    row_size = math.prod(shape[1:])
-    rows = max(1, _GRID_BLOCK_POINTS // row_size)
-    best_flat, best_val = -1, math.nan
-    for first in range(0, shape[0], rows):
-        block = axes[0][first : first + rows]
-        open_mesh = np.meshgrid(block, *axes[1:], indexing="ij", sparse=True)
+    size = math.prod(shape)
+    long = shape.index(max(shape))
+    step = max(1, _GRID_BLOCK_POINTS // (size // shape[long]))
+    best_index, best_val = None, math.nan
+    for first in range(0, shape[long], step):
+        coords = list(axes)
+        coords[long] = axes[long][first : first + step]
+        open_mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
+        block_shape = tuple(c.size for c in coords)
         with np.errstate(all="ignore"):
             vals = np.asarray(objective.evaluate_grid(*open_mesh), dtype=float)
-        if np.isnan(vals).all():
+        vals = np.broadcast_to(vals, block_shape)
+        low = np.fmin.reduce(vals, axis=None)
+        if math.isnan(low) or low > best_val:
             continue
-        vals = np.broadcast_to(vals, (block.size,) + shape[1:])
-        k = int(np.nanargmin(vals))
-        if best_flat < 0 or vals.flat[k] < best_val:
-            best_flat = first * row_size + k
-            best_val = float(vals.flat[k])
-    if best_flat < 0:
+        index = [int(i) for i in np.unravel_index(int(np.argmax(vals == low)), block_shape)]
+        low = float(vals[tuple(index)])
+        index[long] += first
+        # Row-major order is the order of index lists, so of equal minima in
+        # different blocks the first in row-major order wins.
+        if best_index is None or low < best_val or index < best_index:
+            best_index, best_val = index, low
+    if best_index is None:
         raise EmptyDomain(f"objective {objective.name!r} has no feasible grid point")
-    index = np.unravel_index(best_flat, shape)
-    x0 = np.array([ax[i] for ax, i in zip(axes, index)], dtype=float)
-    evaluations = math.prod(shape)
+    x0 = np.array([ax[i] for ax, i in zip(axes, best_index)], dtype=float)
+    evaluations = size
 
     def penalized(x: np.ndarray) -> float:
         point = tuple(x.tolist())
@@ -361,7 +382,7 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
         raise DomainError(f"need p > 0, got {p!r}")
 
     def grid(v1, v2):
-        out = _poly_two_round_ratio(p, v1, v2)
+        out = _poly_two_round_ratio(p, v1, v2, np.maximum, np.minimum)
         out[v1 + v2 <= 1.0] = np.nan
         return out
 
@@ -383,7 +404,7 @@ def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
         name="poly-two-round-diagonal",
         bounds=((0.5, 1.0),),
         evaluate=lambda x: alpha_poly_two_round(p, x[0], x[0]),
-        evaluate_grid=lambda v: _poly_two_round_ratio(p, v, v),
+        evaluate_grid=lambda v: _poly_two_round_ratio(p, v, v, np.maximum, np.minimum),
         p=p,
     )
 
@@ -435,7 +456,7 @@ def guarded_cp2_objective(p: float, subcase: str = "mixed") -> AlphaObjective:
         raise DomainError(f"unknown subcase {subcase!r}")
 
     def grid(l1, l2):
-        out, v1, v2, v3, den = _cp2_ratio(p, l1, l2, subcase == "mixed")
+        out, v1, v2, v3, den = _cp2_ratio(p, l1, l2, subcase == "mixed", np.maximum)
         out[(den <= 0.0) | (v1 < 0.0) | (v2 < 0.0) | (v3 < 0.0)] = np.nan
         return out
 
@@ -496,11 +517,13 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
 
 def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
     """Three-round instance on which the guard trips exactly at the end of round 2."""
+    if lambda1 < 0.0 or lambda2 < 0.0:  # a float power would be complex
+        raise DomainError(f"need lambda1, lambda2 >= 0, got ({lambda1!r}, {lambda2!r})")
     # The subcase changes only the ratio, which the instance does not need.
     _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, True, ENTRY_TOL)
     rows = [
-        [max(v1, 0.0), lambda1 * v1],
-        [max(v2, 0.0), lambda2 * v2],
+        [max(v1, 0.0), lambda1 * max(v1, 0.0)],
+        [max(v2, 0.0), lambda2 * max(v2, 0.0)],
         [max(v3, 0.0), 0.0],
     ]
     return validate_instance(rows, require_normalized=True)

@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roundfair import (
     GREEDY,
+    Instance,
     RunTrace,
     algorithm_by_name,
     alpha_guarded_cp1,
@@ -50,7 +52,12 @@ from roundfair.errors import (
     PNotAboveTwo,
 )
 from roundfair import adversarial
-from roundfair.adversarial import _GRID_BLOCK_POINTS, AlphaObjective
+from roundfair.adversarial import (
+    _GRID_BLOCK_POINTS,
+    AlphaObjective,
+    _cp2_ratio,
+    _poly_two_round_ratio,
+)
 from conftest import dense_grid_argmin, random_instance
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -80,6 +87,13 @@ class TestClosedForms:
         inst = two_round_instance(v1, v2)
         verdict = audit(inst, run_poly(inst, 1).allocation)
         assert alpha_proportional(v1, v2) == pytest.approx(verdict.ratio, abs=1e-12)
+
+    @pytest.mark.parametrize("v", [1e-17, 1e-300, 5e-324])
+    def test_proportional_corners_tend_to_one(self, v):
+        # Numerator and denominator both vanish at (1, 0) and (0, 1); in the
+        # expanded form the denominator alone rounded to 0.
+        assert alpha_proportional(1.0, v) == 1.0
+        assert alpha_proportional(v, 1.0) == 1.0
 
     def test_proportional_domain(self):
         with pytest.raises(DomainError):
@@ -350,6 +364,24 @@ class TestBlockedGridScan:
         assert result.grid_value == pytest.approx(-1.0, abs=1e-6)
         assert 0.30 <= result.grid_point[0] < 0.31
 
+    def test_blocks_split_the_longest_axis(self):
+        # -1 on two rectangles; the first in row-major order (the lower x) lies
+        # in a later block than the other.
+        def two_bands_along_y(x, y):
+            first = (0.02 <= x) & (x < 0.03) & (0.80 <= y) & (y < 0.85)
+            second = (0.06 <= x) & (x < 0.07) & (0.30 <= y) & (y < 0.35)
+            return np.where(first | second, -1.0, 0.0)
+
+        objective = dataclasses.replace(
+            _synthetic(two_bands_along_y), bounds=((0.0, 0.1), (0.0, 1.0))
+        )
+        result, shapes = self._assert_matches_dense(objective, 1e-3)
+        assert len(shapes) > 1
+        assert {s[0] for s in shapes} == {101}
+        assert sum(s[1] for s in shapes) == 1001
+        assert result.grid_value == -1.0
+        assert 0.02 <= result.grid_point[0] < 0.03 and 0.80 <= result.grid_point[1] < 0.85
+
     def test_leading_blocks_all_nan(self):
         def grid(x, y):
             return np.where(x < 0.5, np.nan, (x - 0.7) ** 2 + (y - 0.3) ** 2)
@@ -533,6 +565,82 @@ class TestLargeExponent:
         assert audit(inst, trace.allocation).ratio == pytest.approx(result.value, abs=1e-9)
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def _closed_form_points(draw):
+    """An exponent and parameter points at or next to the families' box
+    edges: 0 and 1 for round values, and 1, the guard's ceiling and 16 for
+    value ratios, with the floats on either side."""
+
+    def near(x):
+        return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+    p = draw(st.one_of(st.sampled_from([1e-3, 2.0, math.nextafter(2.0, 3.0), 1e6]),
+                       st.floats(1e-3, 1e6)))
+    ceiling = guard_ratio_ceiling(p) if p > 2.0 else 1.0
+    ratio = st.one_of(
+        st.sampled_from([0.0, 5e-324, *near(1.0), *near(ceiling), *near(16.0)]),
+        st.floats(0.0, 16.0),
+    )
+    value = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, *near(1.0)[:2]]),
+        st.floats(0.0, 1.0),
+    )
+    return p, draw(ratio), draw(ratio), draw(value), draw(value)
+
+
+class TestFloatPath:
+    """Single points run the closed forms on Python floats with builtin max
+    and min; the grids run the same bodies with numpy's."""
+
+    @pytest.mark.parametrize("p", [1e-3, 2.000001, 2.7, 50.0, 5000.0])
+    @pytest.mark.parametrize("family", ["poly-two-round", "cp2-mixed", "cp2-both-above"])
+    def test_builtin_max_min_match_numpy_scalars(self, family, p, rng):
+        f64 = np.float64
+        for _ in range(400):
+            if family == "poly-two-round":
+                v1 = 1.0 - float(rng.random())  # in (0, 1]
+                v2 = 1.0 - v1 * float(rng.random())  # v1 + v2 > 1
+                on_floats = (_poly_two_round_ratio(p, v1, v2, max, min),)
+                on_numpy = (
+                    _poly_two_round_ratio(f64(p), f64(v1), f64(v2), np.maximum, np.minimum),
+                )
+            else:
+                mixed = family == "cp2-mixed"
+                l1 = 1.0 + float(rng.random())
+                l2 = float(rng.random()) if mixed else 1.0 + 15.0 * float(rng.random())
+                on_floats = _cp2_ratio(p, l1, l2, mixed, max)
+                with np.errstate(all="ignore"):
+                    on_numpy = _cp2_ratio(f64(p), f64(l1), f64(l2), mixed, np.maximum)
+            assert all(type(v) is float for v in on_floats)
+            assert _bits(on_floats) == _bits(on_numpy), (p, on_floats, on_numpy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_closed_form_points())
+    def test_only_typed_errors_escape(self, point):
+        p, l1, l2, v1, v2 = point
+        calls = [
+            lambda: alpha_proportional(v1, v2),
+            lambda: alpha_poly_two_round(p, v1, v2),
+            lambda: alpha_guarded_cp1(p, l1),
+            lambda: alpha_guarded_cp2(p, l1, l2, "mixed"),
+            lambda: alpha_guarded_cp2(p, l1, l2, "both_above", slack=0.0),
+            lambda: guarded_cp1_instance(p, l1),
+            lambda: guarded_cp2_instance(p, l1, l2),
+        ]
+        for call in calls:
+            try:
+                out = call()
+            except DomainError:  # InfeasibleClosedForm included
+                continue
+            assert isinstance(out, Instance) or (
+                isinstance(out, float) and math.isfinite(out)
+            ), out
+
+
 class TestInstanceRealizations:
     def test_two_round_instance_layout(self):
         inst = two_round_instance(0.9, 0.6)
@@ -571,10 +679,29 @@ class TestInstanceRealizations:
         with pytest.raises(InfeasibleClosedForm):
             guarded_cp2_instance(2.7, 1.6, 6.0)
 
-    @pytest.mark.parametrize("lam1, lam2", [(1.0, 1.0), (1.5, 0.0)])
-    def test_cp2_singular_point_rejected(self, lam1, lam2):
+    @pytest.mark.parametrize(
+        "p, lam1, lam2",
+        [
+            (2.7, 1.0, 1.0),
+            (2.7, 1.5, 0.0),
+            (2.7, 0.0, 0.5),  # 0.0 ** -p raises ZeroDivisionError on floats
+            (1e6, 0.5, 0.0),  # 0.5 ** -1e6 raises OverflowError on floats
+        ],
+    )
+    def test_cp2_singular_point_rejected(self, p, lam1, lam2):
         with pytest.raises(DomainError, match="singular construction"):
+            guarded_cp2_instance(p, lam1, lam2)
+
+    @pytest.mark.parametrize("lam1, lam2", [(-1.2, 0.8), (1.2, -0.8)])
+    def test_cp2_negative_ratio_rejected(self, lam1, lam2):
+        with pytest.raises(DomainError, match="lambda1, lambda2 >= 0"):
             guarded_cp2_instance(2.7, lam1, lam2)
+
+    def test_cp2_round_just_below_zero_is_clipped_for_both_agents(self):
+        # v2 comes out at -2.2e-16, inside the ENTRY_TOL slack; agent 2's
+        # entry lambda2 * v2 was left negative and failed validation.
+        inst = guarded_cp2_instance(1e-3, math.nextafter(1.0, 2.0), 2.0)
+        assert inst.values.min() == 0.0
 
 
 class TestFairShareViolationInstance:
