@@ -496,6 +496,12 @@ class TestLargeExponent:
         with pytest.raises(DomainError, match="singular construction"):
             guarded_cp2_instance(5000, 1.0960015837476516, 1.0945541686675568)
 
+    def test_cp2_overflowing_power_is_singular(self):
+        # lambda1 < 1 gives a power with a base above 1: 0.5 ** -1e6 raises
+        # OverflowError on floats, where an array reads inf.
+        with pytest.raises(DomainError, match="singular construction"):
+            guarded_cp2_instance(1e6, 0.5, 0.0)
+
     def test_underflowed_powers_leave_the_larger_value(self):
         # 0.6**5000 and 0.4**5000 are both 0.0; each round goes to the agent
         # who values it at 0.6
@@ -679,18 +685,11 @@ class TestInstanceRealizations:
         with pytest.raises(InfeasibleClosedForm):
             guarded_cp2_instance(2.7, 1.6, 6.0)
 
-    @pytest.mark.parametrize(
-        "p, lam1, lam2",
-        [
-            (2.7, 1.0, 1.0),
-            (2.7, 1.5, 0.0),
-            (2.7, 0.0, 0.5),  # 0.0 ** -p raises ZeroDivisionError on floats
-            (1e6, 0.5, 0.0),  # 0.5 ** -1e6 raises OverflowError on floats
-        ],
-    )
-    def test_cp2_singular_point_rejected(self, p, lam1, lam2):
+    # 0.0 ** -p raises ZeroDivisionError on floats
+    @pytest.mark.parametrize("lam1, lam2", [(1.0, 1.0), (1.5, 0.0), (0.0, 0.5)])
+    def test_cp2_singular_point_rejected(self, lam1, lam2):
         with pytest.raises(DomainError, match="singular construction"):
-            guarded_cp2_instance(p, lam1, lam2)
+            guarded_cp2_instance(2.7, lam1, lam2)
 
     @pytest.mark.parametrize("lam1, lam2", [(-1.2, 0.8), (1.2, -0.8)])
     def test_cp2_negative_ratio_rejected(self, lam1, lam2):
