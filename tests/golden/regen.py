@@ -87,6 +87,36 @@ SWEEPS = (
     ("--p-values", "2,5"),
 )
 
+#: Generator specs with a bad argument: out of range, the wrong count or
+#: type of arguments, or an unknown generator.
+BAD_SPECS = (
+    "two-round-symmetric:0",
+    "two-round-symmetric:1.5",
+    "two-round-symmetric:",
+    "three-round-cp:0.5",
+    "three-round-cp:1,0.5",
+    "three-round-cp:0.76,0.97,0.05",
+    "three-round-cp:a,b",
+    "fs-violation:2",
+    "multi-agent:8",
+    "multi-agent:2",
+    "multi-agent:x",
+    "lb-pair:3",
+    "nope:1",
+)
+
+#: The argument checks' error bytes: bad generator specs, unknown algorithm
+#: and objective names, and rules or objectives called without ``--p``.
+ERRORS = (
+    *(("run", "--algorithm", "proportional", "--instance", spec) for spec in BAD_SPECS),
+    *(
+        ("run", "--algorithm", name, "--instance", "two-round-symmetric:0.599")
+        for name in ("nope", "poly", "guarded")
+    ),
+    ("search", "--objective", "mystery"),
+    ("search", "--objective", "guarded-cp1"),
+)
+
 
 def _algorithm_args(algorithm):
     args = ["--algorithm", algorithm[0]]
@@ -120,6 +150,8 @@ def _calls():
             yield ["sweep", *sweep, *tail]
     for objective in CERTIFIED:
         yield ["search", "--objective", *objective]
+    for argv in ERRORS:
+        yield list(argv)
 
 
 #: Every argv the corpus records, in file order.
