@@ -529,6 +529,28 @@ def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
     return validate_instance(rows, require_normalized=True)
 
 
+def three_round_cp(v11: float, v21: float, eps: float = 1e-6) -> Instance:
+    """Two-agent, three-round instance that can drive a guard to trip.
+
+    Agent 1's column is (v11, 1 - v11 - eps, eps) and agent 2's is
+    (v21, eps, 1 - v21 - eps), so both sum to 1 for any admissible eps.
+    """
+    if not 0.0 < v11 < 1.0:
+        raise OutOfRange(f"v11 must lie in (0, 1), got {v11!r}")
+    if not 0.0 < v21 < 1.0:
+        raise OutOfRange(f"v21 must lie in (0, 1), got {v21!r}")
+    if not 0.0 < eps < min(1.0 - v11, 1.0 - v21):
+        raise OutOfRange(
+            f"eps must lie in (0, {min(1.0 - v11, 1.0 - v21)!r}), got {eps!r}"
+        )
+    rows = [
+        [v11, v21],
+        [1.0 - v11 - eps, eps],
+        [eps, 1.0 - v21 - eps],
+    ]
+    return validate_instance(rows, require_normalized=True)
+
+
 # ---------------------------------------------------------------------------
 # adversarial constructions
 

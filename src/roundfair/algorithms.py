@@ -27,7 +27,7 @@ from .core import (
     CriticalEvent,
     Instance,
     RunTrace,
-    require_normalized,
+    check_normalized,
     validate_allocation,
 )
 from .errors import InfiniteP, NotTwoAgents, OutOfRange, ValidationError
@@ -208,7 +208,7 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
         raise InfiniteP("the guarded family is defined for finite p")
     if instance.n != 2:
         raise NotTwoAgents(f"guarded runs need exactly 2 agents, got {instance.n}")
-    require_normalized(instance)
+    check_normalized(instance)
 
     values = instance.values
     fractions = _poly_fractions(values, p)
@@ -275,12 +275,8 @@ def algorithm_by_name(name: str, p: float | None = None) -> Algorithm:
     fixed = {a.name: a for a in builtin_algorithms() if not a.guarded}
     if name in fixed:
         return fixed[name]
-    if name == "poly":
+    if name in ("poly", "guarded"):
         if p is None:
-            raise ValidationError("algorithm 'poly' needs an exponent (--p)")
-        return Algorithm(f"poly-{p:g}", _check_p(p))
-    if name == "guarded":
-        if p is None:
-            raise ValidationError("algorithm 'guarded' needs an exponent (--p)")
-        return Algorithm(f"guarded-{p:g}", _check_p(p), guarded=True)
+            raise ValidationError(f"algorithm {name!r} needs an exponent (--p)")
+        return Algorithm(f"{name}-{p:g}", _check_p(p), guarded=name == "guarded")
     raise ValidationError(f"unknown algorithm {name!r}")

@@ -26,15 +26,11 @@ from .adversarial import (
     objective_by_name,
     replay_lower_bound,
     sweep_tradeoff_curves,
+    three_round_cp,
+    two_round_instance,
 )
 from .algorithms import algorithm_by_name
-from .core import (
-    DEFAULT_TOL,
-    REFINE_TOL,
-    Instance,
-    three_round_cp,
-    two_round_symmetric,
-)
+from .core import DEFAULT_TOL, REFINE_TOL, Instance
 from .errors import RoundFairError
 from .metrics import audit, doomsday_trace
 from .reporting import (
@@ -50,7 +46,8 @@ def _resolve_instances(spec: str) -> list[tuple[str, Instance]]:
     """Turn ``--instance`` into named instances: a generator spec or a file path."""
     kind, _, args = spec.partition(":")
     if kind == "two-round-symmetric":
-        return [(spec, two_round_symmetric(float(args)))]
+        v = float(args)
+        return [(spec, two_round_instance(v, v))]
     if kind == "three-round-cp":
         parts = [float(x) for x in args.split(",")]
         if len(parts) not in (2, 3):

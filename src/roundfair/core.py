@@ -1,5 +1,9 @@
 """Core domain types: valuation instances, allocations, run traces, and audit verdicts.
 
+This module holds only the types, their validation and the package's
+tolerances.  The instance families are built in :mod:`adversarial`, next to
+the closed forms they realize.
+
 An instance is a T x n matrix of nonnegative values, one row per round and one
 column per agent.  Agents have additive utilities, and an instance is called
 normalized when every agent's column sums to 1.  All types are immutable after
@@ -28,13 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInstance,
-    NegativeValue,
-    NotNormalized,
-    OutOfRange,
-    ValidationError,
-)
+from .errors import EmptyInstance, NegativeValue, NotNormalized, ValidationError
 
 #: Absolute slack on a sum of unit-scale values, shares or utilities.
 DEFAULT_TOL = 1e-9
@@ -156,8 +154,9 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     The matrix is copied once, column-major, and frozen.  It must be
     non-empty and rectangular with nonnegative finite entries.  When
     ``require_normalized`` is set, every agent's column must sum to 1 within
-    ``DEFAULT_TOL``; otherwise the instance is accepted as-is and its
-    ``normalized`` flag records whether the sums happen to hold.
+    ``DEFAULT_TOL`` (see :func:`check_normalized`); otherwise the instance is
+    accepted as-is and its ``normalized`` flag records whether the sums
+    happen to hold.
     """
     try:
         matrix = np.array(values, dtype=float, order="F")
@@ -176,14 +175,12 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
         t, i = np.argwhere(negative)[0]
         raise NegativeValue(int(t), int(i), float(matrix[t, i]))
 
-    totals = matrix.sum(axis=0)
-    off = np.abs(totals - 1.0) > DEFAULT_TOL
-    normalized = not bool(off.any())
-    if require_normalized and not normalized:
-        agent = int(np.argmax(off))
-        raise NotNormalized(agent, float(totals[agent]))
+    off = np.abs(matrix.sum(axis=0) - 1.0) > DEFAULT_TOL
     matrix.setflags(write=False)
-    return Instance(values=matrix, normalized=normalized)
+    instance = Instance(values=matrix, normalized=not bool(off.any()))
+    if require_normalized:
+        check_normalized(instance)
+    return instance
 
 
 def validate_allocation(fractions) -> Allocation:
@@ -213,42 +210,11 @@ def validate_allocation(fractions) -> Allocation:
     return Allocation(fractions=matrix)
 
 
-def two_round_symmetric(v11: float) -> Instance:
-    """Two-agent, two-round normalized instance with mirrored values.
+def check_normalized(instance: Instance) -> None:
+    """Raise :class:`NotNormalized` unless every column sums to 1 within ``DEFAULT_TOL``.
 
-    Agent 1 values the rounds (v11, 1 - v11) and agent 2 the reverse.
+    The error names the agent whose total lies furthest from 1.
     """
-    if not 0.0 < v11 < 1.0:
-        raise OutOfRange(f"v11 must lie in (0, 1), got {v11!r}")
-    return validate_instance(
-        [[v11, 1.0 - v11], [1.0 - v11, v11]], require_normalized=True
-    )
-
-
-def three_round_cp(v11: float, v21: float, eps: float = 1e-6) -> Instance:
-    """Two-agent, three-round instance that can drive a guard to trip.
-
-    Agent 1's column is (v11, 1 - v11 - eps, eps) and agent 2's is
-    (v21, eps, 1 - v21 - eps), so both sum to 1 for any admissible eps.
-    """
-    if not 0.0 < v11 < 1.0:
-        raise OutOfRange(f"v11 must lie in (0, 1), got {v11!r}")
-    if not 0.0 < v21 < 1.0:
-        raise OutOfRange(f"v21 must lie in (0, 1), got {v21!r}")
-    if not 0.0 < eps < min(1.0 - v11, 1.0 - v21):
-        raise OutOfRange(
-            f"eps must lie in (0, {min(1.0 - v11, 1.0 - v21)!r}), got {eps!r}"
-        )
-    rows = [
-        [v11, v21],
-        [1.0 - v11 - eps, eps],
-        [eps, 1.0 - v21 - eps],
-    ]
-    return validate_instance(rows, require_normalized=True)
-
-
-def require_normalized(instance: Instance) -> None:
-    """Raise :class:`NotNormalized` unless every column sums to 1."""
     if instance.normalized:
         return
     totals = instance.column_totals()

@@ -118,33 +118,28 @@ def parse_allocation(document: str) -> Allocation:
     return validate_allocation(matrix)
 
 
+def _write_grid(matrix: np.ndarray, comments=()) -> str:
+    """The mirror of :func:`_parse_grid`: comment lines, the header ``n T``,
+    then one row per round at shortest round-trip precision, so parsing the
+    output reproduces the matrix bit-exactly."""
+    T, n = matrix.shape
+    lines = [*comments, f"{n} {T}"]
+    lines += [" ".join(repr(v) for v in row) for row in matrix.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def serialize_instance(
     instance: Instance, name: str | None = None, source: str | None = None
 ) -> str:
-    """Render an instance back to the file format.
-
-    Values are written with shortest round-trip precision, so parsing the
-    output reproduces the matrix bit-exactly.
-    """
-    lines = []
-    if name is not None:
-        lines.append(f"# name: {name}")
-    if source is not None:
-        lines.append(f"# source: {source}")
-    T, n = instance.values.shape
-    lines.append(f"{n} {T}")
-    for t in range(T):
-        lines.append(" ".join(repr(float(v)) for v in instance.values[t]))
-    return "\n".join(lines) + "\n"
+    """Render an instance back to the file format, with its name and source."""
+    metadata = (("name", name), ("source", source))
+    comments = [f"# {key}: {value}" for key, value in metadata if value is not None]
+    return _write_grid(instance.values, comments)
 
 
 def serialize_allocation(allocation: Allocation) -> str:
     """Render an allocation in the same grid layout."""
-    T, n = allocation.fractions.shape
-    lines = [f"{n} {T}"]
-    for t in range(T):
-        lines.append(" ".join(repr(float(v)) for v in allocation.fractions[t]))
-    return "\n".join(lines) + "\n"
+    return _write_grid(allocation.fractions)
 
 
 def _plain(val):

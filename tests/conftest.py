@@ -4,8 +4,7 @@ from hypothesis import settings
 
 from roundfair import doomsday_compatible, doomsday_witness, validate_instance
 from roundfair._solvers import SimplexResult
-from roundfair.algorithms import TRIP_SLACK
-from roundfair.core import DEFAULT_TOL
+from roundfair.core import DEFAULT_TOL, TRIP_SLACK
 
 # Reproducible property searches: ``pytest --hypothesis-profile=ci``.
 settings.register_profile("ci", derandomize=True, deadline=None)

@@ -19,7 +19,7 @@ from roundfair import (
     poly_round,
     run_guarded,
     run_poly,
-    two_round_symmetric,
+    two_round_instance,
     utilities,
     validate_allocation,
     validate_instance,
@@ -32,7 +32,7 @@ from roundfair.errors import (
     OutOfRange,
     ValidationError,
 )
-from roundfair.metrics import DEFAULT_TOL
+from roundfair.core import DEFAULT_TOL
 from conftest import guarded_reference, late_trip_values, random_instance, random_instances
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -101,7 +101,7 @@ def test_poly_round_scale_free(values, p, scale):
 
 class TestRunPoly:
     def test_proportional_worst_case_utilities(self):
-        inst = two_round_symmetric(SQ2)
+        inst = two_round_instance(SQ2, SQ2)
         trace = run_poly(inst, 1)
         u = utilities(inst, trace.allocation)
         assert u == pytest.approx([0.5857864376269051] * 2)
@@ -109,7 +109,7 @@ class TestRunPoly:
         assert u.sum() / opt == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-12)
 
     def test_quadratic_ratio_at_symmetric_worst_case(self):
-        inst = two_round_symmetric(0.6265)
+        inst = two_round_instance(0.6265, 0.6265)
         trace = run_poly(inst, 2)
         ratio = utilities(inst, trace.allocation).sum() / (2 * 0.6265)
         assert ratio == pytest.approx(0.8941, abs=1e-4)
@@ -303,7 +303,7 @@ class TestCriticalFraction:
 
 class TestRunGuarded:
     def test_no_trip_on_symmetric_sweet_spot(self):
-        inst = two_round_symmetric(0.599)
+        inst = two_round_instance(0.599, 0.599)
         trace = run_guarded(inst, 2.7)
         assert trace.critical_event is None
         u = utilities(inst, trace.allocation)
@@ -398,7 +398,7 @@ class TestRunGuarded:
     def test_identical_agents_tie_at_final_round(self):
         # the guard binds exactly at the end of round 2 for both agents;
         # the allocation is still the plain power-weighted one
-        inst = two_round_symmetric(0.5)
+        inst = two_round_instance(0.5, 0.5)
         trace = run_guarded(inst, 2.7)
         assert np.all(trace.allocation.fractions == 0.5)
         assert utilities(inst, trace.allocation) == pytest.approx([0.5, 0.5])

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import roundfair
 from roundfair import (
     three_round_cp,
-    two_round_symmetric,
+    two_round_instance,
     validate_allocation,
     validate_instance,
 )
@@ -27,6 +27,9 @@ from roundfair.errors import (
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
+#: The golden corpus's unnormalized instance: agent totals 0.3 and 2.5.
+UNNORMALIZED = Path(__file__).parent / "golden" / "files" / "unnormalized.txt"
+
 
 class TestValidateInstance:
     def test_orthogonal_unit_columns(self):
@@ -39,6 +42,12 @@ class TestValidateInstance:
             validate_instance([[0.5, 0.6], [0.5, 0.5]], require_normalized=True)
         assert err.value.agent == 1
         assert err.value.total == pytest.approx(1.1)
+        # Agent 0's total, 0.3, is off too; the error names the agent whose
+        # total lies furthest from 1, as the guarded run does.
+        values = roundfair.parse_instance(UNNORMALIZED.read_text()).values
+        with pytest.raises(NotNormalized) as err:
+            validate_instance(values, require_normalized=True)
+        assert (err.value.agent, err.value.total) == (1, 2.5)
 
     def test_unnormalized_accepted_with_flag_off(self):
         inst = validate_instance([[0.5, 0.6], [0.5, 0.5]])
@@ -107,24 +116,26 @@ class TestValidateAllocation:
 
 
 class TestTwoRoundSymmetric:
+    """The CLI's ``two-round-symmetric:V`` family, ``two_round_instance(V, V)``."""
+
     def test_table_point(self):
-        inst = two_round_symmetric(0.626)
+        inst = two_round_instance(0.626, 0.626)
         assert inst.values == pytest.approx(
             np.array([[0.626, 0.374], [0.374, 0.626]])
         )
 
     def test_identical_agents(self):
-        inst = two_round_symmetric(0.5)
+        inst = two_round_instance(0.5, 0.5)
         assert np.all(inst.values == 0.5)
 
     def test_sweet_spot_point(self):
-        inst = two_round_symmetric(0.599)
+        inst = two_round_instance(0.599, 0.599)
         assert inst.values[0, 0] == 0.599 and inst.values[1, 1] == 0.599
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.5])
+    @pytest.mark.parametrize("bad", [-0.3, 1.5])
     def test_out_of_range(self, bad):
         with pytest.raises(OutOfRange):
-            two_round_symmetric(bad)
+            two_round_instance(bad, bad)
 
 
 class TestThreeRoundCp:
@@ -153,7 +164,7 @@ class TestThreeRoundCp:
 
 @given(st.floats(min_value=1e-3, max_value=1 - 1e-3))
 def test_two_round_symmetric_roundtrip(v11):
-    inst = two_round_symmetric(v11)
+    inst = two_round_instance(v11, v11)
     again = validate_instance(inst.values, require_normalized=True)
     assert again.normalized
     assert np.all(np.abs(inst.column_totals() - 1.0) <= 1e-12)

@@ -21,7 +21,7 @@ from roundfair import (
     optimal_welfare,
     run_guarded,
     run_poly,
-    two_round_symmetric,
+    two_round_instance,
     utilities,
     validate_allocation,
     validate_instance,
@@ -46,7 +46,7 @@ class TestUtilities:
 
     def test_proportional_worst_case_run(self):
         v = 1 / math.sqrt(2)
-        inst = two_round_symmetric(v)
+        inst = two_round_instance(v, v)
         u = utilities(inst, run_poly(inst, 1).allocation)
         # independent route: per-round closed form v * (1 + lam^2) / (1 + lam)
         lam1 = (1 - v) / v
@@ -67,7 +67,7 @@ class TestOptimalWelfare:
 
     def test_symmetric_dominant_diagonal(self):
         for v in (0.5, 0.626, 0.9):
-            assert optimal_welfare(two_round_symmetric(v)) == pytest.approx(2 * v)
+            assert optimal_welfare(two_round_instance(v, v)) == pytest.approx(2 * v)
 
     def test_lower_bound_branch_one(self):
         first, _ = lower_bound_instances()

@@ -14,7 +14,7 @@ from roundfair import (
     run_guarded,
     serialize_allocation,
     serialize_instance,
-    two_round_symmetric,
+    two_round_instance,
     validate_allocation,
 )
 from roundfair.cli import main
@@ -90,7 +90,7 @@ class TestRoundTrip:
             assert np.array_equal(again.values, inst.values)
 
     def test_metadata_round_trip(self):
-        inst = two_round_symmetric(0.599)
+        inst = two_round_instance(0.599, 0.599)
         doc = serialize_instance(inst, name="sweet-spot", source="generator")
         again, meta = parse_instance_document(doc)
         assert np.array_equal(again.values, inst.values)
@@ -103,7 +103,7 @@ class TestRoundTrip:
 
 
 def _sweet_spot_record():
-    inst = two_round_symmetric(0.599)
+    inst = two_round_instance(0.599, 0.599)
     trace = run_guarded(inst, 2.7)
     verdict = audit(inst, trace.allocation)
     return RunRecord(
