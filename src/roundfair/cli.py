@@ -58,6 +58,8 @@ def _resolve_instances(spec: str) -> list[tuple[str, Instance]]:
     if kind == "fs-violation":
         return [(spec, fair_share_violation_instance(float(args)))]
     if kind == "lb-pair":
+        if spec != kind:
+            raise RoundFairError("lb-pair takes no arguments")
         first, second = lower_bound_instances()
         return [("lb-1", first), ("lb-2", second)]
     if kind == "multi-agent":

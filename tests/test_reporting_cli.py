@@ -182,6 +182,13 @@ class TestCli:
         assert len(out) == 3
         assert "lb-1" in out[1] and "lb-2" in out[2]
 
+    @pytest.mark.parametrize("spec", ["lb-pair:3", "lb-pair:"])
+    def test_run_lb_pair_rejects_an_argument(self, spec, capsys):
+        assert main(["run", "--algorithm", "proportional", "--instance", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lb-pair takes no arguments" in captured.err
+
     def test_run_fs_violation_generator(self, capsys):
         code = main(
             ["run", "--algorithm", "poly", "--p", "3", "--instance", "fs-violation:3"]
