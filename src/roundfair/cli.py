@@ -30,7 +30,11 @@ from .adversarial import (
     two_round_instance,
 )
 from .algorithms import algorithm_by_name
-from .core import DEFAULT_TOL, REFINE_TOL, Instance
+from .core import (
+    DEFAULT_TOL,
+    REFINE_TOL,
+    Instance,
+)
 from .errors import RoundFairError
 from .metrics import audit, doomsday_trace
 from .reporting import (

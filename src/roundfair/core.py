@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInstance, NegativeValue, NotNormalized, ValidationError
+from .errors import (
+    EmptyInstance,
+    NegativeValue,
+    NotNormalized,
+    ValidationError,
+)
 
 #: Absolute slack on a sum of unit-scale values, shares or utilities.
 DEFAULT_TOL = 1e-9
