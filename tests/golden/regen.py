@@ -87,8 +87,8 @@ SWEEPS = (
     ("--p-values", "2,5"),
 )
 
-#: Generator specs with a bad argument: out of range, the wrong count or
-#: type of arguments, or an unknown generator.
+#: Generator specs with a bad argument: out of range, not finite, the wrong
+#: count or type of arguments, or an unknown generator.
 BAD_SPECS = (
     "two-round-symmetric:0",
     "two-round-symmetric:1.5",
@@ -98,6 +98,8 @@ BAD_SPECS = (
     "three-round-cp:0.76,0.97,0.05",
     "three-round-cp:a,b",
     "fs-violation:2",
+    "fs-violation:inf",
+    "fs-violation:nan",
     "multi-agent:8",
     "multi-agent:2",
     "multi-agent:x",
