@@ -562,6 +562,8 @@ def fair_share_violation_instance(p: float) -> Instance:
     wants only round 1; the power rule then leaves agent 1 strictly below 1/2.
     Only exponents above 2 admit such an instance.
     """
+    if not math.isfinite(p):
+        raise DomainError(f"the construction needs a finite p, got {p!r}")
     if p <= 2.0:
         raise PNotAboveTwo(f"the construction needs p > 2, got {p!r}")
     x = (1.0 / (p - 1.0)) ** (1.0 / p)
@@ -642,6 +644,16 @@ def replay_lower_bound(algorithm, tol: float = DEFAULT_TOL) -> ReplayVerdict:
     )
 
 
+def _multi_agent_root(n: int) -> int:
+    """sqrt(n) for the multi-agent construction, which needs a perfect square n >= 4."""
+    if n < 4:
+        raise OutOfRange(f"need n >= 4, got {n!r}")
+    m = math.isqrt(n)
+    if m * m != n:
+        raise NotPerfectSquare(f"need a perfect-square agent count, got {n!r}")
+    return m
+
+
 def multi_agent_instance(n: int) -> Instance:
     """The n-agent construction separating online from offline fair-share welfare.
 
@@ -650,11 +662,7 @@ def multi_agent_instance(n: int) -> Instance:
     agent values each of them at (n-1)/(n*sqrt(n)); the last n rounds carry a
     1/n diagonal so everyone can still reach fair-share at the end.
     """
-    if n < 4:
-        raise OutOfRange(f"need n >= 4, got {n!r}")
-    m = math.isqrt(n)
-    if m * m != n:
-        raise NotPerfectSquare(f"need a perfect-square agent count, got {n!r}")
+    m = _multi_agent_root(n)
     values = np.zeros((m + n, n))
     for t in range(m):
         values[t, t] = (n - 1) / n
@@ -666,10 +674,7 @@ def multi_agent_instance(n: int) -> Instance:
 
 def multi_agent_offline_fair_share_opt(n: int) -> float:
     """Closed-form offline fair-share optimum of :func:`multi_agent_instance`."""
-    m = math.isqrt(n)
-    if m * m != n:
-        raise NotPerfectSquare(f"need a perfect-square agent count, got {n!r}")
-    return (n - 1) / math.sqrt(n) + 1.0
+    return (n - 1) / _multi_agent_root(n) + 1.0
 
 
 def multi_agent_welfare_caps(n: int) -> tuple[float, float]:
@@ -679,10 +684,8 @@ def multi_agent_welfare_caps(n: int) -> tuple[float, float]:
     ``(2, 3) - (2*sqrt(n) + n + 1) / (n*sqrt(n))`` respectively, strictly below
     what offline fair-share achieves.
     """
-    m = math.isqrt(n)
-    if m * m != n:
-        raise NotPerfectSquare(f"need a perfect-square agent count, got {n!r}")
-    gap = (2.0 * math.sqrt(n) + n + 1.0) / (n * math.sqrt(n))
+    m = _multi_agent_root(n)
+    gap = (2.0 * m + n + 1.0) / (n * m)
     return 2.0 - gap, 3.0 - gap
 
 

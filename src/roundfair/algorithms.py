@@ -119,20 +119,6 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     )
 
 
-@dataclass(frozen=True)
-class GuardedState:
-    """Adaptive state carried between rounds of a guarded run.
-
-    ``remaining_value`` counts each agent's value in the current round and
-    everything after it.  Once ``tripped_agent`` is set it never changes.
-    """
-
-    round_index: int
-    utility_so_far: tuple[float, float]
-    remaining_value: tuple[float, float]
-    tripped_agent: int | None = None
-
-
 def _first_trip(surplus, values, gains) -> tuple[int, float, int] | None:
     """The first round whose guard binds, as ``(round, f, agent)``, or None.
 
@@ -162,33 +148,6 @@ def _first_trip(surplus, values, gains) -> tuple[int, float, int] | None:
         (min(max(float(f[t, i]), 0.0), 1.0), i) for r, i in hits if r == t
     )
     return t, f_t, agent
-
-
-def critical_fraction(
-    state: GuardedState, round_values, p: float
-) -> tuple[int, float] | None:
-    """Locate the first in-round critical point, if any, for the coming round.
-
-    Returns ``(agent, f)`` where f in [0, 1] is the smallest fraction of the
-    round at which that agent's utility so far plus her value still to come
-    hits exactly one half; ties go to the smaller fraction, then the lower
-    agent index.  Returns None when neither agent's condition can bind within
-    this round.  This is the one-row case of the trip scan in
-    :func:`run_guarded`.
-    """
-    p = _check_p(p)
-    if math.isinf(p):
-        raise InfiniteP("critical points are defined for finite exponents only")
-    if len(state.utility_so_far) != 2 or len(round_values) != 2:
-        raise NotTwoAgents("critical points are defined for two agents")
-    if state.tripped_agent is not None:
-        raise ValidationError("state has already tripped")
-    surplus = np.array([state.utility_so_far], dtype=float)
-    surplus += np.array([state.remaining_value], dtype=float)
-    surplus -= 0.5
-    values = np.asarray(round_values, dtype=float)[None, :]
-    trip = _first_trip(surplus, values, values * poly_round(round_values, p))
-    return None if trip is None else (trip[2], trip[1])
 
 
 def run_guarded(instance: Instance, p: float) -> RunTrace:

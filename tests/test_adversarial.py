@@ -717,6 +717,9 @@ class TestFairShareViolationInstance:
     def test_boundary_rejected(self):
         with pytest.raises(PNotAboveTwo):
             fair_share_violation_instance(2)
+        for p in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite p"):
+                fair_share_violation_instance(p)
 
     def test_simulated_violation_for_p_four(self):
         inst = fair_share_violation_instance(4)
@@ -783,10 +786,16 @@ class TestMultiAgent:
         assert multi_agent_offline_fair_share_opt(9) == pytest.approx(8 / 3 + 1)
 
     def test_rejects_non_squares(self):
-        with pytest.raises(NotPerfectSquare):
-            multi_agent_instance(8)
-        with pytest.raises(OutOfRange):
-            multi_agent_instance(2)
+        for build in (
+            multi_agent_instance,
+            multi_agent_offline_fair_share_opt,
+            multi_agent_welfare_caps,
+        ):
+            for n in (0, 1, 2):
+                with pytest.raises(OutOfRange, match="n >= 4"):
+                    build(n)
+            with pytest.raises(NotPerfectSquare):
+                build(8)
 
     def test_proportional_ratio_bound_on_construction(self):
         for n in (4, 9):

@@ -8,10 +8,8 @@ from hypothesis import assume, given, settings, strategies as st, target
 from roundfair import (
     GREEDY,
     Algorithm,
-    GuardedState,
     algorithm_by_name,
     builtin_algorithms,
-    critical_fraction,
     fair_share_violation_instance,
     guard_ratio_ceiling,
     guarded_cp1_instance,
@@ -246,14 +244,14 @@ def test_split_monotonicity_three_rounds(a, b, c):
 
 
 class TestCriticalFraction:
+    """Where in a round the guard trips, read from ``run_guarded``."""
+
     def test_matches_bisection_oracle(self):
         p = 2.7
         x = (1.0 / (p - 1.0)) ** (1.0 / p)
-        state = GuardedState(0, (0.0, 0.0), (1.0, 1.0))
-        hit = critical_fraction(state, (x, 1.0), p)
-        assert hit is not None
-        agent, f = hit
-        assert agent == 0
+        event = run_guarded(fair_share_violation_instance(p), p).critical_event
+        assert event is not None
+        assert (event.round_index, event.agent) == (0, 0)
         share = x ** (p + 1) / (x**p + 1.0)
         after = 1.0 - x
 
@@ -268,37 +266,21 @@ class TestCriticalFraction:
                 lo = mid
             else:
                 hi = mid
-        assert f == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+        assert event.fraction == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
     def test_satisfied_agent_never_trips(self):
-        state = GuardedState(3, (0.5, 0.1), (0.3, 0.9))
-        hit = critical_fraction(state, (0.2, 0.3), 2.7)
-        assert hit is None or hit[0] != 0
+        # Agent 0 holds 0.6 after round 0, so losing most of round 1 cannot
+        # bring her utility plus value to come down to 1/2.
+        inst = validate_instance([[0.6, 0.0], [0.4, 1.0]], require_normalized=True)
+        trace = run_guarded(inst, 2.7)
+        assert trace.critical_event is None
+        assert utilities(inst, trace.allocation)[0] >= 0.6
 
     def test_comfortable_round_has_no_trip(self):
-        state = GuardedState(0, (0.0, 0.0), (1.0, 1.0))
-        assert critical_fraction(state, (0.2, 0.2), 2.7) is None
-
-    def test_requires_two_agents(self):
-        state = GuardedState(0, (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(NotTwoAgents):
-            critical_fraction(state, (0.2, 0.2, 0.2), 2.7)
-
-    def test_rejects_infinite_p(self):
-        state = GuardedState(0, (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(InfiniteP):
-            critical_fraction(state, (0.2, 0.3), GREEDY)
-
-    @pytest.mark.parametrize("bad", [(-0.1, 0.3), (math.nan, 0.3), (math.inf, 0.3)])
-    def test_rejects_bad_round_values(self, bad):
-        state = GuardedState(0, (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValidationError):
-            critical_fraction(state, bad, 2.7)
-
-    def test_rejects_tripped_state(self):
-        state = GuardedState(1, (0.5, 0.4), (0.2, 0.2), tripped_agent=0)
-        with pytest.raises(ValidationError):
-            critical_fraction(state, (0.2, 0.2), 2.7)
+        inst = validate_instance(
+            [[0.2, 0.2], [0.3, 0.5], [0.5, 0.3]], require_normalized=True
+        )
+        assert run_guarded(inst, 2.7).critical_event is None
 
 
 class TestRunGuarded:
@@ -554,11 +536,7 @@ def test_guard_holds_at_the_trip_boundary(case):
     margin = float(utilities(inst, trace.allocation)[held].min() - 0.5)
     target(-margin, label="shortfall below 1/2")
     assert margin >= -DEFAULT_TOL
-    first = critical_fraction(GuardedState(0, (0.0, 0.0), (1.0, 1.0)), inst.values[0], p)
-    if event is not None and event.round_index == 0:
-        assert first == (event.agent, event.fraction)
-    else:
-        assert first is None
+    _assert_matches_reference(inst, p)
 
 
 class TestAlgorithmRegistry:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tokenize
+import types
 from pathlib import Path
 
 import numpy as np
@@ -231,3 +232,17 @@ def test_tolerance_literals_are_written_only_in_core():
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert len(modules) >= 7
     assert found == []
+
+
+def test_all_lists_each_public_name_once_in_order():
+    # A name dropped from the package must leave __all__ too, and a new
+    # export must be listed.
+    exported = roundfair.__all__
+    public = {
+        name
+        for name, value in vars(roundfair).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == public
