@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from ._solvers import brentq, nelder_mead
+from ._solvers import brentq
 from .algorithms import Algorithm
 from .core import (
     CLOSED_FORM_SLACK,
@@ -218,15 +218,20 @@ _GRID_BLOCK_POINTS = 2**16
 #: Default spacing of the worst-case search's grid, on every axis.
 GRID_STEP = 1e-3
 
+#: Each refine level divides the step by this and rescans this many steps on
+#: either side of the best point.
+_ZOOM = 20
+
 
 @dataclass(frozen=True)
 class AlphaObjective:
     """A named ratio function over an open box, on points and on grids.
 
-    ``evaluate`` raises DomainError outside the feasible set.
-    ``evaluate_grid`` takes open coordinate arrays, one per axis, as
-    ``np.meshgrid(..., indexing="ij", sparse=True)`` builds them; the search
-    passes one block of the grid at a time.  It returns ratios that broadcast
+    ``evaluate`` raises DomainError outside the feasible set; the search
+    calls it once, at the argmin.  ``evaluate_grid`` takes open coordinate
+    arrays, one per axis, as ``np.meshgrid(..., indexing="ij", sparse=True)``
+    builds them; the search passes it one block of the grid at a time, and
+    then each of the refine's small grids.  It returns ratios that broadcast
     to the block's shape, with NaN at infeasible points.  ``margin``, the same
     for every objective, keeps the search away from the open boundary and its
     singular denominators; an axis narrower than four margins gives up a
@@ -240,18 +245,16 @@ class AlphaObjective:
     p: float | None = None
     margin: ClassVar[float] = 1e-6
 
-    @property
-    def dimension(self) -> int:
-        return len(self.bounds)
-
 
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a grid-then-refine minimization.
 
     ``grid_point`` and ``grid_value`` are the best grid point and its grid
-    ratio, before refinement; ``evaluations`` counts grid points plus the
-    refine's objective calls.
+    ratio, before refinement.  ``evaluations`` counts every scanned point, of
+    the grid and of the refine's grids; ``refined`` says the refine found a
+    value strictly below ``grid_value``.  ``value`` is ``evaluate`` at
+    ``argmin``.
     """
 
     argmin: tuple[float, ...]
@@ -262,25 +265,61 @@ class SearchResult:
     grid_value: float
 
 
+def _scan(objective: AlphaObjective, axes: Sequence[np.ndarray]):
+    """The best point of the grid ``axes`` spans: its index, one per axis,
+    and its value, or ``(None, nan)`` when every point is NaN.
+
+    The grid is scanned in blocks that split its longest axis, on open
+    coordinates, so per-axis powers are computed on 1-D data, each value of
+    the longest axis once per scan, and no full-size grid is ever built.  Of
+    equal minima the first in row-major order wins.
+    """
+    shape = tuple(ax.size for ax in axes)
+    long = shape.index(max(shape))
+    step = max(1, _GRID_BLOCK_POINTS // (math.prod(shape) // shape[long]))
+    # Axis k of an open mesh has shape (1, ..., 1, size, 1, ..., 1).
+    open_shapes = [(1,) * k + (-1,) + (1,) * (len(axes) - 1 - k) for k in range(len(axes))]
+    best_index, best_val = None, math.nan
+    for first in range(0, shape[long], step):
+        coords = list(axes)
+        coords[long] = axes[long][first : first + step]
+        open_mesh = [c.reshape(o) for c, o in zip(coords, open_shapes)]
+        block_shape = tuple(c.size for c in coords)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(objective.evaluate_grid(*open_mesh), dtype=float)
+        if vals.shape != block_shape:
+            vals = np.broadcast_to(vals, block_shape)
+        low = np.fmin.reduce(vals, axis=None)
+        if math.isnan(low) or low > best_val:
+            continue
+        index = [int(i) for i in np.unravel_index(int(np.argmax(vals == low)), block_shape)]
+        low = float(vals[tuple(index)])
+        index[long] += first
+        # Row-major order is the order of index lists, so of equal minima in
+        # different blocks the first in row-major order wins.
+        if best_index is None or low < best_val or index < best_index:
+            best_index, best_val = index, low
+    return best_index, best_val
+
+
 def minimize_alpha(
     objective: AlphaObjective,
     grid_step: float = GRID_STEP,
     refine_tol: float = REFINE_TOL,
 ) -> SearchResult:
-    """Minimize a ratio objective: coarse grid scan, then simplex refinement.
+    """Minimize a ratio objective: a grid scan, then a zoom on shrinking grids.
 
     The grid covers the domain shrunk on each side by ``margin``, or by a
-    quarter of the axis where that is less, at step ``grid_step``.  It is
-    scanned in blocks that split its longest axis, so memory stays bounded
-    and each value of that axis is evaluated once; of equal minima the first
-    in row-major order wins.  A Nelder-Mead descent from
-    the best grid point (``_solvers.nelder_mead``, a port of scipy's
-    non-adaptive Nelder-Mead) runs until the point moves less than
-    ``refine_tol``, within 600 evaluations per dimension.  Fully
-    deterministic.
+    quarter of the axis where that is less, at step ``grid_step``; of equal
+    minima the first in row-major order wins.  The refine divides the step
+    by ``_ZOOM`` and rescans the ``2 _ZOOM + 1`` points per axis centred on
+    the best point, clipped to the shrunk box.  While a rescan finds a
+    strictly lower value it re-centres there at the same step; once the
+    point holds, the step shrinks again, until it is at most
+    ``refine_tol``.  Fully deterministic.
     """
-    if not (grid_step > 0 and refine_tol > 0):
-        raise OutOfRange("grid_step and refine_tol must be positive")
+    if not (0 < grid_step < math.inf and refine_tol > 0):
+        raise OutOfRange("grid_step must be positive and finite, refine_tol positive")
 
     axes, box = [], []
     for lo, hi in objective.bounds:
@@ -296,66 +335,34 @@ def minimize_alpha(
         axes.append(ax)
         box.append((start, stop))
 
-    # One slice of the longest axis at a time, on open coordinates: per-axis
-    # powers are computed on 1-D data, each value of the longest axis once per
-    # search, and no full-size grid is ever built.
-    shape = tuple(ax.size for ax in axes)
-    size = math.prod(shape)
-    long = shape.index(max(shape))
-    step = max(1, _GRID_BLOCK_POINTS // (size // shape[long]))
-    best_index, best_val = None, math.nan
-    for first in range(0, shape[long], step):
-        coords = list(axes)
-        coords[long] = axes[long][first : first + step]
-        open_mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
-        block_shape = tuple(c.size for c in coords)
-        with np.errstate(all="ignore"):
-            vals = np.asarray(objective.evaluate_grid(*open_mesh), dtype=float)
-        vals = np.broadcast_to(vals, block_shape)
-        low = np.fmin.reduce(vals, axis=None)
-        if math.isnan(low) or low > best_val:
-            continue
-        index = [int(i) for i in np.unravel_index(int(np.argmax(vals == low)), block_shape)]
-        low = float(vals[tuple(index)])
-        index[long] += first
-        # Row-major order is the order of index lists, so of equal minima in
-        # different blocks the first in row-major order wins.
-        if best_index is None or low < best_val or index < best_index:
-            best_index, best_val = index, low
-    if best_index is None:
+    index, grid_value = _scan(objective, axes)
+    if index is None:
         raise EmptyDomain(f"objective {objective.name!r} has no feasible grid point")
-    x0 = np.array([ax[i] for ax, i in zip(axes, best_index)], dtype=float)
-    evaluations = size
-
-    def penalized(x: np.ndarray) -> float:
-        point = tuple(x.tolist())
-        for v, (lo, hi) in zip(point, box):
-            if v < lo or v > hi:  # a NaN coordinate goes on to evaluate
-                return 1e9
-        try:
-            val = objective.evaluate(point)
-        except DomainError:
-            return 1e9
-        return val if math.isfinite(val) else 1e9
-
-    budget = 600 * objective.dimension
-    res = nelder_mead(
-        penalized, x0, xatol=refine_tol, fatol=1e-15, maxiter=budget, maxfev=budget
-    )
-    evaluations += res.nfev
-    refined = False
-    argmin = x0
-    if penalized(res.x) <= best_val:
-        argmin = res.x
-        refined = True
-    value = objective.evaluate(tuple(argmin))
+    evaluations = math.prod(ax.size for ax in axes)
+    grid_point = [float(ax[i]) for ax, i in zip(axes, index)]
+    point, best = grid_point, grid_value
+    offsets = np.arange(-_ZOOM, _ZOOM + 1)
+    step = grid_step
+    while step > refine_tol:
+        step /= _ZOOM
+        while True:
+            axes = []
+            for c, (lo, hi) in zip(point, box):
+                # Offset 0 is the centre itself, kept even if it lies a hair outside.
+                ax = c + step * offsets
+                axes.append(ax[(offsets == 0) | ((lo <= ax) & (ax <= hi))])
+            index, low = _scan(objective, axes)
+            evaluations += math.prod(ax.size for ax in axes)
+            if not low < best:
+                break
+            point, best = [float(ax[i]) for ax, i in zip(axes, index)], low
     return SearchResult(
-        argmin=tuple(float(v) for v in argmin),
-        value=float(value),
+        argmin=tuple(point),
+        value=float(objective.evaluate(tuple(point))),
         evaluations=evaluations,
-        refined=refined,
-        grid_point=tuple(float(v) for v in x0),
-        grid_value=best_val,
+        refined=best < grid_value,
+        grid_point=tuple(grid_point),
+        grid_value=grid_value,
     )
 
 
@@ -560,13 +567,17 @@ def fair_share_violation_instance(p: float) -> Instance:
 
     Agent 1 values the rounds (x, 1-x) with x = (1/(p-1))**(1/p) while agent 2
     wants only round 1; the power rule then leaves agent 1 strictly below 1/2.
-    Only exponents above 2 admit such an instance.
+    Only exponents above 2 admit such an instance, and only those where x
+    stays below 1 in floats: from about p = 4e17 it rounds to 1, and the
+    instance would violate nothing.
     """
     if not math.isfinite(p):
         raise DomainError(f"the construction needs a finite p, got {p!r}")
     if p <= 2.0:
         raise PNotAboveTwo(f"the construction needs p > 2, got {p!r}")
     x = (1.0 / (p - 1.0)) ** (1.0 / p)
+    if not x < 1.0:
+        raise DomainError(f"the construction's first-round value rounds to 1 at p = {p!r}")
     return validate_instance([[x, 1.0], [1.0 - x, 0.0]], require_normalized=True)
 
 
@@ -736,16 +747,18 @@ def sweep_tradeoff_curves(
     grid_step: float = GRID_STEP,
     refine_tol: float = REFINE_TOL,
 ) -> list[SweepRow]:
-    """Trace both worst-case curves across exponents in [2, 3].
+    """Trace both worst-case curves across exponents, any finite p > 0.
 
     The two curves cross near p = 2.7, the sweet spot of the guarded family:
     below it instances without a trip are the bottleneck, above it the
-    trip-at-round-1 instances are.
+    trip-at-round-1 instances are.  Every exponent is checked before the
+    first search.
     """
+    for p in p_values:
+        if not 0.0 < p < math.inf:
+            raise DomainError(f"sweep exponents must be finite and positive, got {p!r}")
     rows = []
     for p in p_values:
-        if not 2.0 <= p <= 3.0:
-            raise DomainError(f"sweep exponents must lie in [2, 3], got {p!r}")
         no_cp = minimize_alpha(
             poly_two_round_diagonal_objective(p), grid_step, refine_tol
         ).value

@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     sweep = sub.add_parser("sweep", help="trace the worst-case trade-off curves over p")
-    sweep.add_argument("--p-values", required=True, help="comma-separated exponents in [2, 3]")
+    sweep.add_argument("--p-values", required=True, help="comma-separated exponents, each finite and > 0")
     sweep.add_argument("--grid-step", type=float, default=GRID_STEP)
     sweep.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     add_common(sweep)

@@ -59,8 +59,8 @@ TRIP_SLACK = 1e-9
 #: point is rejected.
 CLOSED_FORM_SLACK = 1e-3
 
-#: Default x-scale stop of the worst-case search's refine: every vertex of its
-#: simplex within this of the best one, in every coordinate.
+#: Default x-scale stop of the worst-case search's refine: the step of its
+#: last grid, in every coordinate.
 REFINE_TOL = 1e-9
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from roundfair import doomsday_compatible, doomsday_witness, validate_instance
-from roundfair._solvers import SimplexResult
 from roundfair.core import DEFAULT_TOL, TRIP_SLACK
 
 # Reproducible property searches: ``pytest --hypothesis-profile=ci``.
@@ -113,14 +112,13 @@ def dense_grid_argmin(objective, grid_step):
 
 
 def scipy_nelder_mead(func, x0, **options):
-    """Reference simplex: scipy's Nelder-Mead, which ``_solvers.nelder_mead``
-    ports, kept to check the port against.  Takes the port's keyword options
-    (``xatol``, ``fatol``, ``maxiter``, ``maxfev``) and returns its result type.
-    """
+    """Reference minimizer: scipy's Nelder-Mead, which ``minimize_alpha``'s
+    refine once was, kept as the value the refine must reach.  Takes scipy's
+    options (``xatol``, ``fatol``, ``maxiter``, ``maxfev``) and returns
+    scipy's result."""
     from scipy.optimize import minimize
 
-    res = minimize(func, x0, method="Nelder-Mead", options=options)
-    return SimplexResult(x=res.x, fun=float(res.fun), nfev=int(res.nfev), nit=int(res.nit))
+    return minimize(func, x0, method="Nelder-Mead", options=options)
 
 
 def scipy_brentq(f, a, b, **options):

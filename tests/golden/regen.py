@@ -100,6 +100,7 @@ BAD_SPECS = (
     "fs-violation:2",
     "fs-violation:inf",
     "fs-violation:nan",
+    "fs-violation:1e18",
     "multi-agent:8",
     "multi-agent:2",
     "multi-agent:x",

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import itertools
 import math
 import tracemalloc
 
@@ -258,11 +259,20 @@ class TestMinimizeAlpha:
             minimize_alpha(proportional_objective(), grid_step=0.0)
 
     @pytest.mark.parametrize(
-        "grid_step, refine_tol", [(math.nan, 1e-9), (1e-2, math.nan), (1e-2, -1.0)]
+        "grid_step, refine_tol",
+        [(math.nan, 1e-9), (1e-2, math.nan), (1e-2, -1.0), (math.inf, 1e-9)],
     )
     def test_nan_or_negative_tolerances_rejected(self, grid_step, refine_tol):
         with pytest.raises(OutOfRange):
             minimize_alpha(proportional_objective(), grid_step, refine_tol)
+
+    def test_grid_of_box_corners_is_refined(self):
+        # A step of 2 leaves only the corners of the box, and the best,
+        # (1 - 1e-6, 1 - 1e-6), reads 0.999999; the zoom finds 2 sqrt(2) - 2.
+        result = minimize_alpha(proportional_objective(), grid_step=2.0)
+        assert result.grid_point == (1.0 - 1e-6, 1.0 - 1e-6)
+        assert result.value == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-12)
+        assert result.refined
 
     @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
     def test_grid_agrees_with_scalar_evaluation(self, objective):
@@ -327,28 +337,19 @@ def _two_bands(x, *rest):
 class TestBlockedGridScan:
     """``minimize_alpha``'s blocked scan against the full-mesh reference."""
 
-    @pytest.fixture(autouse=True)
-    def _record_refine_calls(self, monkeypatch):
-        real = adversarial.nelder_mead
-        self.nfev = []
-
-        def recording(*args, **kwargs):
-            res = real(*args, **kwargs)
-            self.nfev.append(res.nfev)
-            return res
-
-        monkeypatch.setattr(adversarial, "nelder_mead", recording)
-
     def _assert_matches_dense(self, objective, grid_step):
+        """Returns the result and the grid's block shapes; the refine's scans
+        follow them in the recorded calls."""
         counted, shapes = _counting(objective)
         result = minimize_alpha(counted, grid_step)
         point, value, size = dense_grid_argmin(objective, grid_step)
         assert result.grid_point == point
         assert result.grid_value == value
-        assert sum(math.prod(s) for s in shapes) == size
-        assert max(math.prod(s) for s in shapes) <= _GRID_BLOCK_POINTS
-        assert result.evaluations == size + self.nfev[-1]
-        return result, shapes
+        sizes = [math.prod(s) for s in shapes]
+        assert max(sizes) <= _GRID_BLOCK_POINTS
+        assert result.evaluations == sum(sizes)
+        blocks = list(itertools.accumulate(sizes)).index(size) + 1
+        return result, shapes[:blocks]
 
     @pytest.mark.parametrize("grid_step", [1e-3, 5e-3, 2e-2])
     @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
@@ -721,6 +722,15 @@ class TestFairShareViolationInstance:
             with pytest.raises(DomainError, match="finite p"):
                 fair_share_violation_instance(p)
 
+    def test_p_whose_first_round_rounds_to_one_rejected(self):
+        # From about p = 4e17, x = (1/(p-1))**(1/p) is 1.0 in floats, and the
+        # instance [[1, 1], [0, 0]] would violate nothing.
+        with pytest.raises(DomainError, match="1e\\+18"):
+            fair_share_violation_instance(1e18)
+        inst = fair_share_violation_instance(1e17)
+        assert inst.values[0, 0] < 1.0
+        assert utilities(inst, run_poly(inst, 1e17).allocation)[0] < 0.5
+
     def test_simulated_violation_for_p_four(self):
         inst = fair_share_violation_instance(4)
         u = utilities(inst, run_poly(inst, 4).allocation)
@@ -885,8 +895,27 @@ class TestSweep:
         assert all(a >= b - 1e-9 for a, b in zip(with_cp, with_cp[1:]))
 
     def test_rejects_out_of_band_p(self):
-        with pytest.raises(DomainError):
-            sweep_tradeoff_curves([1.5])
+        # The band is every finite p > 0.
+        for p in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sweep_tradeoff_curves([p])
+
+    def test_rejects_a_bad_p_before_any_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched before checking every exponent")
+
+        monkeypatch.setattr(adversarial, "minimize_alpha", no_search)
+        with pytest.raises(DomainError, match="inf"):
+            sweep_tradeoff_curves([2.7, math.inf])
+
+    def test_exponents_outside_two_to_three(self):
+        rows = sweep_tradeoff_curves([0.5, 1.0, 5.0, 50.0, 5000.0])
+        by_p = {row.p: row for row in rows}
+        assert by_p[0.5].no_cp_alpha == pytest.approx(0.75, abs=1e-9)
+        assert math.isnan(by_p[0.5].with_cp_alpha) and math.isnan(by_p[1.0].with_cp_alpha)
+        assert by_p[5.0].with_cp_alpha == pytest.approx(0.84158, abs=1e-5)
+        assert by_p[5000.0].with_cp_alpha == pytest.approx(0.66727, abs=1e-5)
+        assert all(0.0 < row.no_cp_alpha <= 1.0 for row in rows)
 
     def test_rounded_trip_instances_do_not_trip(self):
         # The two-decimal instances associated with the trip curve land just

@@ -211,8 +211,8 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", SCIPY_LOADS],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    # search, sweep and the guard ceiling run on the in-repo solvers; only
-    # the offline LP loads scipy.optimize.
+    # search and sweep need no solver and the guard ceiling runs on the
+    # in-repo brentq; only the offline LP loads scipy.optimize.
     assert proc.stdout.split("\n") == ["False False", "False False", "True True", ""]
 
 

@@ -366,7 +366,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""
-        assert captured.out.splitlines()[1] == "guarded-cp1,5000,1.00162351948,0.667274614888,1055,true"
+        assert captured.out.splitlines()[1] == "guarded-cp1,5000,1.00162351969,0.667274614888,1370,true"
 
     @pytest.mark.parametrize("objective", ["poly-two-round", "poly-two-round-diagonal"])
     def test_search_underflowing_p_exits_0(self, capsys, objective):
