@@ -112,10 +112,10 @@ def dense_grid_argmin(objective, grid_step):
 
 
 def scipy_nelder_mead(func, x0, **options):
-    """Reference minimizer: scipy's Nelder-Mead, which ``minimize_alpha``'s
-    refine once was, kept as the value the refine must reach.  Takes scipy's
-    options (``xatol``, ``fatol``, ``maxiter``, ``maxfev``) and returns
-    scipy's result."""
+    """Reference minimizer: scipy's Nelder-Mead, whose value from the search's
+    grid point ``minimize_alpha``'s refine must reach.  Takes scipy's options
+    (``xatol``, ``fatol``, ``maxiter``, ``maxfev``) and returns scipy's
+    result."""
     from scipy.optimize import minimize
 
     return minimize(func, x0, method="Nelder-Mead", options=options)

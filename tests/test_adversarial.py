@@ -894,19 +894,16 @@ class TestSweep:
         with_cp = [row.with_cp_alpha for row in rows if row.p >= 2.7]
         assert all(a >= b - 1e-9 for a, b in zip(with_cp, with_cp[1:]))
 
-    def test_rejects_out_of_band_p(self):
-        # The band is every finite p > 0.
-        for p in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                sweep_tradeoff_curves([p])
-
-    def test_rejects_a_bad_p_before_any_search(self, monkeypatch):
+    def test_rejects_out_of_band_p(self, monkeypatch):
+        # The band is every finite p > 0, and every p is checked before the
+        # first search.
         def no_search(*args):
             raise AssertionError("searched before checking every exponent")
 
         monkeypatch.setattr(adversarial, "minimize_alpha", no_search)
-        with pytest.raises(DomainError, match="inf"):
-            sweep_tradeoff_curves([2.7, math.inf])
+        for p in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite and positive"):
+                sweep_tradeoff_curves([2.7, p])
 
     def test_exponents_outside_two_to_three(self):
         rows = sweep_tradeoff_curves([0.5, 1.0, 5.0, 50.0, 5000.0])
