@@ -218,6 +218,10 @@ _GRID_BLOCK_POINTS = 2**16
 #: Default spacing of the worst-case search's grid, on every axis.
 GRID_STEP = 1e-3
 
+#: Most points one axis of float64 can hold: numpy refuses a larger array
+#: before allocating it.
+_MAX_AXIS_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 #: Each refine level divides the step by this and rescans this many steps on
 #: either side of the best point.
 _ZOOM = 20
@@ -329,6 +333,11 @@ def minimize_alpha(
         start, stop = lo + margin, hi - margin
         if stop <= start:
             raise EmptyDomain(f"objective {objective.name!r} has an empty box")
+        if (stop - start) / grid_step > _MAX_AXIS_POINTS:
+            raise OutOfRange(
+                f"grid_step {grid_step!r} asks for more than {_MAX_AXIS_POINTS} "
+                f"points on an axis of width {stop - start!r}"
+            )
         ax = np.arange(start, stop, grid_step)
         if ax.size == 0 or ax[-1] < stop - 1e-15:
             ax = np.append(ax, stop)

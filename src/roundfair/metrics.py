@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algorithms import GREEDY, _poly_fractions
 from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict
 from .errors import DimensionMismatch, ShapeMismatch, ValidationError
 
@@ -197,12 +198,24 @@ def offline_fair_share_welfare(instance: Instance) -> float:
     utility with per-round sums at most 1 and every agent held at or above her
     :func:`fair_share` target.  The constraint matrix is sparse: it
     stores ``T·n`` ones plus the nonzero values, so memory grows with ``T·n``.
+
+    The LP runs only when a fair-share row might bind.  Without those rows
+    the optimum is :func:`optimal_welfare`, so that value bounds this one from
+    above; when the greedy rule's allocation (tied and dead rounds split as
+    :func:`~roundfair.algorithms.poly_round` splits them) already gives every
+    agent at least her target, with no slack, it is feasible and reaches the
+    bound, and the bound is returned without solving.
     """
+    V = instance.values
+    target = fair_share(instance)
+    greedy = np.add.reduce(V * _poly_fractions(V, GREEDY), axis=0)
+    if (greedy >= target).all():
+        return optimal_welfare(instance)
+
     # loaded on first use: they dominate import time
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
-    V = instance.values
     T, n = V.shape
     c = -V.reshape(-1)  # variables x[t, i], row-major
 
@@ -216,7 +229,7 @@ def offline_fair_share_welfare(instance: Instance) -> float:
         shape=(T + n, T * n),
     )
     A_ub.eliminate_zeros()
-    b_ub = np.concatenate([np.ones(T), -fair_share(instance)])
+    b_ub = np.concatenate([np.ones(T), -target])
 
     result = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
     if not result.success:

@@ -89,6 +89,32 @@ def doomsday_maintained(
     return doomsday_compatible(u_next, rem_next, n, tol)
 
 
+def dense_fair_share_lp(instance):
+    """Reference offline fair-share welfare: the LP with a dense constraint matrix.
+
+    This is the formulation ``offline_fair_share_welfare`` solves whenever a
+    fair-share row might bind, kept to check both of its paths against:
+    maximize total utility over shares x[t, i] in [0, 1], with each round's
+    shares summing to at most 1 and each agent's utility at least her own
+    total over n.
+    """
+    from scipy.optimize import linprog
+
+    V = instance.values
+    T, n = V.shape
+    A_ub = np.zeros((T + n, T * n))
+    for t in range(T):
+        A_ub[t, t * n : (t + 1) * n] = 1.0
+    for i in range(n):
+        A_ub[T + i, i::n] = -V[:, i]
+    b_ub = np.concatenate([np.ones(T), -V.sum(axis=0) / n])
+    result = linprog(
+        -V.reshape(-1), A_ub=A_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
+    )
+    assert result.success, result.message
+    return float(-result.fun)
+
+
 def dense_grid_argmin(objective, grid_step):
     """Reference grid scan: the whole grid as one full meshgrid.
 

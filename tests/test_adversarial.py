@@ -258,6 +258,12 @@ class TestMinimizeAlpha:
         with pytest.raises(OutOfRange):
             minimize_alpha(proportional_objective(), grid_step=0.0)
 
+    @pytest.mark.parametrize("grid_step", [1e-300, 5e-324])
+    def test_grid_too_fine_for_an_array_rejected(self, grid_step):
+        # numpy would refuse the axis with a message that names no argument.
+        with pytest.raises(OutOfRange, match="grid_step"):
+            minimize_alpha(guarded_cp1_objective(2.7), grid_step)
+
     @pytest.mark.parametrize(
         "grid_step, refine_tol",
         [(math.nan, 1e-9), (1e-2, math.nan), (1e-2, -1.0), (math.inf, 1e-9)],

@@ -183,7 +183,8 @@ def test_three_round_cp_roundtrip(v11, v21):
 
 
 #: Imports roundfair, runs the analysis commands in process, then the offline
-#: LP, and prints which scipy modules are loaded after each step.
+#: welfare on a greedy-fair instance and on one where a fair-share row binds,
+#: and prints which scipy modules are loaded after each step.
 SCIPY_LOADS = """
 import contextlib, io, sys
 import roundfair
@@ -200,6 +201,8 @@ roundfair.guard_ratio_ceiling(2.7)
 loaded()
 roundfair.offline_fair_share_welfare(roundfair.validate_instance([[0.5, 1.0], [0.5, 0.0]]))
 loaded()
+roundfair.offline_fair_share_welfare(roundfair.validate_instance([[0.6, 1.0], [0.4, 0.0]]))
+loaded()
 """
 
 
@@ -212,8 +215,11 @@ def test_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     # search and sweep need no solver and the guard ceiling runs on the
-    # in-repo brentq; only the offline LP loads scipy.optimize.
-    assert proc.stdout.split("\n") == ["False False", "False False", "True True", ""]
+    # in-repo brentq; only the offline LP loads scipy.optimize, and it runs
+    # only when greedy leaves an agent below her fair share.
+    assert proc.stdout.split("\n") == [
+        "False False", "False False", "False False", "True True", ""
+    ]
 
 
 def test_tolerance_literals_are_written_only_in_core():

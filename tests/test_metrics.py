@@ -29,7 +29,12 @@ from roundfair import (
 from roundfair.errors import DimensionMismatch, ShapeMismatch, ValidationError
 from roundfair.core import DEFAULT_TOL
 from roundfair.metrics import fair_share
-from conftest import doomsday_maintained, late_trip_values, random_instance
+from conftest import (
+    dense_fair_share_lp,
+    doomsday_maintained,
+    late_trip_values,
+    random_instance,
+)
 
 
 ORTHOGONAL = validate_instance([[1, 0], [0, 1]])
@@ -441,7 +446,11 @@ class TestOfflineFairShareWelfare:
         monkeypatch.setattr(scipy.optimize, "linprog", spy)
         T, n = 7, 3
         V = rng.dirichlet(np.ones(T), size=n).T
-        V[[0, 2, 5], [1, 0, 2]] = 0.0
+        V[[0, 5], [1, 2]] = 0.0
+        # Agent 0 values every round at half its top value, so greedy leaves
+        # her nothing, her fair-share row binds and the LP runs.
+        V[:, 0] = 0.5 * V[:, 1:].max(axis=1)
+        V[2, 0] = 0.0
         offline_fair_share_welfare(validate_instance(V))
 
         dense = np.zeros((T + n, T * n))
@@ -454,7 +463,54 @@ class TestOfflineFairShareWelfare:
         assert A_ub.nnz == T * n + np.count_nonzero(V)
         np.testing.assert_array_equal(A_ub.toarray(), dense)
 
-    @pytest.mark.parametrize("n", [100, 144])
+    @pytest.mark.parametrize("n", [36, 49, 64, 81, 100, 121, 144])
     def test_large_multi_agent_optimum(self, n):
         welfare = offline_fair_share_welfare(multi_agent_instance(n))
         assert welfare == pytest.approx(multi_agent_offline_fair_share_opt(n), abs=1e-8)
+
+    def test_matches_the_reference_lp_on_both_paths(self):
+        # Seeded instances with tied rounds, dead rounds, an all-zero column
+        # and unnormalized columns; greedy meets every target on some, and
+        # the LP must run on the others.
+        rng = np.random.default_rng(18)
+        certified = 0
+        for k in range(400):
+            T, n = int(rng.integers(1, 13)), int(rng.integers(2, 7))
+            V = rng.uniform(size=(T, n)) * (rng.uniform(size=(T, n)) < 0.7)
+            if k % 3 == 0:
+                t = rng.integers(T, size=T // 2)
+                V[t, 1] = V[t, 0] = V[t].max(axis=1)
+            if k % 4 == 0:
+                V[rng.integers(T)] = 0.0
+            if k % 5 == 0:
+                V[:, rng.integers(n)] = 0.0
+            totals = V.sum(axis=0)
+            if k % 2:
+                V = V / np.where(totals > 0.0, totals, 1.0)
+            else:
+                V = V * rng.uniform(0.01, 100.0, size=n)
+            inst = validate_instance(V)
+            greedy = utilities(inst, run_poly(inst, GREEDY).allocation)
+            certified += bool((greedy >= fair_share(inst)).all())
+            assert abs(offline_fair_share_welfare(inst) - dense_fair_share_lp(inst)) <= 1e-9
+        assert 100 <= certified <= 300
+
+    @pytest.mark.parametrize("p", [2.1, 3.0, 6.0])
+    def test_binding_row_closed_form(self, p):
+        # Agent 0 values the rounds (x, 1 - x) and agent 1 only the first,
+        # which greedy gives her, so agent 0's row binds: she keeps round 2
+        # and the (x - 1/2)/x of round 1 she needs, for welfare (1 + 1/x)/2.
+        inst = fair_share_violation_instance(p)
+        x = inst.values[0, 0]
+        greedy = utilities(inst, run_poly(inst, GREEDY).allocation)
+        assert greedy[0] < fair_share(inst)[0]
+        assert offline_fair_share_welfare(inst) == pytest.approx(0.5 * (1 + 1 / x), abs=1e-12)
+
+    @pytest.mark.parametrize("short", [1e-3, 1e-7])
+    def test_a_target_missed_by_a_hair_still_binds(self, short):
+        # Greedy leaves agent 0 `short` below her target, and meeting it
+        # costs about that much welfare: the check allows no slack.
+        inst = validate_instance([[0.5 + short, 1.0], [0.5 - short, 0.0]])
+        welfare = offline_fair_share_welfare(inst)
+        assert abs(welfare - dense_fair_share_lp(inst)) <= 1e-9
+        assert welfare < optimal_welfare(inst) - short / 2

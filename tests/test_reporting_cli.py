@@ -378,6 +378,13 @@ class TestCli:
         assert captured.err == ""
         assert captured.out.splitlines()[1].startswith(f"{objective},5000,")
 
+    def test_search_grid_too_fine_exits_2(self, capsys):
+        args = ["search", "--objective", "guarded-cp1", "--p", "2.7", "--grid-step", "1e-300"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("roundfair: error: grid_step 1e-300 ")
+
     def test_search_nan_refine_tol_exits_2(self, capsys):
         code = main(["search", "--objective", "proportional", "--refine-tol", "nan"])
         assert code == 2
