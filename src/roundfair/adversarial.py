@@ -15,7 +15,6 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from ._solvers import brentq
 from .algorithms import Algorithm
 from .core import (
     CLOSED_FORM_SLACK,
@@ -105,6 +104,13 @@ def _cp2_ratio(p, lambda1, lambda2, mixed: bool, maximum):
     return alg / opt, v1, v2, v3, den
 
 
+def _check_exponent(p: float) -> None:
+    """Reject an exponent that is not finite and positive; NaN fails the
+    comparison, so it is rejected too."""
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"exponent p must be finite and positive, got {p!r}")
+
+
 def alpha_proportional(v1: float, v2: float) -> float:
     """Welfare ratio of the proportional rule on the crossed two-round family.
 
@@ -118,8 +124,7 @@ def alpha_proportional(v1: float, v2: float) -> float:
 
 def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
     """Welfare ratio of the power-weighted rule (exponent p) on the same family."""
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p!r}")
+    _check_exponent(p)
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
     return float(_poly_two_round_ratio(p, v1, v2, max, min))
@@ -141,8 +146,7 @@ def _cp1_first_round(p: float, lambda1: float) -> float:
     the one at which the trip condition binds.  Raises InfeasibleClosedForm
     where agent 2's value ``lambda1 * v1`` exceeds its unit budget: past
     ``guard_ratio_ceiling(p)``, and at every lambda1 > 1 when p <= 2."""
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p!r}")
+    _check_exponent(p)
     if lambda1 < 1.0:
         raise DomainError(f"need lambda1 >= 1, got {lambda1!r}")
     v1 = 0.5 * (1.0 + lambda1**-p)
@@ -190,8 +194,7 @@ def alpha_guarded_cp2(
     the optimum differs between them.  Derived round values more than ``slack``
     below zero mean no instance realizes the point (InfeasibleClosedForm).
     """
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p!r}")
+    _check_exponent(p)
     if subcase == "mixed":
         if not (lambda1 > 1.0 and 0.0 < lambda2 < 1.0):
             raise DomainError(
@@ -338,7 +341,13 @@ def minimize_alpha(
                 f"grid_step {grid_step!r} asks for more than {_MAX_AXIS_POINTS} "
                 f"points on an axis of width {stop - start!r}"
             )
-        ax = np.arange(start, stop, grid_step)
+        try:
+            ax = np.arange(start, stop, grid_step)
+        except MemoryError:
+            raise OutOfRange(
+                f"grid_step {grid_step!r} asks for more points than memory holds "
+                f"on an axis of width {stop - start!r}"
+            ) from None
         if ax.size == 0 or ax[-1] < stop - 1e-15:
             ax = np.append(ax, stop)
         axes.append(ax)
@@ -394,8 +403,7 @@ def proportional_objective() -> AlphaObjective:
 
 def poly_two_round_objective(p: float) -> AlphaObjective:
     """Ratio of the power-weighted rule over the crossed two-round family."""
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p!r}")
+    _check_exponent(p)
 
     def grid(v1, v2):
         out = _poly_two_round_ratio(p, v1, v2, np.maximum, np.minimum)
@@ -413,8 +421,7 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
 
 def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
     """The same ratio restricted to the symmetric diagonal v1 = v2."""
-    if p <= 0:
-        raise DomainError(f"need p > 0, got {p!r}")
+    _check_exponent(p)
 
     return AlphaObjective(
         name="poly-two-round-diagonal",
@@ -429,25 +436,32 @@ def guard_ratio_ceiling(p: float) -> float:
     """Largest first-round ratio lambda1 the trip-at-round-1 family can realize.
 
     The second agent's implied first-round value grows with lambda1 and hits
-    her whole unit budget where ``2 x**(p-1) - x**p - 1`` crosses zero; beyond
-    that no instance exists.  Only exponents above 2 admit any such instance.
-    On (1, 2) that function has the sign of
+    her whole unit budget where ``h(x) = 2 x**(p-1) - x**p - 1`` crosses zero;
+    beyond that no instance exists.  Only finite exponents above 2 admit any
+    such instance.  On (1, 2) ``h`` has the sign of
     ``(p-1) log1p(x-1) + log1p(1-x)``, which neither overflows nor cancels to
-    0 near x = 1, so the root stays accurate as p approaches 2 and is finite
-    for every finite p; at x = 2 the function is -1.  The root comes from
-    ``_solvers.brentq``, a port of scipy's ``brentq``, on the fixed bracket
-    from the first float above 1 to 2.  It tends to 2 as p grows and reads
-    2.0 from p of about 47 up, where the root lies within ``xtol`` of 2.
+    0 near x = 1, so the root stays accurate as p approaches 2; at x = 2,
+    ``h`` is -1.  A bisection on the floats of [1, 2] halves the bracket
+    until its ends are neighbouring floats, moving ``lo`` to a midpoint where
+    ``h`` is positive and ``hi`` to one where it is not.  It returns ``lo``,
+    which is its own certificate: ``h`` is positive there and not at the next
+    float up.  The ceiling tends to 2 as p grows, and from p of about 53 up,
+    where the root lies within a float spacing of 2, it is the float just
+    below 2.
     """
+    _check_exponent(p)
     if p <= 2.0:
         raise DomainError(f"the guard cannot bind at the end of round 1 for p <= 2, got {p!r}")
 
-    def h(x: float) -> float:
-        if x >= 2.0:
-            return -1.0
-        return (p - 1.0) * math.log1p(x - 1.0) + math.log1p(1.0 - x)
-
-    return brentq(h, math.nextafter(1.0, 2.0), 2.0, xtol=1e-13)
+    lo, hi = 1.0, 2.0
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if (p - 1.0) * math.log1p(mid - 1.0) + math.log1p(1.0 - mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return lo
 
 
 def guarded_cp1_objective(p: float) -> AlphaObjective:
@@ -764,8 +778,7 @@ def sweep_tradeoff_curves(
     first search.
     """
     for p in p_values:
-        if not 0.0 < p < math.inf:
-            raise DomainError(f"sweep exponents must be finite and positive, got {p!r}")
+        _check_exponent(p)
     rows = []
     for p in p_values:
         no_cp = minimize_alpha(

@@ -148,8 +148,8 @@ def scipy_nelder_mead(func, x0, **options):
 
 
 def scipy_brentq(f, a, b, **options):
-    """Reference root finder: scipy's brentq, which ``_solvers.brentq`` ports,
-    kept to check the port against."""
+    """Reference root finder: scipy's brentq, whose root of the guard's
+    ceiling function ``guard_ratio_ceiling``'s bisection must land beside."""
     from scipy.optimize import brentq
 
     return brentq(f, a, b, **options)

@@ -109,7 +109,8 @@ BAD_SPECS = (
 )
 
 #: The argument checks' error bytes: bad generator specs, unknown algorithm
-#: and objective names, and rules or objectives called without ``--p``.
+#: and objective names, rules or objectives called without ``--p``,
+#: exponents that are not finite, and a grid too large for memory.
 ERRORS = (
     *(("run", "--algorithm", "proportional", "--instance", spec) for spec in BAD_SPECS),
     *(
@@ -118,6 +119,10 @@ ERRORS = (
     ),
     ("search", "--objective", "mystery"),
     ("search", "--objective", "guarded-cp1"),
+    ("search", "--objective", "guarded-cp1", "--p", "nan"),
+    ("search", "--objective", "guarded-cp1", "--p", "inf"),
+    ("search", "--objective", "poly-two-round", "--p", "nan"),
+    ("search", "--objective", "guarded-cp1", "--p", "2.7", "--grid-step", "1e-17"),
 )
 
 

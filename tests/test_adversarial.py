@@ -59,7 +59,7 @@ from roundfair.adversarial import (
     _cp2_ratio,
     _poly_two_round_ratio,
 )
-from conftest import dense_grid_argmin, random_instance
+from conftest import dense_grid_argmin, random_instance, scipy_brentq
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -116,8 +116,13 @@ class TestClosedForms:
     def test_poly_two_round_domain(self):
         with pytest.raises(DomainError):
             alpha_poly_two_round(2, 0.4, 0.4)
-        with pytest.raises(DomainError):
-            alpha_poly_two_round(0, 0.7, 0.7)
+        for p in (0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and positive"):
+                alpha_poly_two_round(p, 0.7, 0.7)
+            with pytest.raises(DomainError, match="finite and positive"):
+                poly_two_round_objective(p)
+            with pytest.raises(DomainError, match="finite and positive"):
+                poly_two_round_diagonal_objective(p)
 
     def test_guarded_cp1_named_point(self):
         assert alpha_guarded_cp1(2.7, 1.27764) >= 0.916 - 1e-3
@@ -141,6 +146,9 @@ class TestClosedForms:
     def test_guarded_cp1_domain(self):
         with pytest.raises(DomainError):
             alpha_guarded_cp1(2.7, 0.9)
+        for p in (0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and positive"):
+                alpha_guarded_cp1(p, 1.2)
 
     @pytest.mark.parametrize("p, lambda1", [(2.7, 1.9), (1.0, 1.5)])
     def test_guarded_cp1_rejects_unrealizable_points(self, p, lambda1):
@@ -167,6 +175,9 @@ class TestClosedForms:
         assert alpha == pytest.approx(verdict.ratio, abs=1e-9)
 
     def test_guarded_cp2_subcase_domains(self):
+        for p in (0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and positive"):
+                alpha_guarded_cp2(p, 1.3, 0.5, "mixed")
         with pytest.raises(DomainError):
             alpha_guarded_cp2(2.7, 0.9, 0.5, "mixed")
         with pytest.raises(DomainError):
@@ -258,9 +269,11 @@ class TestMinimizeAlpha:
         with pytest.raises(OutOfRange):
             minimize_alpha(proportional_objective(), grid_step=0.0)
 
-    @pytest.mark.parametrize("grid_step", [1e-300, 5e-324])
+    @pytest.mark.parametrize("grid_step", [1e-300, 5e-324, 1e-17])
     def test_grid_too_fine_for_an_array_rejected(self, grid_step):
-        # numpy would refuse the axis with a message that names no argument.
+        # numpy would refuse the axis with a message that names no argument:
+        # past _MAX_AXIS_POINTS it declines to count it, and at 1e-17 it
+        # fails to allocate the 352 PiB asked for.
         with pytest.raises(OutOfRange, match="grid_step"):
             minimize_alpha(guarded_cp1_objective(2.7), grid_step)
 
@@ -435,9 +448,18 @@ class TestBlockedGridScan:
         assert peak < 32 * 2**20
 
 
+#: Exponents in (2, 100]: three right above 2, then 120 evenly spaced; two
+#: far above, and the first float above 2.
+CEILING_P = (
+    [2.0 + 1e-9, 2.0 + 1e-6, 2.0001]
+    + np.linspace(2.0, 100.0, 121)[1:].tolist()
+    + [5000.0, 1e6, math.nextafter(2.0, 3.0)]
+)
+
+
 class TestGuardRatioCeiling:
     def test_no_room_at_or_below_two(self):
-        for p in (1.0, 2.0):
+        for p in (1.0, 2.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 guard_ratio_ceiling(p)
 
@@ -451,6 +473,19 @@ class TestGuardRatioCeiling:
             assert inst.values[0, 1] == pytest.approx(1.0, abs=1e-9)
             with pytest.raises(InfeasibleClosedForm):
                 guarded_cp1_instance(p, lam + 1e-3)
+
+    @pytest.mark.parametrize("p", CEILING_P)
+    def test_ceiling_is_the_float_sign_change(self, p):
+        # h has the sign of 2 x**(p-1) - x**p - 1 on (1, 2), and is -1 at 2.
+        def h(x):
+            if x >= 2.0:
+                return -1.0
+            return (p - 1.0) * math.log1p(x - 1.0) + math.log1p(1.0 - x)
+
+        c = guard_ratio_ceiling(p)
+        assert h(c) > 0.0 >= h(math.nextafter(c, 3.0))
+        assert 1.0 < c < 2.0
+        assert abs(c - scipy_brentq(h, math.nextafter(1.0, 2.0), 2.0, xtol=1e-13)) <= 1e-13
 
     @pytest.mark.parametrize("p", [2.0001, 2.0 + 1e-6])
     def test_ceiling_near_two_is_the_root(self, p):
@@ -475,13 +510,13 @@ class TestLargeExponent:
     @pytest.mark.parametrize(
         "call, expected",
         [
-            (lambda: guard_ratio_ceiling(5000), 2.0),
+            (lambda: guard_ratio_ceiling(5000), math.nextafter(2.0, 1.0)),
             (lambda: alpha_guarded_cp1(5000, 1.5), 2.5 / 3),
             (
                 lambda: guarded_cp1_instance(5000, 1.5).values.tolist(),
                 [[0.5, 0.75], [0.5, 0.0], [0.0, 0.25]],
             ),
-            (lambda: guarded_cp1_objective(5000).bounds, ((1.0, 2.0),)),
+            (lambda: guarded_cp1_objective(5000).bounds, ((1.0, math.nextafter(2.0, 1.0)),)),
             (
                 lambda: guarded_cp2_instance(5000, 1.5, 0.5).values.tolist(),
                 [[0.5, 0.75], [0.5, 0.25], [0.0, 0.0]],

@@ -214,9 +214,9 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", SCIPY_LOADS],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    # search and sweep need no solver and the guard ceiling runs on the
-    # in-repo brentq; only the offline LP loads scipy.optimize, and it runs
-    # only when greedy leaves an agent below her fair share.
+    # search and sweep need no solver, as the guard ceiling is a bisection;
+    # only the offline LP loads scipy.optimize, and it runs only when greedy
+    # leaves an agent below her fair share.
     assert proc.stdout.split("\n") == [
         "False False", "False False", "False False", "True True", ""
     ]

@@ -1,28 +1,18 @@
-"""The in-repo brentq against scipy's, bit for bit, and the search's zoom
-refine against scipy's Nelder-Mead.
+"""The search's zoom refine against scipy's Nelder-Mead.
 
-``roundfair._solvers.brentq`` ports the one scipy routine the worst-case
-analysis needs; these tests hold it to scipy itself (the ``scipy_*`` oracles
-in conftest), on the guard's ceiling and on synthetic cases that reach every
-branch.  ``minimize_alpha`` refines by rescanning shrinking grids; scipy's
-simplex, run from the same grid point, is the value it must reach.
+``minimize_alpha`` refines by rescanning shrinking grids; scipy's simplex
+(the ``scipy_nelder_mead`` oracle in conftest), run from the same grid
+point, is the value it must reach.
 """
 
 import math
 
-import numpy as np
 import pytest
 
-from roundfair import (
-    adversarial,
-    guard_ratio_ceiling,
-    minimize_alpha,
-    objective_by_name,
-)
-from roundfair._solvers import brentq
+from roundfair import minimize_alpha, objective_by_name
 from roundfair.core import REFINE_TOL
 from roundfair.errors import DomainError
-from conftest import scipy_brentq, scipy_nelder_mead
+from conftest import scipy_nelder_mead
 
 
 #: Every objective the CLI can search, at exponents around the paper's.
@@ -72,75 +62,3 @@ def test_search_refine_matches_scipy(name, p, grid_step):
     assert result.value <= ref.fun + 1e-12
     assert result.value <= result.grid_value
     assert all(lo <= v <= hi for v, (lo, hi) in zip(result.argmin, box))
-
-
-#: Exponents in (2, 100]: three right above 2, then 120 evenly spaced.
-CEILING_P = [2.0 + 1e-9, 2.0 + 1e-6, 2.0001] + np.linspace(2.0, 100.0, 121)[1:].tolist()
-
-
-def test_guard_ratio_ceiling_matches_scipy(monkeypatch):
-    roots = []
-
-    def both(f, a, b, **options):
-        ours = brentq(f, a, b, **options)
-        assert type(ours) is float
-        assert ours == scipy_brentq(f, a, b, **options), (a, b)
-        roots.append(ours)
-        return ours
-
-    monkeypatch.setattr(adversarial, "brentq", both)
-    for p in CEILING_P:
-        assert guard_ratio_ceiling(p) == roots[-1]
-    assert len(roots) == len(CEILING_P) >= 100
-
-
-def _step(x):
-    return -1.0 if x < 0.3 else 1.0
-
-
-BRENTQ_CASES = {
-    "cubic": (lambda x: x**3 - 0.2, 0.0, 1.0, 2e-12),
-    "falling": (lambda x: 0.2 - x**3, 0.0, 1.0, 2e-12),
-    "cosine-tight": (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-13),
-    "steep": (lambda x: math.exp(x) - 1e6, 0.0, 20.0, 2e-12),
-    "flat-then-steep": (lambda x: x**9 - 1e-3, 0.0, 2.0, 2e-12),
-    "step-bisects": (_step, 0.0, 1.0, 2e-12),
-    # converges in 95 of the 100 iterations allowed
-    "step-wide-bracket": (_step, -1e16, 1e16, 2e-12),
-    # takes one minimal step of xtol/2 before the bracket closes
-    "loose-xtol": (lambda x: x**3 - 0.2, 0.0, 1.0, 1e-2),
-    "exact-zero-inside": (lambda x: x - 0.5, 0.0, 1.0, 2e-12),
-    "exact-zero-at-a": (lambda x: x, 0.0, 1.0, 2e-12),
-    "exact-zero-at-b": (lambda x: x, -1.0, 0.0, 2e-12),
-    # f(b) is +0.0 beside a positive f(a): returned before the sign test
-    "exact-zero-at-b-falling": (lambda x: 0.0 - x, -1.0, 0.0, 2e-12),
-}
-
-
-@pytest.mark.parametrize("f, a, b, xtol", BRENTQ_CASES.values(), ids=BRENTQ_CASES)
-def test_brentq_matches_scipy(f, a, b, xtol):
-    ours = brentq(f, a, b, xtol=xtol)
-    assert type(ours) is float
-    assert ours == scipy_brentq(f, a, b, xtol=xtol)
-
-
-def test_brentq_returns_the_zero_end():
-    assert brentq(lambda x: x, 0.0, 1.0, xtol=2e-12) == 0.0
-    assert brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=2e-12) == 1.0
-
-
-BRENTQ_FAILURES = {
-    "same-sign-above": (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
-    "same-sign-below": (lambda x: -x * x - 1.0, -1.0, 1.0, ValueError),
-    "nan-at-b": (lambda x: -1.0 if x < 0.5 else math.nan, 0.0, 1.0, ValueError),
-    # bisecting a bracket this wide needs more than 100 iterations
-    "iteration-budget": (_step, -1e18, 1e18, RuntimeError),
-}
-
-
-@pytest.mark.parametrize("f, a, b, error", BRENTQ_FAILURES.values(), ids=BRENTQ_FAILURES)
-def test_brentq_fails_like_scipy(f, a, b, error):
-    with pytest.raises(error):
-        scipy_brentq(f, a, b, xtol=2e-12)
-    with pytest.raises(error):
-        brentq(f, a, b, xtol=2e-12)
