@@ -272,41 +272,186 @@ class SearchResult:
     grid_value: float
 
 
-def _scan(objective: AlphaObjective, axes: Sequence[np.ndarray]):
-    """The best point of the grid ``axes`` spans: its index, one per axis,
-    and its value, or ``(None, nan)`` when every point is NaN.
+def _scan(evaluate_rows, rows: np.ndarray, axes: Sequence[np.ndarray]):
+    """The best point of each row's grid and its value, NaN in a row whose
+    every point is NaN.
 
-    The grid is scanned in blocks that split its longest axis, on open
-    coordinates, so per-axis powers are computed on 1-D data, each value of
-    the longest axis once per scan, and no full-size grid is ever built.  Of
-    equal minima the first in row-major order wins.
+    Row ``i`` spans the grid of ``axes[k][i]``, one axis per ``k``; each
+    ``axes[k]`` is NaN past a row's own length.  ``evaluate_rows`` gets a
+    slice of ``rows`` and open coordinates with a leading row axis, and
+    gives NaN at a NaN coordinate, so padded points never win.  The grid is
+    scanned in blocks of whole rows or, where one row exceeds the budget, of
+    one row split along its longest axis, so per-axis powers are computed on
+    1-D data and no full-size grid is ever built.  Of equal minima in a row
+    the first in row-major order wins.
     """
-    shape = tuple(ax.size for ax in axes)
+    shape = tuple(ax.shape[1] for ax in axes)
     long = shape.index(max(shape))
-    step = max(1, _GRID_BLOCK_POINTS // (math.prod(shape) // shape[long]))
-    # Axis k of an open mesh has shape (1, ..., 1, size, 1, ..., 1).
+    inner = math.prod(shape[long + 1 :])
+    per_row = math.prod(shape)
+    row_step = max(1, _GRID_BLOCK_POINTS // per_row)
+    step = max(1, _GRID_BLOCK_POINTS // (row_step * (per_row // shape[long])))
+    # Axis k of an open mesh has shape (rows, 1, ..., 1, size, 1, ..., 1).
     open_shapes = [(1,) * k + (-1,) + (1,) * (len(axes) - 1 - k) for k in range(len(axes))]
-    best_index, best_val = None, math.nan
-    for first in range(0, shape[long], step):
-        coords = list(axes)
-        coords[long] = axes[long][first : first + step]
-        open_mesh = [c.reshape(o) for c, o in zip(coords, open_shapes)]
-        block_shape = tuple(c.size for c in coords)
-        with np.errstate(all="ignore"):
-            vals = np.asarray(objective.evaluate_grid(*open_mesh), dtype=float)
-        if vals.shape != block_shape:
-            vals = np.broadcast_to(vals, block_shape)
-        low = np.fmin.reduce(vals, axis=None)
-        if math.isnan(low) or low > best_val:
+    tail = tuple(range(1, len(axes) + 1))
+    best_flat = np.zeros(len(rows), dtype=np.intp)
+    best_val = np.full(len(rows), math.nan)
+    for top in range(0, len(rows), row_step):
+        block = slice(top, top + row_step)
+        for first in range(0, shape[long], step):
+            coords = [ax[block] for ax in axes]
+            coords[long] = coords[long][:, first : first + step]
+            open_mesh = [c.reshape(c.shape[:1] + o) for c, o in zip(coords, open_shapes)]
+            block_shape = coords[0].shape[:1] + tuple(c.shape[1] for c in coords)
+            with np.errstate(all="ignore"):
+                vals = np.asarray(evaluate_rows(rows[block], *open_mesh), dtype=float)
+            if vals.shape != block_shape:
+                vals = np.broadcast_to(vals, block_shape)
+            low = np.fmin.reduce(vals, axis=tail)
+            if step >= shape[long]:
+                # Whole rows: no other block holds any of them.
+                hits = vals == low.reshape((-1,) + (1,) * len(axes))
+                best_flat[block] = np.argmax(hits.reshape(len(low), -1), axis=1)
+                best_val[block] = low
+                continue
+            # One row, in slices of its longest axis.
+            low, best = float(low[0]), best_val[top]
+            if math.isnan(low) or low > best:
+                continue
+            outer, rest = divmod(int(np.argmax(vals == low)), block_shape[1 + long] * inner)
+            flat = outer * shape[long] * inner + rest + first * inner
+            # Row-major order is the order of flat indices in the whole row,
+            # so of equal minima in different slices the first wins.
+            if math.isnan(best) or low < best or flat < best_flat[top]:
+                best_flat[top], best_val[top] = flat, low
+    index = np.unravel_index(best_flat, shape)
+    every = np.arange(len(rows))
+    return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val
+
+
+def _grid_axis(objective: AlphaObjective, lo: float, hi: float, grid_step: float):
+    """One axis of the search grid: the side ``(lo, hi)`` shrunk by the margin,
+    or by a quarter of its width where that is less, at step ``grid_step``,
+    with the far end appended.  Returns the axis and its shrunk ends."""
+    # An axis narrower than 4 margins, as the trip families' are for p just
+    # above 2, keeps its middle half.
+    margin = min(objective.margin, (hi - lo) / 4)
+    start, stop = lo + margin, hi - margin
+    if stop <= start:
+        raise EmptyDomain(f"objective {objective.name!r} has an empty box")
+    if (stop - start) / grid_step > _MAX_AXIS_POINTS:
+        raise OutOfRange(
+            f"grid_step {grid_step!r} asks for more than {_MAX_AXIS_POINTS} "
+            f"points on an axis of width {stop - start!r}"
+        )
+    try:
+        ax = np.arange(start, stop, grid_step)
+    except MemoryError:
+        raise OutOfRange(
+            f"grid_step {grid_step!r} asks for more points than memory holds "
+            f"on an axis of width {stop - start!r}"
+        ) from None
+    if ax.size == 0 or ax[-1] < stop - 1e-15:
+        ax = np.append(ax, stop)
+    return ax, start, stop
+
+
+def _minimize_rows(
+    objectives: Sequence[AlphaObjective],
+    evaluate_rows: Callable[..., np.ndarray],
+    grid_step: float,
+    refine_tol: float,
+) -> list:
+    """:func:`minimize_alpha` on a stack of objectives with as many axes each,
+    one row per objective.  ``evaluate_rows(rows, *coords)`` evaluates the
+    rows numbered ``rows`` at once, on open coordinates with a leading row
+    axis, and gives NaN at a NaN coordinate: rows shorter than others are
+    padded with NaN.  Each row keeps its own box, step, centre and best
+    value and runs the scans a search of its objective alone would, while
+    every scan covers all rows still zooming.  Returns, per row, its
+    SearchResult, or the EmptyDomain or DomainError its search raised.
+    """
+    if not (0 < grid_step < math.inf and refine_tol > 0):
+        raise OutOfRange("grid_step must be positive and finite, refine_tol positive")
+
+    outcomes: list = [None] * len(objectives)
+    live, grids = [], []
+    for r, objective in enumerate(objectives):
+        try:
+            grids.append([_grid_axis(objective, lo, hi, grid_step) for lo, hi in objective.bounds])
+        except EmptyDomain as exc:
+            outcomes[r] = exc
             continue
-        index = [int(i) for i in np.unravel_index(int(np.argmax(vals == low)), block_shape)]
-        low = float(vals[tuple(index)])
-        index[long] += first
-        # Row-major order is the order of index lists, so of equal minima in
-        # different blocks the first in row-major order wins.
-        if best_index is None or low < best_val or index < best_index:
-            best_index, best_val = index, low
-    return best_index, best_val
+        live.append(r)
+    if not live:
+        return outcomes
+    rows = np.array(live)
+    # Each axis's rows, NaN-padded to the longest, and the box around them.
+    axes = []
+    for k in range(len(grids[0])):
+        column = [grid[k][0] for grid in grids]
+        axes.append(np.full((len(column), max(c.size for c in column)), math.nan))
+        for row, c in zip(axes[-1], column):
+            row[: c.size] = c
+    lo = np.array([[start for _, start, _ in grid] for grid in grids])[:, :, None]
+    hi = np.array([[stop for _, _, stop in grid] for grid in grids])[:, :, None]
+
+    evaluations = np.array([math.prod(ax.size for ax, _, _ in grid) for grid in grids])
+    grid_point, grid_value = _scan(evaluate_rows, rows, axes)
+    point, best = grid_point.copy(), grid_value.copy()
+    # The rows still zooming, by position in ``live``, with their centres,
+    # the centres' values, steps and boxes.
+    zoom = np.flatnonzero(~np.isnan(grid_value) & (grid_step > refine_tol))
+    centre, centre_value = point[zoom], best[zoom]
+    step = np.full(zoom.size, grid_step / _ZOOM)
+    lo, hi = lo[zoom], hi[zoom]
+    offsets = np.arange(-_ZOOM, _ZOOM + 1)
+    while zoom.size:
+        ax = centre[:, :, None] + step[:, None, None] * offsets
+        # Offset 0 is the centre itself, kept even if it lies a hair outside.
+        keep = (offsets == 0) | ((lo <= ax) & (ax <= hi))
+        counts = keep.sum(axis=2)
+        if not keep.all():
+            # Kept points move to the front of their row, in order, and each
+            # axis is cut to its longest row.
+            ax = np.take_along_axis(ax, np.argsort(~keep, axis=2, kind="stable"), 2)
+            ax[offsets + _ZOOM >= counts[:, :, None]] = math.nan
+        axes = [a[:, :n] for a, n in zip(ax.transpose(1, 0, 2), counts.max(axis=0))]
+        evaluations[zoom] += counts.prod(axis=1)
+        found, low = _scan(evaluate_rows, rows[zoom], axes)
+        lower = low < centre_value
+        centre = np.where(lower[:, None], found, centre)
+        centre_value = np.fmin(low, centre_value)
+        # A row whose centre holds shrinks its step, or stops once the step
+        # is at most refine_tol.
+        stays = lower | (step > refine_tol)
+        step = np.where(lower, step, step / _ZOOM)
+        if not stays.all():
+            point[zoom], best[zoom] = centre, centre_value
+            zoom, centre, centre_value, step, lo, hi = (
+                a[stays] for a in (zoom, centre, centre_value, step, lo, hi)
+            )
+
+    for j, r in enumerate(live):
+        objective = objectives[r]
+        if math.isnan(grid_value[j]):
+            outcomes[r] = EmptyDomain(f"objective {objective.name!r} has no feasible grid point")
+            continue
+        argmin = tuple(point[j].tolist())
+        try:
+            value = float(objective.evaluate(argmin))
+        except DomainError as exc:
+            outcomes[r] = exc
+            continue
+        outcomes[r] = SearchResult(
+            argmin=argmin,
+            value=value,
+            evaluations=int(evaluations[j]),
+            refined=bool(best[j] < grid_value[j]),
+            grid_point=tuple(grid_point[j].tolist()),
+            grid_value=float(grid_value[j]),
+        )
+    return outcomes
 
 
 def minimize_alpha(
@@ -323,65 +468,17 @@ def minimize_alpha(
     the best point, clipped to the shrunk box.  While a rescan finds a
     strictly lower value it re-centres there at the same step; once the
     point holds, the step shrinks again, until it is at most
-    ``refine_tol``.  Fully deterministic.
+    ``refine_tol``.  Fully deterministic.  This is the stack of one of
+    :func:`_minimize_rows`.
     """
-    if not (0 < grid_step < math.inf and refine_tol > 0):
-        raise OutOfRange("grid_step must be positive and finite, refine_tol positive")
 
-    axes, box = [], []
-    for lo, hi in objective.bounds:
-        # An axis narrower than 4 margins, as the trip families' are for p
-        # just above 2, keeps its middle half.
-        margin = min(objective.margin, (hi - lo) / 4)
-        start, stop = lo + margin, hi - margin
-        if stop <= start:
-            raise EmptyDomain(f"objective {objective.name!r} has an empty box")
-        if (stop - start) / grid_step > _MAX_AXIS_POINTS:
-            raise OutOfRange(
-                f"grid_step {grid_step!r} asks for more than {_MAX_AXIS_POINTS} "
-                f"points on an axis of width {stop - start!r}"
-            )
-        try:
-            ax = np.arange(start, stop, grid_step)
-        except MemoryError:
-            raise OutOfRange(
-                f"grid_step {grid_step!r} asks for more points than memory holds "
-                f"on an axis of width {stop - start!r}"
-            ) from None
-        if ax.size == 0 or ax[-1] < stop - 1e-15:
-            ax = np.append(ax, stop)
-        axes.append(ax)
-        box.append((start, stop))
+    def evaluate_rows(rows, *coords):
+        return np.asarray(objective.evaluate_grid(*(c[0] for c in coords)))[np.newaxis]
 
-    index, grid_value = _scan(objective, axes)
-    if index is None:
-        raise EmptyDomain(f"objective {objective.name!r} has no feasible grid point")
-    evaluations = math.prod(ax.size for ax in axes)
-    grid_point = [float(ax[i]) for ax, i in zip(axes, index)]
-    point, best = grid_point, grid_value
-    offsets = np.arange(-_ZOOM, _ZOOM + 1)
-    step = grid_step
-    while step > refine_tol:
-        step /= _ZOOM
-        while True:
-            axes = []
-            for c, (lo, hi) in zip(point, box):
-                # Offset 0 is the centre itself, kept even if it lies a hair outside.
-                ax = c + step * offsets
-                axes.append(ax[(offsets == 0) | ((lo <= ax) & (ax <= hi))])
-            index, low = _scan(objective, axes)
-            evaluations += math.prod(ax.size for ax in axes)
-            if not low < best:
-                break
-            point, best = [float(ax[i]) for ax, i in zip(axes, index)], low
-    return SearchResult(
-        argmin=tuple(point),
-        value=float(objective.evaluate(tuple(point))),
-        evaluations=evaluations,
-        refined=best < grid_value,
-        grid_point=tuple(grid_point),
-        grid_value=grid_value,
-    )
+    (outcome,) = _minimize_rows([objective], evaluate_rows, grid_step, refine_tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def proportional_objective() -> AlphaObjective:
@@ -427,9 +524,14 @@ def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
         name="poly-two-round-diagonal",
         bounds=((0.5, 1.0),),
         evaluate=lambda x: alpha_poly_two_round(p, x[0], x[0]),
-        evaluate_grid=lambda v: _poly_two_round_ratio(p, v, v, np.maximum, np.minimum),
+        evaluate_grid=lambda v: _diagonal_grid(p, v),
         p=p,
     )
+
+
+def _diagonal_grid(p, v):
+    """The two-round ratio on the diagonal v1 = v2, on grids."""
+    return _poly_two_round_ratio(p, v, v, np.maximum, np.minimum)
 
 
 def guard_ratio_ceiling(p: float) -> float:
@@ -765,6 +867,24 @@ class SweepRow:
     with_cp_alpha: float
 
 
+def _at_exponents(grid: Callable[..., np.ndarray], exponents: np.ndarray):
+    """The ``evaluate_rows`` of a stack of one family's objectives, row ``i``
+    at exponent ``exponents[i]``: ``grid(p, *coords)`` with the rows'
+    exponents as a column.  numpy raises an array to a scalar power of 0.5 or
+    2 by sqrt or square, whose last bits can differ from its power loop's, so
+    a row at either exponent is evaluated on its own with a scalar, as its
+    objective's own grid is."""
+
+    def evaluate_rows(rows, *coords):
+        p = exponents[rows, None]
+        out = grid(p, *coords)
+        for i in np.flatnonzero((p == 0.5) | (p == 2.0)):
+            out[i] = grid(float(p[i, 0]), *(c[i] for c in coords))
+        return out
+
+    return evaluate_rows
+
+
 def sweep_tradeoff_curves(
     p_values: Sequence[float],
     grid_step: float = GRID_STEP,
@@ -779,16 +899,32 @@ def sweep_tradeoff_curves(
     """
     for p in p_values:
         _check_exponent(p)
-    rows = []
-    for p in p_values:
-        no_cp = minimize_alpha(
-            poly_two_round_diagonal_objective(p), grid_step, refine_tol
-        ).value
+    exponents = np.array(p_values, dtype=float)
+    no_cp = _minimize_rows(
+        [poly_two_round_diagonal_objective(p) for p in p_values],
+        _at_exponents(_diagonal_grid, exponents),
+        grid_step,
+        refine_tol,
+    )
+    for outcome in no_cp:
+        if isinstance(outcome, Exception):
+            raise outcome
+    # The trip curve has a row only where the trip family exists, p > 2.
+    trips, objectives = [], []
+    for i, p in enumerate(p_values):
         try:
-            with_cp = minimize_alpha(
-                guarded_cp1_objective(p), grid_step, refine_tol
-            ).value
-        except (DomainError, EmptyDomain):
-            with_cp = math.nan
-        rows.append(SweepRow(p=float(p), no_cp_alpha=no_cp, with_cp_alpha=with_cp))
-    return rows
+            objectives.append(guarded_cp1_objective(p))
+        except DomainError:
+            continue
+        trips.append(i)
+    outcomes = _minimize_rows(
+        objectives, _at_exponents(_cp1_ratio, exponents[trips]), grid_step, refine_tol
+    )
+    with_cp = [math.nan] * len(p_values)
+    for i, outcome in zip(trips, outcomes):
+        if isinstance(outcome, SearchResult):
+            with_cp[i] = outcome.value
+    return [
+        SweepRow(p=float(p), no_cp_alpha=row.value, with_cp_alpha=trip)
+        for p, row, trip in zip(p_values, no_cp, with_cp)
+    ]

@@ -109,6 +109,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     p_values = [float(x) for x in args.p_values.split(",") if x.strip()]
+    if not p_values:
+        raise RoundFairError(f"--p-values needs at least one exponent, got {args.p_values!r}")
     rows = sweep_tradeoff_curves(p_values, args.grid_step, args.refine_tol)
     sys.stdout.write(
         emit_table(

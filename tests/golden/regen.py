@@ -81,10 +81,15 @@ CERTIFIED = (
     ("guarded-cp1", "--p", "2.7"),
 )
 
+#: Exponents on both sides of 2 (NaN trip columns), just above it (a trip
+#: box narrower than four margins) and far above it, so the trip curve's
+#: rows have axes of very different lengths.
 SWEEPS = (
     ("--p-values", "2,2.7,3"),
     ("--p-values", "2.000001,2.5", "--grid-step", "0.01"),
     ("--p-values", "2,5"),
+    ("--p-values", "0.5,1,2,2.000001,2.5,2.7,3,5,50,5000"),
+    ("--p-values", "2.000001,2.2,2.7", "--grid-step", "0.01"),
 )
 
 #: Generator specs with a bad argument: out of range, not finite, the wrong
@@ -110,7 +115,8 @@ BAD_SPECS = (
 
 #: The argument checks' error bytes: bad generator specs, unknown algorithm
 #: and objective names, rules or objectives called without ``--p``,
-#: exponents that are not finite, and a grid too large for memory.
+#: exponents that are not finite, a grid too large for memory, and a sweep
+#: over no exponent.
 ERRORS = (
     *(("run", "--algorithm", "proportional", "--instance", spec) for spec in BAD_SPECS),
     *(
@@ -123,6 +129,8 @@ ERRORS = (
     ("search", "--objective", "guarded-cp1", "--p", "inf"),
     ("search", "--objective", "poly-two-round", "--p", "nan"),
     ("search", "--objective", "guarded-cp1", "--p", "2.7", "--grid-step", "1e-17"),
+    ("sweep", "--p-values", ""),
+    ("sweep", "--p-values", ","),
 )
 
 

@@ -937,14 +937,80 @@ class TestSweep:
 
     def test_rejects_out_of_band_p(self, monkeypatch):
         # The band is every finite p > 0, and every p is checked before the
-        # first search.
+        # first search: the stacked search and its scan must not start.
         def no_search(*args):
             raise AssertionError("searched before checking every exponent")
 
-        monkeypatch.setattr(adversarial, "minimize_alpha", no_search)
+        monkeypatch.setattr(adversarial, "_minimize_rows", no_search)
+        monkeypatch.setattr(adversarial, "_scan", no_search)
+        with pytest.raises(AssertionError, match="searched before"):
+            sweep_tradeoff_curves([2.7])  # the sweep does search through them
         for p in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="finite and positive"):
                 sweep_tradeoff_curves([2.7, p])
+
+    @pytest.mark.parametrize("grid_step", [1e-3, 5e-3, 1e-2])
+    def test_stacked_rows_equal_single_searches(self, monkeypatch, grid_step):
+        # Each curve is one stacked search; every row of it must be the
+        # search of its objective alone, bit for bit.  The exponents are
+        # unsorted and repeated, and the trip curve's rows differ in length:
+        # its box is one float wide at the first float above 2, narrower than
+        # four margins at 2.000001, and near (1, 2) far above 2.
+        ps = [2.7, 0.5, 5000.0, 2.0, 1e6, math.nextafter(2.0, 3.0), 2.000001,
+              3.0, 50.0, 1.0, 5.0, 2.7, 0.5]
+        stacks = []
+        stacked = adversarial._minimize_rows
+
+        def spy(objectives, *args):
+            outcomes = stacked(objectives, *args)
+            stacks.append(list(zip(objectives, outcomes)))
+            return outcomes
+
+        monkeypatch.setattr(adversarial, "_minimize_rows", spy)
+        rows = sweep_tradeoff_curves(ps, grid_step)
+        assert len(stacks) == 2 and len(stacks[0]) == len(ps)
+        assert [objective.p for objective, _ in stacks[1]] == [p for p in ps if p > 2.0]
+        for objective, outcome in stacks[0] + stacks[1]:
+            alone = minimize_alpha(objective, grid_step)
+            assert outcome.value == alone.value, objective.p
+            assert outcome.argmin == alone.argmin, objective.p
+            assert outcome.evaluations == alone.evaluations, objective.p
+            assert outcome.refined == alone.refined, objective.p
+            assert outcome == alone, objective.p
+        trips = {objective.p: outcome for objective, outcome in stacks[1]}
+        for p, row, (_, no_cp) in zip(ps, rows, stacks[0]):
+            assert row.p == p and row.no_cp_alpha == no_cp.value
+            if p > 2.0:
+                assert row.with_cp_alpha == trips[p].value
+            else:
+                assert math.isnan(row.with_cp_alpha)
+
+    def test_stacked_blocks_stay_within_budget(self, monkeypatch):
+        # The analysis sweep's 101 exponents and one far above: each curve
+        # scans whole rows at once, within the block budget, in a few dozen
+        # scans where one search per exponent took about 2,000.
+        shapes = []
+        at_exponents = adversarial._at_exponents
+
+        def recorded(grid, exponents):
+            evaluate_rows = at_exponents(grid, exponents)
+
+            def record(rows, *coords):
+                shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
+                assert len(rows) == shapes[-1][0]
+                return evaluate_rows(rows, *coords)
+
+            return record
+
+        monkeypatch.setattr(adversarial, "_at_exponents", recorded)
+        sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)] + [5000.0])
+        assert max(math.prod(shape) for shape in shapes) <= _GRID_BLOCK_POINTS
+        assert shapes[0] == (102, 501)
+        assert len(shapes) < 50
+
+    def test_grid_too_fine_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="grid_step"):
+            sweep_tradeoff_curves([2.7], grid_step=1e-300)
 
     def test_exponents_outside_two_to_three(self):
         rows = sweep_tradeoff_curves([0.5, 1.0, 5.0, 50.0, 5000.0])

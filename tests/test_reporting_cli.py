@@ -356,6 +356,19 @@ class TestCli:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[0] == "2.000001" and float(row[2]) > 0.99
 
+    @pytest.mark.parametrize("p_values", ["", ",", " , "])
+    def test_sweep_without_exponents_exits_2(self, capsys, p_values):
+        assert main(["sweep", "--p-values", p_values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--p-values" in captured.err
+
+    def test_sweep_grid_too_fine_exits_2(self, capsys):
+        assert main(["sweep", "--p-values", "2.7", "--grid-step", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid_step 1e-300 asks for more than" in captured.err
+
     def test_search_objective_missing_p_exits_2(self):
         assert main(["search", "--objective", "guarded-cp1"]) == 2
 
