@@ -9,6 +9,7 @@ so every closed form can be cross-checked by simulation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -22,6 +23,7 @@ from .core import (
     ENTRY_TOL,
     REFINE_TOL,
     Instance,
+    check_tolerance,
     validate_instance,
 )
 from .errors import (
@@ -81,7 +83,7 @@ def _cp1_ratio(p, lambda1):
     return (1.0 + lambda1) / (3.0 - lambda1**-p)
 
 
-def _cp2_ratio(p, lambda1, lambda2, mixed: bool, maximum):
+def _cp2_ratio(p, lambda1, lambda2, maximum):
     """Trip-at-round-2 ratio with the round values implied by the tight utility
     and exhaustion conditions.  Returns (ratio, v1, v2, v3, denominator); the
     construction is singular where the denominator is not positive.
@@ -89,19 +91,21 @@ def _cp2_ratio(p, lambda1, lambda2, mixed: bool, maximum):
     The conditions are divided through by ``lambda1**p * m2**p`` with
     ``m2 = max(1, lambda2)``, so every power has a base of at most 1.  With
     ``r2 = lambda2 / m2``, ``lambda2**(p-1)`` scales to ``r2**p / lambda2``.
+    The optimum is ``2 - v1 - v2 r2``: ``r2`` is exactly lambda2 in the mixed
+    region, lambda2 < 1, and exactly 1 where lambda2 > 1.
     """
     m2 = maximum(1.0, lambda2)
+    r2 = lambda2 / m2
     a = lambda1**-p
     b = m2**-p
-    c = (lambda2 / m2) ** p
+    c = r2**p
     d = c / lambda2
     den = b + c - d * (lambda1 * (a + 1.0))
     v1 = (b + c - 2.0 * d) * (0.5 * (a + 1.0)) / den
     v2 = (1.0 - v1 * lambda1) / lambda2
     v3 = 1.0 - v1 - v2
     alg = 0.5 + v1 * (lambda1 / (1.0 + a)) + v2 * (lambda2 * c / (b + c))
-    opt = 2.0 - v1 - v2 * lambda2 if mixed else 2.0 - v1 - v2
-    return alg / opt, v1, v2, v3, den
+    return alg / (2.0 - v1 - v2 * r2), v1, v2, v3, den
 
 
 def _check_exponent(p: float) -> None:
@@ -157,12 +161,12 @@ def _cp1_first_round(p: float, lambda1: float) -> float:
     return v1
 
 
-def _cp2_point(p: float, lambda1: float, lambda2: float, mixed: bool, slack: float):
+def _cp2_point(p: float, lambda1: float, lambda2: float, slack: float):
     """Scalar :func:`_cp2_ratio` with its singular and infeasible points
     rejected: round values more than ``slack`` below zero mean no instance
     realizes the point.  Returns (ratio, v1, v2, v3)."""
     try:
-        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, mixed, max)
+        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, max)
         regular = den > 0.0 and all(map(math.isfinite, (ratio, v1, v2, v3)))
     except (ZeroDivisionError, OverflowError):  # inf or NaN on arrays
         regular = False
@@ -192,9 +196,11 @@ def alpha_guarded_cp2(
     the third item is valued by agent 1 only.  ``subcase`` picks the region:
     "mixed" has lambda1 > 1 > lambda2 > 0 and "both_above" lambda1, lambda2 > 1;
     the optimum differs between them.  Derived round values more than ``slack``
-    below zero mean no instance realizes the point (InfeasibleClosedForm).
+    below zero mean no instance realizes the point (InfeasibleClosedForm);
+    a ``slack`` that is NaN, infinite or negative raises OutOfRange.
     """
     _check_exponent(p)
+    check_tolerance(slack, "slack")
     if subcase == "mixed":
         if not (lambda1 > 1.0 and 0.0 < lambda2 < 1.0):
             raise DomainError(
@@ -207,7 +213,7 @@ def alpha_guarded_cp2(
             )
     else:
         raise DomainError(f"unknown subcase {subcase!r}")
-    return _cp2_point(p, lambda1, lambda2, subcase == "mixed", slack)[0]
+    return _cp2_point(p, lambda1, lambda2, slack)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +238,31 @@ _ZOOM = 20
 
 @dataclass(frozen=True)
 class AlphaObjective:
-    """A named ratio function over an open box, on points and on grids.
+    """A ratio family at exponent ``p`` over an open box, on points and on grids.
 
-    ``evaluate`` raises DomainError outside the feasible set; the search
-    calls it once, at the argmin.  ``evaluate_grid`` takes open coordinate
-    arrays, one per axis, as ``np.meshgrid(..., indexing="ij", sparse=True)``
-    builds them; the search passes it one block of the grid at a time, and
-    then each of the refine's small grids.  It returns ratios that broadcast
-    to the block's shape, with NaN at infeasible points.  ``margin``, the same
-    for every objective, keeps the search away from the open boundary and its
-    singular denominators; an axis narrower than four margins gives up a
-    quarter of its width on each side instead.
+    ``point(p, *x)`` raises DomainError outside the feasible set; the search
+    calls it once, at the argmin, through :meth:`evaluate`.  ``grid(p, *coords)``
+    takes open coordinate arrays, one per axis, as
+    ``np.meshgrid(..., indexing="ij", sparse=True)`` builds them, and returns
+    ratios that broadcast to their shape, with NaN at infeasible points and
+    at NaN coordinates.  Its ``p`` is a float, or a column with one exponent
+    per row against coordinates with a leading row axis: objectives sharing
+    a ``grid`` stack into one search.  ``margin``, the same for every
+    objective, keeps the search away from the open boundary and its singular
+    denominators; an axis narrower than four margins gives up a quarter of
+    its width on each side instead.
     """
 
     name: str
     bounds: tuple[tuple[float, float], ...]
-    evaluate: Callable[[Sequence[float]], float]
-    evaluate_grid: Callable[..., np.ndarray]
-    p: float | None = None
+    point: Callable[..., float]
+    grid: Callable[..., np.ndarray]
+    p: float
     margin: ClassVar[float] = 1e-6
+
+    def evaluate(self, x: Sequence[float]) -> float:
+        """The ratio at the point ``x``, at this objective's exponent."""
+        return self.point(self.p, *x)
 
 
 @dataclass(frozen=True)
@@ -272,18 +284,23 @@ class SearchResult:
     grid_value: float
 
 
-def _scan(evaluate_rows, rows: np.ndarray, axes: Sequence[np.ndarray]):
+def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
     """The best point of each row's grid and its value, NaN in a row whose
     every point is NaN.
 
-    Row ``i`` spans the grid of ``axes[k][i]``, one axis per ``k``; each
-    ``axes[k]`` is NaN past a row's own length.  ``evaluate_rows`` gets a
-    slice of ``rows`` and open coordinates with a leading row axis, and
-    gives NaN at a NaN coordinate, so padded points never win.  The grid is
-    scanned in blocks of whole rows or, where one row exceeds the budget, of
-    one row split along its longest axis, so per-axis powers are computed on
-    1-D data and no full-size grid is ever built.  Of equal minima in a row
-    the first in row-major order wins.
+    Row ``i`` spans the grid of ``axes[k][i]``, one axis per ``k``, at
+    exponent ``exponents[i]``; each ``axes[k]`` is NaN past a row's own
+    length, and ``grid`` gives NaN at a NaN coordinate, so padded points
+    never win.  The grid is scanned in blocks of whole rows or, where one
+    row exceeds the budget, of one row split along its longest axis, so
+    per-axis powers are computed on 1-D data and no full-size grid is ever
+    built.  A block of one row gets its exponent as a float and coordinates
+    without the row axis; a block of several gets the exponents as a column.
+    numpy raises an array to a scalar power of 0.5 or 2 by sqrt or square,
+    whose last bits can differ from its power loop's, so in such a block a
+    row at either exponent is evaluated again on its own, as its search
+    alone evaluates it.  Of equal minima in a row the first in row-major
+    order wins.
     """
     shape = tuple(ax.shape[1] for ax in axes)
     long = shape.index(max(shape))
@@ -294,17 +311,24 @@ def _scan(evaluate_rows, rows: np.ndarray, axes: Sequence[np.ndarray]):
     # Axis k of an open mesh has shape (rows, 1, ..., 1, size, 1, ..., 1).
     open_shapes = [(1,) * k + (-1,) + (1,) * (len(axes) - 1 - k) for k in range(len(axes))]
     tail = tuple(range(1, len(axes) + 1))
-    best_flat = np.zeros(len(rows), dtype=np.intp)
-    best_val = np.full(len(rows), math.nan)
-    for top in range(0, len(rows), row_step):
+    best_flat = np.zeros(len(exponents), dtype=np.intp)
+    best_val = np.full(len(exponents), math.nan)
+    for top in range(0, len(exponents), row_step):
         block = slice(top, top + row_step)
         for first in range(0, shape[long], step):
             coords = [ax[block] for ax in axes]
             coords[long] = coords[long][:, first : first + step]
             open_mesh = [c.reshape(c.shape[:1] + o) for c, o in zip(coords, open_shapes)]
             block_shape = coords[0].shape[:1] + tuple(c.shape[1] for c in coords)
+            p = exponents[block]
             with np.errstate(all="ignore"):
-                vals = np.asarray(evaluate_rows(rows[block], *open_mesh), dtype=float)
+                if len(p) == 1:
+                    vals = grid(float(p[0]), *(c[0] for c in open_mesh))[np.newaxis]
+                else:
+                    vals = grid(p.reshape((-1,) + (1,) * len(axes)), *open_mesh)
+                    for i in np.flatnonzero((p == 0.5) | (p == 2.0)):
+                        vals[i] = grid(float(p[i]), *(c[i] for c in open_mesh))
+            vals = np.asarray(vals, dtype=float)
             if vals.shape != block_shape:
                 vals = np.broadcast_to(vals, block_shape)
             low = np.fmin.reduce(vals, axis=tail)
@@ -325,7 +349,7 @@ def _scan(evaluate_rows, rows: np.ndarray, axes: Sequence[np.ndarray]):
             if math.isnan(best) or low < best or flat < best_flat[top]:
                 best_flat[top], best_val[top] = flat, low
     index = np.unravel_index(best_flat, shape)
-    every = np.arange(len(rows))
+    every = np.arange(len(exponents))
     return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val
 
 
@@ -357,19 +381,15 @@ def _grid_axis(objective: AlphaObjective, lo: float, hi: float, grid_step: float
 
 
 def _minimize_rows(
-    objectives: Sequence[AlphaObjective],
-    evaluate_rows: Callable[..., np.ndarray],
-    grid_step: float,
-    refine_tol: float,
+    objectives: Sequence[AlphaObjective], grid_step: float, refine_tol: float
 ) -> list:
-    """:func:`minimize_alpha` on a stack of objectives with as many axes each,
-    one row per objective.  ``evaluate_rows(rows, *coords)`` evaluates the
-    rows numbered ``rows`` at once, on open coordinates with a leading row
-    axis, and gives NaN at a NaN coordinate: rows shorter than others are
-    padded with NaN.  Each row keeps its own box, step, centre and best
-    value and runs the scans a search of its objective alone would, while
-    every scan covers all rows still zooming.  Returns, per row, its
-    SearchResult, or the EmptyDomain or DomainError its search raised.
+    """:func:`minimize_alpha` on a stack of objectives sharing one ``grid``,
+    one row per objective, each at its own exponent; rows shorter than
+    others are padded with NaN.  Each row keeps its own box, step, centre
+    and best value and runs the scans a search of its objective alone
+    would, while every scan covers all rows still zooming.  Returns, per
+    row, its SearchResult, or the EmptyDomain or DomainError its search
+    raised.
     """
     if not (0 < grid_step < math.inf and refine_tol > 0):
         raise OutOfRange("grid_step must be positive and finite, refine_tol positive")
@@ -385,7 +405,8 @@ def _minimize_rows(
         live.append(r)
     if not live:
         return outcomes
-    rows = np.array(live)
+    family = objectives[0].grid
+    exponents = np.array([objectives[r].p for r in live], dtype=float)
     # Each axis's rows, NaN-padded to the longest, and the box around them.
     axes = []
     for k in range(len(grids[0])):
@@ -397,7 +418,7 @@ def _minimize_rows(
     hi = np.array([[stop for _, _, stop in grid] for grid in grids])[:, :, None]
 
     evaluations = np.array([math.prod(ax.size for ax, _, _ in grid) for grid in grids])
-    grid_point, grid_value = _scan(evaluate_rows, rows, axes)
+    grid_point, grid_value = _scan(family, exponents, axes)
     point, best = grid_point.copy(), grid_value.copy()
     # The rows still zooming, by position in ``live``, with their centres,
     # the centres' values, steps and boxes.
@@ -418,7 +439,7 @@ def _minimize_rows(
             ax[offsets + _ZOOM >= counts[:, :, None]] = math.nan
         axes = [a[:, :n] for a, n in zip(ax.transpose(1, 0, 2), counts.max(axis=0))]
         evaluations[zoom] += counts.prod(axis=1)
-        found, low = _scan(evaluate_rows, rows[zoom], axes)
+        found, low = _scan(family, exponents[zoom], axes)
         lower = low < centre_value
         centre = np.where(lower[:, None], found, centre)
         centre_value = np.fmin(low, centre_value)
@@ -471,67 +492,61 @@ def minimize_alpha(
     ``refine_tol``.  Fully deterministic.  This is the stack of one of
     :func:`_minimize_rows`.
     """
-
-    def evaluate_rows(rows, *coords):
-        return np.asarray(objective.evaluate_grid(*(c[0] for c in coords)))[np.newaxis]
-
-    (outcome,) = _minimize_rows([objective], evaluate_rows, grid_step, refine_tol)
+    (outcome,) = _minimize_rows([objective], grid_step, refine_tol)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
+def _proportional_grid(p, v1, v2):
+    out = _proportional_ratio(v1, v2)
+    out[v1 + v2 < 1.0] = np.nan
+    return out
+
+
 def proportional_objective() -> AlphaObjective:
     """Ratio of the proportional rule over the crossed two-round family."""
-
-    def grid(v1, v2):
-        out = _proportional_ratio(v1, v2)
-        out[v1 + v2 < 1.0] = np.nan
-        return out
-
     return AlphaObjective(
         name="proportional",
         bounds=((0.0, 1.0), (0.0, 1.0)),
-        evaluate=lambda x: alpha_proportional(x[0], x[1]),
-        evaluate_grid=grid,
+        point=lambda p, v1, v2: alpha_proportional(v1, v2),
+        grid=_proportional_grid,
         p=1.0,
     )
+
+
+def _poly_two_round_grid(p, v1, v2):
+    out = _poly_two_round_ratio(p, v1, v2, np.maximum, np.minimum)
+    out[v1 + v2 <= 1.0] = np.nan
+    return out
 
 
 def poly_two_round_objective(p: float) -> AlphaObjective:
     """Ratio of the power-weighted rule over the crossed two-round family."""
     _check_exponent(p)
-
-    def grid(v1, v2):
-        out = _poly_two_round_ratio(p, v1, v2, np.maximum, np.minimum)
-        out[v1 + v2 <= 1.0] = np.nan
-        return out
-
     return AlphaObjective(
         name="poly-two-round",
         bounds=((0.0, 1.0), (0.0, 1.0)),
-        evaluate=lambda x: alpha_poly_two_round(p, x[0], x[1]),
-        evaluate_grid=grid,
-        p=p,
-    )
-
-
-def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
-    """The same ratio restricted to the symmetric diagonal v1 = v2."""
-    _check_exponent(p)
-
-    return AlphaObjective(
-        name="poly-two-round-diagonal",
-        bounds=((0.5, 1.0),),
-        evaluate=lambda x: alpha_poly_two_round(p, x[0], x[0]),
-        evaluate_grid=lambda v: _diagonal_grid(p, v),
+        point=alpha_poly_two_round,
+        grid=_poly_two_round_grid,
         p=p,
     )
 
 
 def _diagonal_grid(p, v):
-    """The two-round ratio on the diagonal v1 = v2, on grids."""
     return _poly_two_round_ratio(p, v, v, np.maximum, np.minimum)
+
+
+def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
+    """The same ratio restricted to the symmetric diagonal v1 = v2."""
+    _check_exponent(p)
+    return AlphaObjective(
+        name="poly-two-round-diagonal",
+        bounds=((0.5, 1.0),),
+        point=lambda p, v: alpha_poly_two_round(p, v, v),
+        grid=_diagonal_grid,
+        p=p,
+    )
 
 
 def guard_ratio_ceiling(p: float) -> float:
@@ -571,14 +586,21 @@ def guarded_cp1_objective(p: float) -> AlphaObjective:
     return AlphaObjective(
         name="guarded-cp1",
         bounds=((1.0, guard_ratio_ceiling(p)),),
-        evaluate=lambda x: alpha_guarded_cp1(p, x[0]),
-        evaluate_grid=lambda lam: _cp1_ratio(p, lam),
+        point=alpha_guarded_cp1,
+        grid=_cp1_ratio,
         p=p,
     )
 
 
+def _cp2_grid(p, lambda1, lambda2):
+    out, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, np.maximum)
+    out[(den <= 0.0) | (v1 < 0.0) | (v2 < 0.0) | (v3 < 0.0)] = np.nan
+    return out
+
+
 def guarded_cp2_objective(p: float, subcase: str = "mixed") -> AlphaObjective:
-    """Trip-at-round-2 ratio over one subcase region."""
+    """Trip-at-round-2 ratio over one subcase region; the box picks the
+    region, so both subcases share one grid."""
     ceiling = guard_ratio_ceiling(p)
     if subcase == "mixed":
         bounds = ((1.0, ceiling), (0.0, 1.0))
@@ -586,17 +608,11 @@ def guarded_cp2_objective(p: float, subcase: str = "mixed") -> AlphaObjective:
         bounds = ((1.0, ceiling), (1.0, 16.0))
     else:
         raise DomainError(f"unknown subcase {subcase!r}")
-
-    def grid(l1, l2):
-        out, v1, v2, v3, den = _cp2_ratio(p, l1, l2, subcase == "mixed", np.maximum)
-        out[(den <= 0.0) | (v1 < 0.0) | (v2 < 0.0) | (v3 < 0.0)] = np.nan
-        return out
-
     return AlphaObjective(
         name=f"guarded-cp2-{subcase.replace('_', '-')}",
         bounds=bounds,
-        evaluate=lambda x: alpha_guarded_cp2(p, x[0], x[1], subcase, slack=0.0),
-        evaluate_grid=grid,
+        point=functools.partial(alpha_guarded_cp2, subcase=subcase, slack=0.0),
+        grid=_cp2_grid,
         p=p,
     )
 
@@ -651,8 +667,7 @@ def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
     """Three-round instance on which the guard trips exactly at the end of round 2."""
     if lambda1 < 0.0 or lambda2 < 0.0:  # a float power would be complex
         raise DomainError(f"need lambda1, lambda2 >= 0, got ({lambda1!r}, {lambda2!r})")
-    # The subcase changes only the ratio, which the instance does not need.
-    _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, True, ENTRY_TOL)
+    _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, ENTRY_TOL)
     rows = [
         [max(v1, 0.0), lambda1 * max(v1, 0.0)],
         [max(v2, 0.0), lambda2 * max(v2, 0.0)],
@@ -867,24 +882,6 @@ class SweepRow:
     with_cp_alpha: float
 
 
-def _at_exponents(grid: Callable[..., np.ndarray], exponents: np.ndarray):
-    """The ``evaluate_rows`` of a stack of one family's objectives, row ``i``
-    at exponent ``exponents[i]``: ``grid(p, *coords)`` with the rows'
-    exponents as a column.  numpy raises an array to a scalar power of 0.5 or
-    2 by sqrt or square, whose last bits can differ from its power loop's, so
-    a row at either exponent is evaluated on its own with a scalar, as its
-    objective's own grid is."""
-
-    def evaluate_rows(rows, *coords):
-        p = exponents[rows, None]
-        out = grid(p, *coords)
-        for i in np.flatnonzero((p == 0.5) | (p == 2.0)):
-            out[i] = grid(float(p[i, 0]), *(c[i] for c in coords))
-        return out
-
-    return evaluate_rows
-
-
 def sweep_tradeoff_curves(
     p_values: Sequence[float],
     grid_step: float = GRID_STEP,
@@ -899,12 +896,8 @@ def sweep_tradeoff_curves(
     """
     for p in p_values:
         _check_exponent(p)
-    exponents = np.array(p_values, dtype=float)
     no_cp = _minimize_rows(
-        [poly_two_round_diagonal_objective(p) for p in p_values],
-        _at_exponents(_diagonal_grid, exponents),
-        grid_step,
-        refine_tol,
+        [poly_two_round_diagonal_objective(p) for p in p_values], grid_step, refine_tol
     )
     for outcome in no_cp:
         if isinstance(outcome, Exception):
@@ -917,9 +910,7 @@ def sweep_tradeoff_curves(
         except DomainError:
             continue
         trips.append(i)
-    outcomes = _minimize_rows(
-        objectives, _at_exponents(_cp1_ratio, exponents[trips]), grid_step, refine_tol
-    )
+    outcomes = _minimize_rows(objectives, grid_step, refine_tol)
     with_cp = [math.nan] * len(p_values)
     for i, outcome in zip(trips, outcomes):
         if isinstance(outcome, SearchResult):

@@ -39,6 +39,7 @@ from .errors import RoundFairError
 from .metrics import audit, doomsday_trace
 from .reporting import (
     RunRecord,
+    _sig12,
     emit_report,
     emit_table,
     parse_allocation,
@@ -125,7 +126,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_search(args) -> int:
     objective = objective_by_name(args.objective, args.p)
     result = minimize_alpha(objective, args.grid_step, args.refine_tol)
-    argmin = " ".join(f"{x:.12g}" for x in result.argmin)
+    argmin = " ".join(map(_sig12, result.argmin))
     sys.stdout.write(
         emit_table(
             ("objective", "p", "argmin", "value", "evaluations", "refined"),

@@ -23,11 +23,14 @@ sums, utilities against their targets or other bundles), ``ENTRY_TOL`` for
 one computed entry, ``TRIP_SLACK`` for the guard's within-round trip
 fraction, ``CLOSED_FORM_SLACK`` for round values derived from quoted
 parameters, and ``REFINE_TOL`` for the worst-case search's coordinates.
-Solver precisions used once, inside one routine, stay inline there.
+Solver precisions used once, inside one routine, stay inline there.  A
+caller's own ``tol`` or ``slack`` sits on the same scales and must be finite
+and nonnegative (:func:`check_tolerance`); 0 asks for no slack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ from .errors import (
     EmptyInstance,
     NegativeValue,
     NotNormalized,
+    OutOfRange,
     ValidationError,
 )
 
@@ -62,6 +66,14 @@ CLOSED_FORM_SLACK = 1e-3
 #: Default x-scale stop of the worst-case search's refine: the step of its
 #: last grid, in every coordinate.
 REFINE_TOL = 1e-9
+
+
+def check_tolerance(tol: float, name: str = "tol") -> None:
+    """Reject a caller's slack that is NaN, infinite or negative: NaN fails
+    every comparison, inf accepts anything, and a negative slack demands
+    more than the property asks."""
+    if not 0.0 <= tol < math.inf:
+        raise OutOfRange(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)

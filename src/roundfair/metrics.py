@@ -4,7 +4,8 @@ Fair-share asks every agent for 1/n of her own total value.  Includes the
 doomsday feasibility test: a mid-run state passes when a single allocation of
 each agent's entire remaining value could still lift everyone to that share,
 within the audit tolerance.  An online rule preserves fair-share exactly when
-every round of every run passes this test.
+every round of every run passes this test.  Every ``tol`` here must be finite
+and nonnegative; any other raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algorithms import GREEDY, _poly_fractions
-from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict
+from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict, check_tolerance
 from .errors import DimensionMismatch, ShapeMismatch, ValidationError
 
 
@@ -44,6 +45,7 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     under her own values, and is only reported when all rounds were fully
     allocated; otherwise it is None.
     """
+    check_tolerance(tol)
     u = utilities(instance, allocation)
     sw = float(np.add.reduce(u))
     opt = optimal_welfare(instance)
@@ -150,6 +152,7 @@ def doomsday_compatible(
     a state that fair-share accepts.  A bare state carries no totals, so the
     target is the normalized 1/n.
     """
+    check_tolerance(tol)
     u, rem = _state_arrays(utilities_so_far, remaining_values, n)
     return bool(_doomsday_ok(u, rem, 1.0 / n, tol))
 
@@ -169,6 +172,7 @@ def doomsday_witness(
     when the state is doomsday-compatible, in which case the shares sum to at
     most 1.  Its target is the normalized 1/n, as in the compatibility test.
     """
+    check_tolerance(tol)
     u, rem = _state_arrays(utilities_so_far, remaining_values, n)
     minimal = _minimal_shares(u, rem, 1.0 / n, tol)
     gap = _minimal_shares(u, rem, 1.0 / n, 0.0) - minimal
@@ -184,6 +188,7 @@ def doomsday_trace(
     instance: Instance, trace: RunTrace, tol: float = DEFAULT_TOL
 ) -> list[bool]:
     """Apply the doomsday test, against :func:`fair_share`, after every round."""
+    check_tolerance(tol)
     if trace.cumulative_utility.shape != instance.values.shape:
         raise ShapeMismatch("trace does not match this instance")
     return _doomsday_ok(

@@ -160,7 +160,7 @@ def _sig12(x: float) -> str:
 def _sig12_number(x: float):
     if math.isinf(x):
         return str(x)
-    return float(f"{x:.12g}")
+    return float(_sig12(x))
 
 
 def _record_cells(record: RunRecord) -> tuple:

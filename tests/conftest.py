@@ -131,7 +131,7 @@ def dense_grid_argmin(objective, grid_step):
         axes.append(ax)
     mesh = np.meshgrid(*axes, indexing="ij")
     with np.errstate(all="ignore"):
-        grid_vals = np.asarray(objective.evaluate_grid(*mesh), dtype=float)
+        grid_vals = np.asarray(objective.grid(objective.p, *mesh), dtype=float)
     best_flat = int(np.nanargmin(grid_vals))
     point = tuple(float(m.reshape(-1)[best_flat]) for m in mesh)
     return point, float(grid_vals.reshape(-1)[best_flat]), grid_vals.size

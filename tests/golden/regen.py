@@ -51,6 +51,8 @@ INSTANCES = (
     "files/unnormalized.txt",
     "files/dead-round.txt",
     "files/late-trip-40.txt",
+    "files/late-trip-small-p-40.txt",
+    "files/late-trip-200.txt",
 )
 
 VERIFY = (
@@ -115,8 +117,8 @@ BAD_SPECS = (
 
 #: The argument checks' error bytes: bad generator specs, unknown algorithm
 #: and objective names, rules or objectives called without ``--p``,
-#: exponents that are not finite, a grid too large for memory, and a sweep
-#: over no exponent.
+#: exponents that are not finite, a grid too large for memory, a sweep over
+#: no exponent, and tolerances that are NaN, infinite or negative.
 ERRORS = (
     *(("run", "--algorithm", "proportional", "--instance", spec) for spec in BAD_SPECS),
     *(
@@ -131,6 +133,18 @@ ERRORS = (
     ("search", "--objective", "guarded-cp1", "--p", "2.7", "--grid-step", "1e-17"),
     ("sweep", "--p-values", ""),
     ("sweep", "--p-values", ","),
+    (
+        "verify",
+        "--instance", "files/two-agents-5.txt",
+        "--allocation", "files/two-agents-5-equal.txt",
+        "--tol", "nan",
+    ),
+    ("run", "--algorithm", "proportional", "--instance", "two-round-symmetric:0.599", "--tol=-1"),
+    (
+        "doomsday", "--algorithm", "guarded", "--p", "2.7",
+        "--instance", "three-round-cp:0.76,0.97", "--tol", "inf",
+    ),
+    ("replay-lb", "--algorithm", "guarded", "--p", "2.7", "--tol", "nan"),
 )
 
 

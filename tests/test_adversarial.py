@@ -53,6 +53,7 @@ from roundfair.errors import (
     PNotAboveTwo,
 )
 from roundfair import adversarial
+from roundfair.core import REFINE_TOL
 from roundfair.adversarial import (
     _GRID_BLOCK_POINTS,
     AlphaObjective,
@@ -193,6 +194,15 @@ class TestClosedForms:
         with pytest.raises(InfeasibleClosedForm):
             alpha_guarded_cp2(2.7, 1.6, 6.0, "both_above")
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0, -1e-300])
+    def test_guarded_cp2_slack_must_be_finite_and_nonnegative(self, slack):
+        # A NaN slack fails every comparison, so this infeasible point once
+        # read 0.93728; a slack of 0 asks for exact feasibility.
+        with pytest.raises(OutOfRange, match="slack must be finite and nonnegative"):
+            alpha_guarded_cp2(2.7, 1.5, 0.05, "mixed", slack=slack)
+        with pytest.raises(InfeasibleClosedForm):
+            alpha_guarded_cp2(2.7, 1.5, 0.05, "mixed", slack=0.0)
+
 
 class TestMinimizeAlpha:
     def test_proportional_search(self):
@@ -229,8 +239,9 @@ class TestMinimizeAlpha:
         degenerate = AlphaObjective(
             name="degenerate",
             bounds=((0.5, 0.5),),
-            evaluate=lambda x: 1.0,
-            evaluate_grid=np.ones_like,
+            point=lambda p, x: 1.0,
+            grid=lambda p, x: np.ones_like(x),
+            p=1.0,
         )
         with pytest.raises(EmptyDomain):
             minimize_alpha(degenerate)
@@ -241,8 +252,9 @@ class TestMinimizeAlpha:
         narrow = AlphaObjective(
             name="narrow",
             bounds=((0.0, 1e-9),),
-            evaluate=lambda x: (x[0] - 1e-9) ** 2,
-            evaluate_grid=lambda x: (x - 1e-9) ** 2,
+            point=lambda p, x: (x - 1e-9) ** 2,
+            grid=lambda p, x: (x - 1e-9) ** 2,
+            p=1.0,
         )
         result = minimize_alpha(narrow)
         low, high = 0.25e-9, 1e-9 - 0.25e-9
@@ -303,7 +315,7 @@ class TestMinimizeAlpha:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         with np.errstate(all="ignore"):
-            grid = objective.evaluate_grid(*mesh)
+            grid = objective.grid(objective.p, *mesh)
         assert grid.shape == mesh[0].shape
         for k in range(grid.size):
             point = tuple(float(m.flat[k]) for m in mesh)
@@ -318,7 +330,7 @@ class TestMinimizeAlpha:
         for rows in (slice(None), slice(7, 40)):
             open_mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", sparse=True)
             with np.errstate(all="ignore"):
-                sparse = objective.evaluate_grid(*open_mesh)
+                sparse = objective.grid(objective.p, *open_mesh)
             np.testing.assert_array_equal(
                 np.broadcast_to(sparse, grid[rows].shape), grid[rows]
             )
@@ -328,21 +340,23 @@ def _counting(objective):
     """The objective with its grid calls recorded as their broadcast shapes."""
     shapes = []
 
-    def grid(*coords):
+    def grid(p, *coords):
         assert all(sum(n > 1 for n in c.shape) <= 1 for c in coords), "not open"
         shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
-        return objective.evaluate_grid(*coords)
+        return objective.grid(p, *coords)
 
-    return dataclasses.replace(objective, evaluate_grid=grid), shapes
+    return dataclasses.replace(objective, grid=grid), shapes
 
 
 def _synthetic(grid, dimension=2):
-    """A unit-box objective whose scalar form is its grid form on one point."""
+    """A unit-box objective whose scalar form is its grid form on one point;
+    ``grid`` takes no exponent."""
     return AlphaObjective(
         name="synthetic",
         bounds=((0.0, 1.0),) * dimension,
-        evaluate=lambda x: float(grid(*np.asarray(x, dtype=float))),
-        evaluate_grid=grid,
+        point=lambda p, *x: float(grid(*np.asarray(x, dtype=float))),
+        grid=lambda p, *coords: grid(*coords),
+        p=1.0,
     )
 
 
@@ -565,8 +579,8 @@ class TestLargeExponent:
 
     def test_grid_matches_the_scalar_ratio_at_p_5000(self):
         v = np.array([0.5, 0.862, 0.999])
-        two_round = poly_two_round_objective(5000).evaluate_grid(v[:, None], v[None, :])
-        diagonal = poly_two_round_diagonal_objective(5000).evaluate_grid(v)
+        two_round = poly_two_round_objective(5000).grid(5000, v[:, None], v[None, :])
+        diagonal = poly_two_round_diagonal_objective(5000).grid(5000, v)
         assert np.isnan(two_round[0, 0])  # v1 + v2 = 1 is outside the family
         for i, j in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 2)]:
             assert two_round[i, j] == alpha_poly_two_round(5000, v[i], v[j])
@@ -660,9 +674,9 @@ class TestFloatPath:
                 mixed = family == "cp2-mixed"
                 l1 = 1.0 + float(rng.random())
                 l2 = float(rng.random()) if mixed else 1.0 + 15.0 * float(rng.random())
-                on_floats = _cp2_ratio(p, l1, l2, mixed, max)
+                on_floats = _cp2_ratio(p, l1, l2, max)
                 with np.errstate(all="ignore"):
-                    on_numpy = _cp2_ratio(f64(p), f64(l1), f64(l2), mixed, np.maximum)
+                    on_numpy = _cp2_ratio(f64(p), f64(l1), f64(l2), np.maximum)
             assert all(type(v) is float for v in on_floats)
             assert _bits(on_floats) == _bits(on_numpy), (p, on_floats, on_numpy)
 
@@ -988,21 +1002,24 @@ class TestSweep:
     def test_stacked_blocks_stay_within_budget(self, monkeypatch):
         # The analysis sweep's 101 exponents and one far above: each curve
         # scans whole rows at once, within the block budget, in a few dozen
-        # scans where one search per exponent took about 2,000.
+        # scans where one search per exponent took about 2,000.  Every grid
+        # call on arrays is recorded: a block of several rows, with the
+        # exponents as a column, and a block of one row or a row at p = 2
+        # evaluated on its own, with a float.  The trip family's body also
+        # runs on floats, at each argmin; those calls are not blocks.
         shapes = []
-        at_exponents = adversarial._at_exponents
 
-        def recorded(grid, exponents):
-            evaluate_rows = at_exponents(grid, exponents)
-
-            def record(rows, *coords):
-                shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
-                assert len(rows) == shapes[-1][0]
-                return evaluate_rows(rows, *coords)
+        def recorded(grid):
+            def record(p, *coords):
+                if isinstance(coords[0], np.ndarray):
+                    shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
+                    assert np.ndim(p) == 0 or p.shape == shapes[-1][:1] + (1,)
+                return grid(p, *coords)
 
             return record
 
-        monkeypatch.setattr(adversarial, "_at_exponents", recorded)
+        for name in ("_diagonal_grid", "_cp1_ratio"):
+            monkeypatch.setattr(adversarial, name, recorded(getattr(adversarial, name)))
         sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)] + [5000.0])
         assert max(math.prod(shape) for shape in shapes) <= _GRID_BLOCK_POINTS
         assert shapes[0] == (102, 501)
@@ -1041,6 +1058,87 @@ class TestSweep:
             assert ratio > curve + 0.01
             exact = minimize_alpha(guarded_cp1_objective(p), 1e-3, 1e-9).value
             assert exact == pytest.approx(curve, abs=2e-3)
+
+
+#: Each closed-form family with the exponents its stack is tested at: the
+#: two-round families below, at and above 2, the trip families from the
+#: first float above 2 up.  The proportional rule's ratio takes no exponent,
+#: so its rows differ only in the one its grid is handed.
+_TWO_ROUND_P = (0.5, 1.0, 2.0, 2.7, 5000.0)
+_TRIP_P = (math.nextafter(2.0, 3.0), 2.000001, 2.7, 3.0, 50.0)
+_FAMILIES = {
+    "proportional": (lambda p: dataclasses.replace(proportional_objective(), p=p), _TWO_ROUND_P),
+    "poly-two-round": (poly_two_round_objective, _TWO_ROUND_P),
+    "poly-two-round-diagonal": (poly_two_round_diagonal_objective, _TWO_ROUND_P),
+    "guarded-cp1": (guarded_cp1_objective, _TRIP_P),
+    "guarded-cp2-mixed": (lambda p: guarded_cp2_objective(p, "mixed"), _TRIP_P),
+    "guarded-cp2-both-above": (lambda p: guarded_cp2_objective(p, "both_above"), _TRIP_P),
+}
+
+
+def _cp2_ratio_by_region(p, lambda1, lambda2, mixed, maximum):
+    """The trip-at-round-2 body with its optimum written out per region:
+    ``2 - v1 - v2 lambda2`` in the mixed region, ``2 - v1 - v2`` where both
+    ratios exceed 1."""
+    m2 = maximum(1.0, lambda2)
+    a = lambda1**-p
+    b = m2**-p
+    c = (lambda2 / m2) ** p
+    d = c / lambda2
+    den = b + c - d * (lambda1 * (a + 1.0))
+    v1 = (b + c - 2.0 * d) * (0.5 * (a + 1.0)) / den
+    v2 = (1.0 - v1 * lambda1) / lambda2
+    v3 = 1.0 - v1 - v2
+    alg = 0.5 + v1 * (lambda1 / (1.0 + a)) + v2 * (lambda2 * c / (b + c))
+    opt = 2.0 - v1 - v2 * lambda2 if mixed else 2.0 - v1 - v2
+    return alg / opt, v1, v2, v3, den
+
+
+class TestEveryFamilyStacks:
+    @pytest.mark.parametrize("grid_step", [5e-3, 2e-2])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_stacked_rows_equal_single_searches(self, family, grid_step, rng):
+        # Objectives sharing a grid stack into one search, whatever the
+        # family; each row must be its own search, bit for bit, or raise
+        # what that search raises.
+        build, ps = _FAMILIES[family]
+        objectives = [build(p) for p in ps]
+        outcomes = adversarial._minimize_rows(objectives, grid_step, REFINE_TOL)
+        assert len(outcomes) == len(objectives)
+        for objective, outcome in zip(objectives, outcomes):
+            try:
+                alone = minimize_alpha(objective, grid_step)
+            except (DomainError, EmptyDomain) as exc:
+                assert type(outcome) is type(exc), objective.p
+                assert str(outcome) == str(exc), objective.p
+                continue
+            assert outcome == alone, objective.p
+        if not family.startswith("guarded-cp2"):
+            return
+        # One body serves both regions: its optimum 2 - v1 - v2 r2 equals the
+        # per-region one bit for bit, on floats and on arrays, at one
+        # exponent and at a column of them.
+        mixed = family == "guarded-cp2-mixed"
+        for objective in objectives:
+            (lo1, hi1), (lo2, hi2) = objective.bounds
+            l1 = rng.uniform(lo1, hi1, 200)
+            l2 = rng.uniform(lo2, hi2, 200)
+            p = objective.p
+            for x, y in zip(l1.tolist(), l2.tolist()):
+                assert _bits(_cp2_ratio(p, x, y, max)) == _bits(
+                    _cp2_ratio_by_region(p, x, y, mixed, max)
+                ), (p, x, y)
+            with np.errstate(all="ignore"):
+                got = _cp2_ratio(p, l1, l2, np.maximum)
+                want = _cp2_ratio_by_region(p, l1, l2, mixed, np.maximum)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], p
+        # A stack hands the body a column of exponents; here against the
+        # last box's points.
+        column = np.array(_TRIP_P)[:, None]
+        with np.errstate(all="ignore"):
+            got = _cp2_ratio(column, l1, l2, np.maximum)
+            want = _cp2_ratio_by_region(column, l1, l2, mixed, np.maximum)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 class TestObjectiveRange:

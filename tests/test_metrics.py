@@ -26,7 +26,7 @@ from roundfair import (
     validate_allocation,
     validate_instance,
 )
-from roundfair.errors import DimensionMismatch, ShapeMismatch, ValidationError
+from roundfair.errors import DimensionMismatch, OutOfRange, ShapeMismatch, ValidationError
 from roundfair.core import DEFAULT_TOL
 from roundfair.metrics import fair_share
 from conftest import (
@@ -198,6 +198,34 @@ class TestFairShareTarget:
             remaining_value=np.array([[0.1, 0.05], [0.0, 0.0]]),
         )
         assert doomsday_trace(self.LOPSIDED, trace) == [False, False]
+
+
+class TestToleranceIsChecked:
+    """A tol that is NaN, infinite or negative is rejected: NaN failed every
+    comparison, so an exact equal split read as unfair, and inf accepted
+    anything, a stranded state included.  A tol of 0 asks for no slack."""
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejected_by_every_check(self, tol):
+        trace = run_poly(ORTHOGONAL, 0.0)
+        calls = [
+            lambda: audit(ORTHOGONAL, EQUAL_SPLIT, tol),
+            lambda: doomsday_trace(ORTHOGONAL, trace, tol),
+            lambda: doomsday_compatible([0.0, 0.0], [0.0, 0.0], 2, tol),
+            lambda: doomsday_witness([0.5, 0.5], [0.5, 0.5], 2, tol),
+        ]
+        for call in calls:
+            with pytest.raises(OutOfRange, match="tol must be finite and nonnegative"):
+                call()
+
+    def test_zero_asks_for_no_slack(self):
+        verdict = audit(ORTHOGONAL, EQUAL_SPLIT, 0.0)
+        assert verdict.fair_share_ok and verdict.envy_free_ok
+        assert verdict.tolerance == 0.0
+        assert doomsday_trace(ORTHOGONAL, run_poly(ORTHOGONAL, 0.0), 0.0) == [True, True]
+        assert doomsday_compatible([0.5, 0.5], [0.0, 0.0], 2, 0.0)
+        assert not doomsday_compatible([0.5 - 1e-12, 0.5], [0.0, 0.0], 2, 0.0)
+        assert doomsday_witness([0.25, 0.5], [0.5, 0.5], 2, 0.0).tolist() == [0.5, 0.0]
 
 
 class TestDoomsdayCompatible:
