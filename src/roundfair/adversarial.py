@@ -380,9 +380,7 @@ def _grid_axis(objective: AlphaObjective, lo: float, hi: float, grid_step: float
     return ax, start, stop
 
 
-def _minimize_rows(
-    objectives: Sequence[AlphaObjective], grid_step: float, refine_tol: float
-) -> list:
+def _minimize_rows(objectives: Sequence[AlphaObjective], grid_step: float) -> list:
     """:func:`minimize_alpha` on a stack of objectives sharing one ``grid``,
     one row per objective, each at its own exponent; rows shorter than
     others are padded with NaN.  Each row keeps its own box, step, centre
@@ -391,8 +389,8 @@ def _minimize_rows(
     row, its SearchResult, or the EmptyDomain or DomainError its search
     raised.
     """
-    if not (0 < grid_step < math.inf and refine_tol > 0):
-        raise OutOfRange("grid_step must be positive and finite, refine_tol positive")
+    if not 0 < grid_step < math.inf:
+        raise OutOfRange("grid_step must be positive and finite")
 
     outcomes: list = [None] * len(objectives)
     live, grids = [], []
@@ -422,7 +420,7 @@ def _minimize_rows(
     point, best = grid_point.copy(), grid_value.copy()
     # The rows still zooming, by position in ``live``, with their centres,
     # the centres' values, steps and boxes.
-    zoom = np.flatnonzero(~np.isnan(grid_value) & (grid_step > refine_tol))
+    zoom = np.flatnonzero(~np.isnan(grid_value) & (grid_step > REFINE_TOL))
     centre, centre_value = point[zoom], best[zoom]
     step = np.full(zoom.size, grid_step / _ZOOM)
     lo, hi = lo[zoom], hi[zoom]
@@ -444,8 +442,8 @@ def _minimize_rows(
         centre = np.where(lower[:, None], found, centre)
         centre_value = np.fmin(low, centre_value)
         # A row whose centre holds shrinks its step, or stops once the step
-        # is at most refine_tol.
-        stays = lower | (step > refine_tol)
+        # is at most REFINE_TOL.
+        stays = lower | (step > REFINE_TOL)
         step = np.where(lower, step, step / _ZOOM)
         if not stays.all():
             point[zoom], best[zoom] = centre, centre_value
@@ -475,11 +473,7 @@ def _minimize_rows(
     return outcomes
 
 
-def minimize_alpha(
-    objective: AlphaObjective,
-    grid_step: float = GRID_STEP,
-    refine_tol: float = REFINE_TOL,
-) -> SearchResult:
+def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> SearchResult:
     """Minimize a ratio objective: a grid scan, then a zoom on shrinking grids.
 
     The grid covers the domain shrunk on each side by ``margin``, or by a
@@ -489,10 +483,10 @@ def minimize_alpha(
     the best point, clipped to the shrunk box.  While a rescan finds a
     strictly lower value it re-centres there at the same step; once the
     point holds, the step shrinks again, until it is at most
-    ``refine_tol``.  Fully deterministic.  This is the stack of one of
+    ``REFINE_TOL``.  Fully deterministic.  This is the stack of one of
     :func:`_minimize_rows`.
     """
-    (outcome,) = _minimize_rows([objective], grid_step, refine_tol)
+    (outcome,) = _minimize_rows([objective], grid_step)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -618,8 +612,11 @@ def guarded_cp2_objective(p: float, subcase: str = "mixed") -> AlphaObjective:
 
 
 def objective_by_name(name: str, p: float | None = None) -> AlphaObjective:
-    """Resolve a CLI-style objective name."""
+    """Resolve a CLI-style objective name, with ``--p`` for every objective
+    but the proportional rule's, whose exponent is fixed."""
     if name == "proportional":
+        if p is not None:
+            raise DomainError(f"objective {name!r} has a fixed exponent and takes no --p")
         return proportional_objective()
     needs_p = {
         "poly-two-round": poly_two_round_objective,
@@ -883,9 +880,7 @@ class SweepRow:
 
 
 def sweep_tradeoff_curves(
-    p_values: Sequence[float],
-    grid_step: float = GRID_STEP,
-    refine_tol: float = REFINE_TOL,
+    p_values: Sequence[float], grid_step: float = GRID_STEP
 ) -> list[SweepRow]:
     """Trace both worst-case curves across exponents, any finite p > 0.
 
@@ -896,9 +891,7 @@ def sweep_tradeoff_curves(
     """
     for p in p_values:
         _check_exponent(p)
-    no_cp = _minimize_rows(
-        [poly_two_round_diagonal_objective(p) for p in p_values], grid_step, refine_tol
-    )
+    no_cp = _minimize_rows([poly_two_round_diagonal_objective(p) for p in p_values], grid_step)
     for outcome in no_cp:
         if isinstance(outcome, Exception):
             raise outcome
@@ -910,7 +903,7 @@ def sweep_tradeoff_curves(
         except DomainError:
             continue
         trips.append(i)
-    outcomes = _minimize_rows(objectives, grid_step, refine_tol)
+    outcomes = _minimize_rows(objectives, grid_step)
     with_cp = [math.nan] * len(p_values)
     for i, outcome in zip(trips, outcomes):
         if isinstance(outcome, SearchResult):

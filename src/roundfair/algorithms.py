@@ -233,6 +233,8 @@ def algorithm_by_name(name: str, p: float | None = None) -> Algorithm:
     """Resolve a CLI-style algorithm name, with ``--p`` for the generic rules."""
     fixed = {a.name: a for a in builtin_algorithms() if not a.guarded}
     if name in fixed:
+        if p is not None:
+            raise ValidationError(f"algorithm {name!r} has a fixed exponent and takes no --p")
         return fixed[name]
     if name in ("poly", "guarded"):
         if p is None:

@@ -30,11 +30,7 @@ from .adversarial import (
     two_round_instance,
 )
 from .algorithms import algorithm_by_name
-from .core import (
-    DEFAULT_TOL,
-    REFINE_TOL,
-    Instance,
-)
+from .core import DEFAULT_TOL, Instance
 from .errors import RoundFairError
 from .metrics import audit, doomsday_trace
 from .reporting import (
@@ -84,7 +80,7 @@ def _cmd_run(args) -> int:
             RunRecord(
                 algorithm=algorithm.name,
                 p=algorithm.p,
-                instance_name=args.name or name,
+                instance_name=name,
                 verdict=verdict,
                 critical_event=trace.critical_event,
             )
@@ -112,7 +108,7 @@ def _cmd_sweep(args) -> int:
     p_values = [float(x) for x in args.p_values.split(",") if x.strip()]
     if not p_values:
         raise RoundFairError(f"--p-values needs at least one exponent, got {args.p_values!r}")
-    rows = sweep_tradeoff_curves(p_values, args.grid_step, args.refine_tol)
+    rows = sweep_tradeoff_curves(p_values, args.grid_step)
     sys.stdout.write(
         emit_table(
             ("p", "no_cp_alpha", "with_cp_alpha"),
@@ -125,7 +121,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_search(args) -> int:
     objective = objective_by_name(args.objective, args.p)
-    result = minimize_alpha(objective, args.grid_step, args.refine_tol)
+    result = minimize_alpha(objective, args.grid_step)
     argmin = " ".join(map(_sig12, result.argmin))
     sys.stdout.write(
         emit_table(
@@ -210,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--p", type=float, default=None)
     run.add_argument("--instance", required=True,
                      help="file path or generator spec, e.g. two-round-symmetric:0.599")
-    run.add_argument("--name", default=None, help="override the instance name in the report")
     run.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_common(run)
     run.set_defaults(func=_cmd_run)
@@ -225,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="trace the worst-case trade-off curves over p")
     sweep.add_argument("--p-values", required=True, help="comma-separated exponents, each finite and > 0")
     sweep.add_argument("--grid-step", type=float, default=GRID_STEP)
-    sweep.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     add_common(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -233,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--objective", required=True)
     search.add_argument("--p", type=float, default=None)
     search.add_argument("--grid-step", type=float, default=GRID_STEP)
-    search.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     add_common(search)
     search.set_defaults(func=_cmd_search)
 

@@ -63,8 +63,8 @@ TRIP_SLACK = 1e-9
 #: point is rejected.
 CLOSED_FORM_SLACK = 1e-3
 
-#: Default x-scale stop of the worst-case search's refine: the step of its
-#: last grid, in every coordinate.
+#: X-scale stop of the worst-case search's refine: the step of its last
+#: grid, in every coordinate.
 REFINE_TOL = 1e-9
 
 
@@ -109,14 +109,6 @@ class Allocation:
     """
 
     fractions: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.fractions.shape[1]
-
-    @property
-    def num_rounds(self) -> int:
-        return self.fractions.shape[0]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class ShapeMismatch(ValidationError):
 
 
 class DimensionMismatch(ValidationError):
-    """Vector lengths disagree with the stated agent count."""
+    """State vectors are empty, not 1-d, or of different lengths."""
 
 
 class NotTwoAgents(ValidationError):

@@ -85,14 +85,15 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     )
 
 
-def _state_arrays(utilities_so_far, remaining_values, n: int):
+def _state_arrays(utilities_so_far, remaining_values):
     """One state's utilities and remaining values as finite float arrays of
-    shape ``(n,)``."""
+    one shape ``(n,)``, n >= 1."""
     u = np.asarray(utilities_so_far, dtype=float)
     rem = np.asarray(remaining_values, dtype=float)
-    if u.shape != (n,) or rem.shape != (n,):
+    if u.ndim != 1 or u.size == 0 or rem.shape != u.shape:
         raise DimensionMismatch(
-            f"expected {n} utilities and remaining values, got {u.shape} and {rem.shape}"
+            "expected one non-empty vector each of utilities and remaining values, "
+            f"got shapes {u.shape} and {rem.shape}"
         )
     if not (np.isfinite(u).all() and np.isfinite(rem).all()):
         raise ValidationError("utilities and remaining values must be finite")
@@ -137,7 +138,7 @@ def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarr
 
 
 def doomsday_compatible(
-    utilities_so_far, remaining_values, n: int, tol: float = DEFAULT_TOL
+    utilities_so_far, remaining_values, *, tol: float = DEFAULT_TOL
 ) -> bool:
     """Can one last round carrying all remaining value still rescue fair-share?
 
@@ -150,15 +151,15 @@ def doomsday_compatible(
     minimal shares sum to at most 1.  Putting the slack on the utilities rather than on the share
     sum keeps a roundoff-sized deficit against a small remainder from failing
     a state that fair-share accepts.  A bare state carries no totals, so the
-    target is the normalized 1/n.
+    target is the normalized 1/n, with n the length of both vectors.
     """
     check_tolerance(tol)
-    u, rem = _state_arrays(utilities_so_far, remaining_values, n)
-    return bool(_doomsday_ok(u, rem, 1.0 / n, tol))
+    u, rem = _state_arrays(utilities_so_far, remaining_values)
+    return bool(_doomsday_ok(u, rem, 1.0 / u.size, tol))
 
 
 def doomsday_witness(
-    utilities_so_far, remaining_values, n: int, tol: float = DEFAULT_TOL
+    utilities_so_far, remaining_values, *, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Single-round shares that restore fair-share from a compatible state.
 
@@ -173,9 +174,9 @@ def doomsday_witness(
     most 1.  Its target is the normalized 1/n, as in the compatibility test.
     """
     check_tolerance(tol)
-    u, rem = _state_arrays(utilities_so_far, remaining_values, n)
-    minimal = _minimal_shares(u, rem, 1.0 / n, tol)
-    gap = _minimal_shares(u, rem, 1.0 / n, 0.0) - minimal
+    u, rem = _state_arrays(utilities_so_far, remaining_values)
+    minimal = _minimal_shares(u, rem, 1.0 / u.size, tol)
+    gap = _minimal_shares(u, rem, 1.0 / u.size, 0.0) - minimal
     total_gap = gap.sum()
     lift = 0.0
     if total_gap > 0.0:

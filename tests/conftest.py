@@ -73,20 +73,18 @@ def guarded_reference(values, p):
     return fractions, None
 
 
-def doomsday_maintained(
-    utilities_so_far, remaining_values, next_round_values, n, tol=DEFAULT_TOL
-):
+def doomsday_maintained(utilities_so_far, remaining_values, next_round_values, tol=DEFAULT_TOL):
     """Re-check compatibility after advancing one round with the witness.
 
     From a compatible state, applying the ``doomsday_witness`` shares to the
     next round's values and re-testing must succeed again; a compatible state
     can always be carried forward.
     """
-    witness = doomsday_witness(utilities_so_far, remaining_values, n, tol)
+    witness = doomsday_witness(utilities_so_far, remaining_values, tol=tol)
     v = np.asarray(next_round_values, dtype=float)
     u_next = np.asarray(utilities_so_far, dtype=float) + v * witness
     rem_next = np.asarray(remaining_values, dtype=float) - v
-    return doomsday_compatible(u_next, rem_next, n, tol)
+    return doomsday_compatible(u_next, rem_next, tol=tol)
 
 
 def dense_fair_share_lp(instance):

@@ -118,7 +118,8 @@ BAD_SPECS = (
 #: The argument checks' error bytes: bad generator specs, unknown algorithm
 #: and objective names, rules or objectives called without ``--p``,
 #: exponents that are not finite, a grid too large for memory, a sweep over
-#: no exponent, and tolerances that are NaN, infinite or negative.
+#: no exponent, tolerances that are NaN, infinite or negative, and ``--p``
+#: given to a rule or objective whose exponent is fixed.
 ERRORS = (
     *(("run", "--algorithm", "proportional", "--instance", spec) for spec in BAD_SPECS),
     *(
@@ -145,6 +146,16 @@ ERRORS = (
         "--instance", "three-round-cp:0.76,0.97", "--tol", "inf",
     ),
     ("replay-lb", "--algorithm", "guarded", "--p", "2.7", "--tol", "nan"),
+    *(
+        ("run", "--algorithm", name, "--p", "3", "--instance", "two-round-symmetric:0.599")
+        for name in ("equal-split", "proportional", "quadratic", "greedy")
+    ),
+    ("search", "--objective", "proportional", "--p", "3"),
+    ("replay-lb", "--algorithm", "greedy", "--p", "0.5"),
+    (
+        "doomsday", "--algorithm", "equal-split", "--p", "0",
+        "--instance", "two-round-symmetric:0.599",
+    ),
 )
 
 

@@ -47,8 +47,7 @@ def _criterion(num, name, limit_s):
 
 
 def _run_search_command(objective, p=None):
-    args = ["search", "--objective", objective, "--grid-step", "1e-3",
-            "--refine-tol", "1e-9"]
+    args = ["search", "--objective", objective, "--grid-step", "1e-3"]
     if p is not None:
         args += ["--p", str(p)]
     header, row = _cli_output(args).strip().split("\n")
@@ -182,7 +181,6 @@ def test_criterion_09_doomsday_characterization():
                         trace.cumulative_utility[t],
                         trace.remaining_value[t],
                         inst.values[t + 1],
-                        2,
                         1e-9,
                     ), (algorithm.name, k, t)
 

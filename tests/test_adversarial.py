@@ -53,7 +53,6 @@ from roundfair.errors import (
     PNotAboveTwo,
 )
 from roundfair import adversarial
-from roundfair.core import REFINE_TOL
 from roundfair.adversarial import (
     _GRID_BLOCK_POINTS,
     AlphaObjective,
@@ -289,13 +288,10 @@ class TestMinimizeAlpha:
         with pytest.raises(OutOfRange, match="grid_step"):
             minimize_alpha(guarded_cp1_objective(2.7), grid_step)
 
-    @pytest.mark.parametrize(
-        "grid_step, refine_tol",
-        [(math.nan, 1e-9), (1e-2, math.nan), (1e-2, -1.0), (math.inf, 1e-9)],
-    )
-    def test_nan_or_negative_tolerances_rejected(self, grid_step, refine_tol):
+    @pytest.mark.parametrize("grid_step", [math.nan, math.inf])
+    def test_nan_or_infinite_grid_step_rejected(self, grid_step):
         with pytest.raises(OutOfRange):
-            minimize_alpha(proportional_objective(), grid_step, refine_tol)
+            minimize_alpha(proportional_objective(), grid_step)
 
     def test_grid_of_box_corners_is_refined(self):
         # A step of 2 leaves only the corners of the box, and the best,
@@ -828,6 +824,19 @@ class TestLowerBound:
         assert not verdict.fair_share_violated
         assert min(verdict.ratio1, verdict.ratio2) < 0.933
 
+    def test_runner_that_looks_ahead_is_flagged(self):
+        # Equal split on the two-round branch, greedy on the three-round one:
+        # round 1 gets 0.5 and 1.0 of the same item, which no online rule does.
+        def runner(instance):
+            return run_poly(instance, 0.0 if instance.num_rounds == 2 else GREEDY)
+
+        verdict = replay_lower_bound(runner)
+        assert verdict.explanation == (
+            "warning: round-1 decisions differ across branches "
+            "(0.500000 vs 1.000000); allocator is not online. "
+            "x11 = 0.5000 < 0.6977, so branch 1 caps the welfare ratio"
+        )
+
 
 class TestMultiAgent:
     def test_construction_shape_and_totals(self):
@@ -1056,7 +1065,7 @@ class TestSweep:
             assert trace.critical_event is None
             ratio = audit(inst, trace.allocation).ratio
             assert ratio > curve + 0.01
-            exact = minimize_alpha(guarded_cp1_objective(p), 1e-3, 1e-9).value
+            exact = minimize_alpha(guarded_cp1_objective(p), 1e-3).value
             assert exact == pytest.approx(curve, abs=2e-3)
 
 
@@ -1103,7 +1112,7 @@ class TestEveryFamilyStacks:
         # what that search raises.
         build, ps = _FAMILIES[family]
         objectives = [build(p) for p in ps]
-        outcomes = adversarial._minimize_rows(objectives, grid_step, REFINE_TOL)
+        outcomes = adversarial._minimize_rows(objectives, grid_step)
         assert len(outcomes) == len(objectives)
         for objective, outcome in zip(objectives, outcomes):
             try:
@@ -1139,6 +1148,15 @@ class TestEveryFamilyStacks:
             got = _cp2_ratio(column, l1, l2, np.maximum)
             want = _cp2_ratio_by_region(column, l1, l2, mixed, np.maximum)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+class TestObjectiveByName:
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_proportional_rejects_p(self, p):
+        # Its exponent is fixed at 1: `search --objective proportional --p 3`
+        # once searched p = 1 and exited 0.
+        with pytest.raises(DomainError, match="takes no --p"):
+            adversarial.objective_by_name("proportional", p)
 
 
 class TestObjectiveRange:

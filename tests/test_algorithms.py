@@ -588,6 +588,14 @@ class TestAlgorithmRegistry:
         with pytest.raises(ValidationError):
             algorithm_by_name("nope")
 
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    @pytest.mark.parametrize("name", ["equal-split", "proportional", "quadratic", "greedy"])
+    def test_fixed_rules_reject_p(self, name, p):
+        # An exponent given to a fixed rule was once dropped without a word,
+        # so `run --algorithm proportional --p 3` reported p = 1.
+        with pytest.raises(ValidationError, match="takes no --p"):
+            algorithm_by_name(name, p)
+
 
 class TestDeskScale:
     def test_long_two_agent_run(self, rng):

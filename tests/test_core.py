@@ -88,7 +88,7 @@ class TestValidateInstance:
 class TestValidateAllocation:
     def test_accepts_partial_rows(self):
         alloc = validate_allocation([[0.25, 0.25], [0.0, 1.0]])
-        assert alloc.n == 2
+        assert alloc.fractions.shape == (2, 2)
 
     def test_rejects_oversubscribed_round(self):
         with pytest.raises(ValidationError):

@@ -211,8 +211,8 @@ class TestToleranceIsChecked:
         calls = [
             lambda: audit(ORTHOGONAL, EQUAL_SPLIT, tol),
             lambda: doomsday_trace(ORTHOGONAL, trace, tol),
-            lambda: doomsday_compatible([0.0, 0.0], [0.0, 0.0], 2, tol),
-            lambda: doomsday_witness([0.5, 0.5], [0.5, 0.5], 2, tol),
+            lambda: doomsday_compatible([0.0, 0.0], [0.0, 0.0], tol=tol),
+            lambda: doomsday_witness([0.5, 0.5], [0.5, 0.5], tol=tol),
         ]
         for call in calls:
             with pytest.raises(OutOfRange, match="tol must be finite and nonnegative"):
@@ -223,29 +223,45 @@ class TestToleranceIsChecked:
         assert verdict.fair_share_ok and verdict.envy_free_ok
         assert verdict.tolerance == 0.0
         assert doomsday_trace(ORTHOGONAL, run_poly(ORTHOGONAL, 0.0), 0.0) == [True, True]
-        assert doomsday_compatible([0.5, 0.5], [0.0, 0.0], 2, 0.0)
-        assert not doomsday_compatible([0.5 - 1e-12, 0.5], [0.0, 0.0], 2, 0.0)
-        assert doomsday_witness([0.25, 0.5], [0.5, 0.5], 2, 0.0).tolist() == [0.5, 0.0]
+        assert doomsday_compatible([0.5, 0.5], [0.0, 0.0], tol=0.0)
+        assert not doomsday_compatible([0.5 - 1e-12, 0.5], [0.0, 0.0], tol=0.0)
+        assert doomsday_witness([0.25, 0.5], [0.5, 0.5], tol=0.0).tolist() == [0.5, 0.0]
 
 
 class TestDoomsdayCompatible:
     def test_no_deficit(self):
-        assert doomsday_compatible([0.5, 0.5], [0.2, 0.9], 2)
+        assert doomsday_compatible([0.5, 0.5], [0.2, 0.9])
 
     def test_unreachable_deficit(self):
-        assert not doomsday_compatible([0.0, 0.0], [0.4, 0.9], 2)
+        assert not doomsday_compatible([0.0, 0.0], [0.4, 0.9])
 
     def test_joint_deficits_fit(self):
         # minimal shares 0.2/0.4 + 0.3/0.8 = 0.875 <= 1
-        assert doomsday_compatible([0.3, 0.2], [0.4, 0.8], 2)
+        assert doomsday_compatible([0.3, 0.2], [0.4, 0.8])
 
     def test_deficit_with_nothing_left(self):
-        assert not doomsday_compatible([0.4, 0.6], [0.0, 0.1], 2)
-        assert doomsday_compatible([0.5 - 1e-12, 0.6], [0.0, 0.1], 2)
+        assert not doomsday_compatible([0.4, 0.6], [0.0, 0.1])
+        assert doomsday_compatible([0.5 - 1e-12, 0.6], [0.0, 0.1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            doomsday_compatible([0.5, 0.5, 0.5], [0.1, 0.1], 2)
+            doomsday_compatible([0.5, 0.5, 0.5], [0.1, 0.1])
+
+    @pytest.mark.parametrize("function", [doomsday_compatible, doomsday_witness])
+    @pytest.mark.parametrize(
+        "state", [([], []), ([[0.5, 0.5]], [[0.1, 0.1]]), (0.5, 0.1)], ids=["empty", "2d", "0d"]
+    )
+    def test_state_must_be_one_nonempty_vector_each(self, function, state):
+        # The agent count is the vectors' length; an empty state once
+        # divided by n = 0.
+        with pytest.raises(DimensionMismatch):
+            function(*state)
+
+    @pytest.mark.parametrize("function", [doomsday_compatible, doomsday_witness])
+    def test_tol_is_keyword_only(self, function):
+        # A call that still passes the agent count must not read it as tol.
+        with pytest.raises(TypeError):
+            function([0.5, 0.5], [0.1, 0.1], 2)
 
     @pytest.mark.parametrize("function", [doomsday_compatible, doomsday_witness])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -256,19 +272,19 @@ class TestDoomsdayCompatible:
         state = [[0.0, 0.5], [0.5, 0.5]]
         state[argument][0] = bad
         with pytest.raises(ValidationError, match="finite"):
-            function(*state, 2)
+            function(*state)
 
     def test_slack_is_on_the_utility_scale(self):
         # The deficit exceeds the small remainder by roundoff only: a last
         # round lifts agent 0 to within tol of 1/2, which fair-share accepts.
         rem = 1e-5
-        assert doomsday_compatible([0.5 - rem * (1 + 2e-9), 0.6], [rem, 0.1], 2, 1e-9)
+        assert doomsday_compatible([0.5 - rem * (1 + 2e-9), 0.6], [rem, 0.1], tol=1e-9)
         # Short by more than tol on the utility scale fails, however small.
-        assert not doomsday_compatible([0.5 - rem - 2e-9, 0.6], [rem, 0.1], 2, 1e-9)
+        assert not doomsday_compatible([0.5 - rem - 2e-9, 0.6], [rem, 0.1], tol=1e-9)
         # No second slack on the share sum: a lone share of 1 + 5e-10 fails.
         rem = (0.5 - 1e-9) / (1 + 5e-10)
-        assert not doomsday_compatible([0.0, 0.6], [rem, 0.1], 2, 1e-9)
-        assert doomsday_compatible([0.0, 0.6], [rem * (1 + 1e-9), 0.1], 2, 1e-9)
+        assert not doomsday_compatible([0.0, 0.6], [rem, 0.1], tol=1e-9)
+        assert doomsday_compatible([0.0, 0.6], [rem * (1 + 1e-9), 0.1], tol=1e-9)
 
     def test_matches_grid_oracle(self, rng):
         # exhaustive one-round allocations at resolution 1/4000 for n = 2
@@ -283,7 +299,7 @@ class TestDoomsdayCompatible:
             # skip states the grid cannot settle
             if abs(margins.max()) < 1e-3:
                 continue
-            assert doomsday_compatible(u, rem, 2, 1e-9) == oracle_ok, (u, rem)
+            assert doomsday_compatible(u, rem, tol=1e-9) == oracle_ok, (u, rem)
 
     def test_matches_lp_oracle_for_many_agents(self, rng):
         # independent route: feasibility LP over one-round rescue shares
@@ -300,7 +316,7 @@ class TestDoomsdayCompatible:
                     bounds=(0.0, 1.0),
                     method="highs",
                 )
-                closed = doomsday_compatible(u, rem, n, 1e-9)
+                closed = doomsday_compatible(u, rem, tol=1e-9)
                 if res.status not in (0, 2):
                     continue
                 oracle_ok = res.status == 0
@@ -384,7 +400,7 @@ class TestDoomsdayTrace:
         assert len(flags) == T and set(flags) <= {True, False}
         for t in range(T):
             u, rem = trace.cumulative_utility[t], remaining[t]
-            assert flags[t] == doomsday_compatible(u, rem, n, tol)
+            assert flags[t] == doomsday_compatible(u, rem, tol=tol)
             # reference: the closed form as a loop over agents
             load, stranded = 0.0, False
             for d, r in zip((1.0 / n - u).tolist(), rem.tolist()):
@@ -398,7 +414,7 @@ class TestDoomsdayTrace:
 
 class TestDoomsdayMaintenance:
     def test_witness_shares_are_minimal_and_feasible(self):
-        witness = doomsday_witness([0.3, 0.2], [0.4, 0.8], 2)
+        witness = doomsday_witness([0.3, 0.2], [0.4, 0.8])
         assert witness == pytest.approx([0.5, 0.375])
         assert witness.sum() <= 1.0
 
@@ -410,22 +426,20 @@ class TestDoomsdayMaintenance:
                 for t in range(inst.num_rounds - 1):
                     u = trace.cumulative_utility[t]
                     rem = trace.remaining_value[t]
-                    if not doomsday_compatible(u, rem, 2, 1e-9):
+                    if not doomsday_compatible(u, rem, tol=1e-9):
                         continue
-                    assert doomsday_maintained(
-                        u, rem, inst.values[t + 1], 2, 1e-9
-                    )
+                    assert doomsday_maintained(u, rem, inst.values[t + 1], 1e-9)
 
     def test_witness_stays_within_one_on_a_compatible_boundary_state(self):
         # The deficit lies just inside tol of the limit: a witness that hands
         # out deficit / remaining sums to 1 + 1.9e-9 here.
         u, rem = [0.0, 0.6], [(0.5 - 1e-9) / (1 - 1e-10), 0.1]
-        assert doomsday_compatible(u, rem, 2)
-        assert doomsday_witness(u, rem, 2).sum() <= 1.0
+        assert doomsday_compatible(u, rem)
+        assert doomsday_witness(u, rem).sum() <= 1.0
 
     def test_witness_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            doomsday_witness([0.1], [0.5, 0.5], 2)
+            doomsday_witness([0.1], [0.5, 0.5])
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
     def test_witness_sum_decides_compatibility(self, rng, tol):
@@ -439,9 +453,9 @@ class TestDoomsdayMaintenance:
             else:
                 scale = 1.0 + rng.uniform(-3.0, 3.0) * tol / rem.min()
                 u = 1.0 / n - tol - rng.dirichlet(np.ones(n)) * scale * rem
-            witness = doomsday_witness(u, rem, n, tol)
+            witness = doomsday_witness(u, rem, tol=tol)
             assert np.all(witness >= 0.0)
-            assert doomsday_compatible(u, rem, n, tol) == (witness.sum() <= 1.0)
+            assert doomsday_compatible(u, rem, tol=tol) == (witness.sum() <= 1.0)
 
 
 class TestOfflineFairShareWelfare:
