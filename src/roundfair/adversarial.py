@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -40,30 +44,138 @@ from .metrics import audit
 # ---------------------------------------------------------------------------
 # closed-form welfare ratios
 #
-# Each ratio has one arithmetic body written with plain operators, so the same
-# code runs on Python floats (the public ``alpha_*`` functions, which add the
-# domain checks) and on broadcasting arrays (the objectives' grid scans, which
-# mask infeasible points with NaN instead).  A body that needs an elementwise
-# max or min takes it as an argument: builtin ``max``/``min`` at one point,
-# ``np.maximum``/``np.minimum`` on grids, and an interval form would pass its
-# own.  On the families' domains every power in a body has a base of at most
-# 1, so no power overflows and none that matters underflows: the bodies are
-# defined at every finite p.  Where an array gives inf or NaN, floats raise
-# ZeroDivisionError at a singular point and OverflowError at a power with a
-# base above 1.
+# Each ratio has one arithmetic body, so the same code runs on Python floats
+# (the public ``alpha_*`` functions, which add the domain checks) and on
+# broadcasting arrays (the objectives' grid scans, which mask infeasible
+# points with NaN instead).  A body takes one kit, and every step that makes
+# a new value the size of the grid goes through it: the elementwise max and
+# min, sums, differences, products and powers.  Its other steps are plain
+# operators on per-axis values, and augmented assignments, which work in
+# place on arrays and rebind on floats.  The float kit is builtin
+# ``max``/``min`` and the plain operators; the array kit is numpy's ufuncs,
+# and inside a scan it writes into the scan's workspace.  An interval form
+# would pass its own kit.  On the families' domains every power in a body
+# has a base of at most 1, so no power overflows and none that matters
+# underflows: the bodies are defined at every finite p.  Where an array
+# gives inf or NaN, floats raise ZeroDivisionError at a singular point and
+# OverflowError at a power with a base above 1.
 
 
-def _proportional_ratio(v1, v2):
+class _FloatKit:
+    """Builtin ``max``/``min`` and the plain operators, for Python floats and
+    for ``mpmath.mpf``, which rounds each step once as floats do."""
+
+    maximum = staticmethod(max)
+    minimum = staticmethod(min)
+    add = staticmethod(operator.add)
+    subtract = staticmethod(operator.sub)
+    multiply = staticmethod(operator.mul)
+    power = staticmethod(operator.pow)
+
+
+class _ArrayKit:
+    """numpy's ufuncs, for broadcasting arrays; every step allocates its
+    result."""
+
+    maximum = np.maximum
+    minimum = np.minimum
+    add = np.add
+    subtract = np.subtract
+    multiply = np.multiply
+    power = staticmethod(operator.pow)
+    less = np.less
+    less_equal = np.less_equal
+    equal = np.equal
+
+
+def _into_buffer(ufunc, dtype=np.dtype(float)):
+    def step(self, a, b):
+        return ufunc(a, b, out=self._take(np.broadcast(a, b).shape, dtype))
+
+    return step
+
+
+def _unheld_count() -> int:
+    buffers = [np.empty(0)]
+    return sys.getrefcount(buffers[0])
+
+
+#: The reference count of a buffer that only its workspace's list holds,
+#: read as :meth:`_Workspace._take` reads it.
+_UNHELD = _unheld_count()
+
+
+class _Workspace(_ArrayKit):
+    """The array kit writing into buffers it owns.
+
+    Each step writes into the first buffer that fits and that no live array
+    views, and returns a view of it; a buffer's reference count tells
+    whether a view of it is still alive.  So a block's dead temporaries
+    free their buffers for its later steps, and a scan's next block reuses
+    the same buffers instead of asking the allocator for new ones.
+    """
+
+    def __init__(self):
+        self._buffers = []
+
+    def _take(self, shape, dtype):
+        size = math.prod(shape) * dtype.itemsize
+        buffers = self._buffers
+        for i in range(len(buffers)):
+            if buffers[i].size >= size and sys.getrefcount(buffers[i]) == _UNHELD:
+                break
+        else:
+            i = len(buffers)
+            buffers.append(np.empty(size, np.uint8))
+        return np.ndarray(shape, dtype, buffers[i])
+
+    maximum = _into_buffer(np.maximum)
+    minimum = _into_buffer(np.minimum)
+    add = _into_buffer(np.add)
+    subtract = _into_buffer(np.subtract)
+    multiply = _into_buffer(np.multiply)
+    less = _into_buffer(np.less, np.dtype(bool))
+    less_equal = _into_buffer(np.less_equal, np.dtype(bool))
+    equal = _into_buffer(np.equal, np.dtype(bool))
+
+    def power(self, a, p):
+        """``a ** p``, as a copy of ``a`` raised in place: like ``a ** p``,
+        that takes numpy's sqrt or square at a float p of 0.5 or 2."""
+        out = self._take(np.broadcast(a, p).shape, np.dtype(float))
+        np.copyto(out, a)
+        out **= p
+        return out
+
+
+_FLOAT_KIT = _FloatKit()
+_ARRAY_KIT = _ArrayKit()
+
+#: ``kit`` is the workspace of the scan block running on this thread, if any.
+_scan_local = threading.local()
+
+
+def _grid_kit() -> _ArrayKit:
+    """The array kit for a grid call: the workspace of the scan running on
+    this thread, or the allocating kit outside a scan."""
+    return getattr(_scan_local, "kit", _ARRAY_KIT)
+
+
+def _proportional_ratio(v1, v2, kit):
     """The proportional rule's ratio, factored so that numerator and
     denominator vanish together at the corners (1, 0) and (0, 1), where the
     ratio tends to 1.  Each factor ``1 - v + w`` subtracts first, so the small
     coordinate survives."""
-    return 2.0 * ((1.0 - v1) * (1.0 - v2) + v1 * v2) / (
-        (1.0 - v1 + v2) * (1.0 - v2 + v1) * (v1 + v2)
-    )
+    num = kit.multiply(1.0 - v1, 1.0 - v2)
+    num += kit.multiply(v1, v2)
+    num *= 2.0
+    den = kit.add(1.0 - v1, v2)
+    den *= kit.add(1.0 - v2, v1)
+    den *= kit.add(v1, v2)
+    num /= den
+    return num
 
 
-def _poly_two_round_ratio(p, v1, v2, maximum, minimum):
+def _poly_two_round_ratio(p, v1, v2, kit):
     """The two-round ratio.  Each round's share-weighted value
     ``(x**(p+1) + y**(p+1)) / (x**p + y**p)`` is written as
     ``m (1 + t s) / (1 + t)`` with ``m = max(x, y)``, ``s = min(x, y) / m`` and
@@ -71,19 +183,28 @@ def _poly_two_round_ratio(p, v1, v2, maximum, minimum):
     """
 
     def quotient(x, y):
-        m = maximum(x, y)
-        s = minimum(x, y) / m
-        t = s**p
-        return m * (1.0 + t * s) / (1.0 + t)
+        m = kit.maximum(x, y)
+        s = kit.minimum(x, y)
+        s /= m
+        t = kit.power(s, p)
+        s *= t
+        s += 1.0
+        s *= m
+        t += 1.0
+        s /= t
+        return s
 
-    return (quotient(1.0 - v1, v2) + quotient(1.0 - v2, v1)) / (v1 + v2)
+    out = quotient(1.0 - v1, v2)
+    out += quotient(1.0 - v2, v1)
+    out /= kit.add(v1, v2)
+    return out
 
 
 def _cp1_ratio(p, lambda1):
     return (1.0 + lambda1) / (3.0 - lambda1**-p)
 
 
-def _cp2_ratio(p, lambda1, lambda2, maximum):
+def _cp2_ratio(p, lambda1, lambda2, kit):
     """Trip-at-round-2 ratio with the round values implied by the tight utility
     and exhaustion conditions.  Returns (ratio, v1, v2, v3, denominator); the
     construction is singular where the denominator is not positive.
@@ -94,18 +215,26 @@ def _cp2_ratio(p, lambda1, lambda2, maximum):
     The optimum is ``2 - v1 - v2 r2``: ``r2`` is exactly lambda2 in the mixed
     region, lambda2 < 1, and exactly 1 where lambda2 > 1.
     """
-    m2 = maximum(1.0, lambda2)
+    m2 = kit.maximum(1.0, lambda2)
     r2 = lambda2 / m2
     a = lambda1**-p
     b = m2**-p
     c = r2**p
     d = c / lambda2
-    den = b + c - d * (lambda1 * (a + 1.0))
-    v1 = (b + c - 2.0 * d) * (0.5 * (a + 1.0)) / den
-    v2 = (1.0 - v1 * lambda1) / lambda2
-    v3 = 1.0 - v1 - v2
-    alg = 0.5 + v1 * (lambda1 / (1.0 + a)) + v2 * (lambda2 * c / (b + c))
-    return alg / (2.0 - v1 - v2 * r2), v1, v2, v3, den
+    den = kit.subtract(b + c, kit.multiply(d, lambda1 * (a + 1.0)))
+    v1 = kit.multiply(b + c - 2.0 * d, 0.5 * (a + 1.0))
+    v1 /= den
+    v2 = kit.subtract(1.0, kit.multiply(v1, lambda1))
+    v2 /= lambda2
+    v3 = kit.subtract(1.0, v1)
+    v3 -= v2
+    alg = kit.multiply(v1, lambda1 / (1.0 + a))
+    alg += 0.5
+    alg += kit.multiply(v2, lambda2 * c / (b + c))
+    opt = kit.subtract(2.0, v1)
+    opt -= kit.multiply(v2, r2)
+    alg /= opt
+    return alg, v1, v2, v3, den
 
 
 def _check_exponent(p: float) -> None:
@@ -123,7 +252,7 @@ def alpha_proportional(v1: float, v2: float) -> float:
     """
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 >= 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 >= 1, got ({v1!r}, {v2!r})")
-    return _proportional_ratio(v1, v2)
+    return _proportional_ratio(v1, v2, _FLOAT_KIT)
 
 
 def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
@@ -131,7 +260,7 @@ def alpha_poly_two_round(p: float, v1: float, v2: float) -> float:
     _check_exponent(p)
     if not (0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0 and v1 + v2 > 1.0):
         raise DomainError(f"need 0 < v1, v2 <= 1 with v1 + v2 > 1, got ({v1!r}, {v2!r})")
-    return float(_poly_two_round_ratio(p, v1, v2, max, min))
+    return float(_poly_two_round_ratio(p, v1, v2, _FLOAT_KIT))
 
 
 def alpha_guarded_cp1(p: float, lambda1: float) -> float:
@@ -166,7 +295,7 @@ def _cp2_point(p: float, lambda1: float, lambda2: float, slack: float):
     rejected: round values more than ``slack`` below zero mean no instance
     realizes the point.  Returns (ratio, v1, v2, v3)."""
     try:
-        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, max)
+        ratio, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, _FLOAT_KIT)
         regular = den > 0.0 and all(map(math.isfinite, (ratio, v1, v2, v3)))
     except (ZeroDivisionError, OverflowError):  # inf or NaN on arrays
         regular = False
@@ -219,10 +348,23 @@ def alpha_guarded_cp2(
 # ---------------------------------------------------------------------------
 # search over the closed forms
 
-#: Grid points ``minimize_alpha`` evaluates per block, a slice of the grid's
-#: longest axis, so the scan's temporaries stay at a few hundred kB whatever
-#: the grid size.
+#: Grid points one scan evaluates at a time, over all its workers: each
+#: worker's block is a slice of the grid's longest axis of
+#: ``_GRID_BLOCK_POINTS // _SCAN_WORKERS`` points, so each buffer of its
+#: workspace stays at a few hundred kB whatever the grid size.
 _GRID_BLOCK_POINTS = 2**16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: Threads that scan one grid's blocks: the CPUs this process may use, at
+#: most two.
+_SCAN_WORKERS = min(2, _usable_cpus())
 
 #: Default spacing of the worst-case search's grid, on every axis.
 GRID_STEP = 1e-3
@@ -247,10 +389,12 @@ class AlphaObjective:
     ratios that broadcast to their shape, with NaN at infeasible points and
     at NaN coordinates.  Its ``p`` is a float, or a column with one exponent
     per row against coordinates with a leading row axis: objectives sharing
-    a ``grid`` stack into one search.  ``margin``, the same for every
-    objective, keeps the search away from the open boundary and its singular
-    denominators; an axis narrower than four margins gives up a quarter of
-    its width on each side instead.
+    a ``grid`` stack into one search.  Inside a scan the families' grids
+    write into the scan's workspace, so what they return is valid only for
+    that block; called directly they allocate.  ``margin``, the same for
+    every objective, keeps the search away from the open boundary and its
+    singular denominators; an axis narrower than four margins gives up a
+    quarter of its width on each side instead.
     """
 
     name: str
@@ -299,55 +443,124 @@ def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
     numpy raises an array to a scalar power of 0.5 or 2 by sqrt or square,
     whose last bits can differ from its power loop's, so in such a block a
     row at either exponent is evaluated again on its own, as its search
-    alone evaluates it.  Of equal minima in a row the first in row-major
-    order wins.
+    alone evaluates it.
+
+    ``_SCAN_WORKERS`` threads, the calling one and helpers started for the
+    scan, take the blocks in turn; a scan of one block runs on the calling
+    thread alone.  Each worker owns a workspace, an array kit whose buffers
+    the family grids write into and every block reuses, freed when the scan
+    returns.  The blocks' minima are merged in block order, and of equal
+    minima in a row the first in row-major order wins, however the blocks
+    were shared out.
     """
     shape = tuple(ax.shape[1] for ax in axes)
     long = shape.index(max(shape))
     inner = math.prod(shape[long + 1 :])
     per_row = math.prod(shape)
-    row_step = max(1, _GRID_BLOCK_POINTS // per_row)
-    step = max(1, _GRID_BLOCK_POINTS // (row_step * (per_row // shape[long])))
+    budget = max(1, _GRID_BLOCK_POINTS // _SCAN_WORKERS)
+    row_step = max(1, budget // per_row)
+    step = max(1, budget // (row_step * (per_row // shape[long])))
+    whole_rows = step >= shape[long]
+    blocks = [
+        (top, first)
+        for top in range(0, len(exponents), row_step)
+        for first in range(0, shape[long], step)
+    ]
     # Axis k of an open mesh has shape (rows, 1, ..., 1, size, 1, ..., 1).
     open_shapes = [(1,) * k + (-1,) + (1,) * (len(axes) - 1 - k) for k in range(len(axes))]
     tail = tuple(range(1, len(axes) + 1))
+    # Per row, the lowest minimum a split block has reported so far: a
+    # block above it cannot hold the row's minimum and skips the argmax.
+    ceiling = [math.inf] * len(exponents)
+    claims = iter(range(len(blocks)))  # each block goes to the worker that claims it
+    lock = threading.Lock()  # guards ceiling and claims, which the workers share
+
+    def evaluate(kit, top, first):
+        """The block's minimum per row, and the flat index of its first
+        point within the row, or None where the block cannot win."""
+        block = slice(top, top + row_step)
+        coords = [ax[block] for ax in axes]
+        coords[long] = coords[long][:, first : first + step]
+        open_mesh = [c.reshape(c.shape[:1] + o) for c, o in zip(coords, open_shapes)]
+        block_shape = coords[0].shape[:1] + tuple(c.shape[1] for c in coords)
+        p = exponents[block]
+        if len(p) == 1:
+            vals = grid(float(p[0]), *(c[0] for c in open_mesh))[np.newaxis]
+        else:
+            vals = grid(p.reshape((-1,) + (1,) * len(axes)), *open_mesh)
+            for i in np.flatnonzero((p == 0.5) | (p == 2.0)):
+                vals[i] = grid(float(p[i]), *(c[i] for c in open_mesh))
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != block_shape:
+            vals = np.broadcast_to(vals, block_shape)
+        low = np.fmin.reduce(vals, axis=tail)
+        if whole_rows:
+            hits = kit.equal(vals, low.reshape((-1,) + (1,) * len(axes)))
+            return low, np.argmax(hits.reshape(len(low), -1), axis=1)
+        # One row, in slices of its longest axis.
+        low = float(low[0])
+        with lock:
+            if not low <= ceiling[top]:  # NaN, or above another block's minimum
+                return low, None
+            ceiling[top] = low
+        outer, rest = divmod(int(np.argmax(kit.equal(vals, low))), block_shape[1 + long] * inner)
+        return low, outer * shape[long] * inner + rest + first * inner
+
+    results = [None] * len(blocks)
+
+    def work():
+        kit = _Workspace()
+        _scan_local.kit = kit
+        try:
+            with np.errstate(all="ignore"):
+                while True:
+                    with lock:
+                        i = next(claims, None)
+                    if i is None:
+                        return
+                    results[i] = evaluate(kit, *blocks[i])
+        finally:
+            del _scan_local.kit
+
+    if len(blocks) == 1:
+        # Nothing would reuse a workspace's buffers.
+        with np.errstate(all="ignore"):
+            results[0] = evaluate(_ARRAY_KIT, *blocks[0])
+    else:
+        # The calling thread is one of the workers.  Plain threads need no
+        # pool module: numpy has loaded ``threading`` already, while
+        # ``concurrent.futures`` costs a cold command about 8 ms to import.
+        failures = []
+
+        def assist():
+            try:
+                work()
+            except Exception as exc:  # raised again on the calling thread
+                failures.append(exc)
+
+        helpers = [threading.Thread(target=assist) for _ in range(_SCAN_WORKERS - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failures:
+            raise failures[0]
+
     best_flat = np.zeros(len(exponents), dtype=np.intp)
     best_val = np.full(len(exponents), math.nan)
-    for top in range(0, len(exponents), row_step):
-        block = slice(top, top + row_step)
-        for first in range(0, shape[long], step):
-            coords = [ax[block] for ax in axes]
-            coords[long] = coords[long][:, first : first + step]
-            open_mesh = [c.reshape(c.shape[:1] + o) for c, o in zip(coords, open_shapes)]
-            block_shape = coords[0].shape[:1] + tuple(c.shape[1] for c in coords)
-            p = exponents[block]
-            with np.errstate(all="ignore"):
-                if len(p) == 1:
-                    vals = grid(float(p[0]), *(c[0] for c in open_mesh))[np.newaxis]
-                else:
-                    vals = grid(p.reshape((-1,) + (1,) * len(axes)), *open_mesh)
-                    for i in np.flatnonzero((p == 0.5) | (p == 2.0)):
-                        vals[i] = grid(float(p[i]), *(c[i] for c in open_mesh))
-            vals = np.asarray(vals, dtype=float)
-            if vals.shape != block_shape:
-                vals = np.broadcast_to(vals, block_shape)
-            low = np.fmin.reduce(vals, axis=tail)
-            if step >= shape[long]:
-                # Whole rows: no other block holds any of them.
-                hits = vals == low.reshape((-1,) + (1,) * len(axes))
-                best_flat[block] = np.argmax(hits.reshape(len(low), -1), axis=1)
-                best_val[block] = low
-                continue
-            # One row, in slices of its longest axis.
-            low, best = float(low[0]), best_val[top]
-            if math.isnan(low) or low > best:
-                continue
-            outer, rest = divmod(int(np.argmax(vals == low)), block_shape[1 + long] * inner)
-            flat = outer * shape[long] * inner + rest + first * inner
+    for (top, _), (low, flat) in zip(blocks, results):
+        if whole_rows:
+            # Whole rows: no other block holds any of them.
+            best_flat[top : top + row_step], best_val[top : top + row_step] = flat, low
+        elif flat is None:
+            continue  # NaN, or above another slice's minimum
+        elif math.isnan(best_val[top]) or (low, flat) < (best_val[top], best_flat[top]):
             # Row-major order is the order of flat indices in the whole row,
             # so of equal minima in different slices the first wins.
-            if math.isnan(best) or low < best or flat < best_flat[top]:
-                best_flat[top], best_val[top] = flat, low
+            best_flat[top], best_val[top] = flat, low
     index = np.unravel_index(best_flat, shape)
     every = np.arange(len(exponents))
     return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val
@@ -427,16 +640,21 @@ def _minimize_rows(objectives: Sequence[AlphaObjective], grid_step: float) -> li
     offsets = np.arange(-_ZOOM, _ZOOM + 1)
     while zoom.size:
         ax = centre[:, :, None] + step[:, None, None] * offsets
-        # Offset 0 is the centre itself, kept even if it lies a hair outside.
-        keep = (offsets == 0) | ((lo <= ax) & (ax <= hi))
-        counts = keep.sum(axis=2)
-        if not keep.all():
+        # Each window ascends, so its two ends tell whether it lies wholly
+        # inside its box.
+        if (lo[:, :, 0] <= ax[:, :, 0]).all() and (ax[:, :, -1] <= hi[:, :, 0]).all():
+            axes = list(ax.transpose(1, 0, 2))
+            evaluations[zoom] += offsets.size ** ax.shape[1]
+        else:
+            # Offset 0 is the centre itself, kept even if it lies a hair outside.
+            keep = (offsets == 0) | ((lo <= ax) & (ax <= hi))
+            counts = keep.sum(axis=2)
             # Kept points move to the front of their row, in order, and each
             # axis is cut to its longest row.
             ax = np.take_along_axis(ax, np.argsort(~keep, axis=2, kind="stable"), 2)
             ax[offsets + _ZOOM >= counts[:, :, None]] = math.nan
-        axes = [a[:, :n] for a, n in zip(ax.transpose(1, 0, 2), counts.max(axis=0))]
-        evaluations[zoom] += counts.prod(axis=1)
+            axes = [a[:, :n] for a, n in zip(ax.transpose(1, 0, 2), counts.max(axis=0))]
+            evaluations[zoom] += counts.prod(axis=1)
         found, low = _scan(family, exponents[zoom], axes)
         lower = low < centre_value
         centre = np.where(lower[:, None], found, centre)
@@ -478,9 +696,11 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
 
     The grid covers the domain shrunk on each side by ``margin``, or by a
     quarter of the axis where that is less, at step ``grid_step``; of equal
-    minima the first in row-major order wins.  The refine divides the step
-    by ``_ZOOM`` and rescans the ``2 _ZOOM + 1`` points per axis centred on
-    the best point, clipped to the shrunk box.  While a rescan finds a
+    minima the first in row-major order wins.  It is scanned in blocks on up
+    to two threads, each writing the blocks' temporaries into a workspace of
+    its own that every block reuses (:func:`_scan`).  The refine divides the
+    step by ``_ZOOM`` and rescans the ``2 _ZOOM + 1`` points per axis centred
+    on the best point, clipped to the shrunk box.  While a rescan finds a
     strictly lower value it re-centres there at the same step; once the
     point holds, the step shrinks again, until it is at most
     ``REFINE_TOL``.  Fully deterministic.  This is the stack of one of
@@ -493,8 +713,9 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
 
 
 def _proportional_grid(p, v1, v2):
-    out = _proportional_ratio(v1, v2)
-    out[v1 + v2 < 1.0] = np.nan
+    kit = _grid_kit()
+    out = _proportional_ratio(v1, v2, kit)
+    out[kit.less(kit.add(v1, v2), 1.0)] = np.nan
     return out
 
 
@@ -510,8 +731,9 @@ def proportional_objective() -> AlphaObjective:
 
 
 def _poly_two_round_grid(p, v1, v2):
-    out = _poly_two_round_ratio(p, v1, v2, np.maximum, np.minimum)
-    out[v1 + v2 <= 1.0] = np.nan
+    kit = _grid_kit()
+    out = _poly_two_round_ratio(p, v1, v2, kit)
+    out[kit.less_equal(kit.add(v1, v2), 1.0)] = np.nan
     return out
 
 
@@ -528,7 +750,7 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
 
 
 def _diagonal_grid(p, v):
-    return _poly_two_round_ratio(p, v, v, np.maximum, np.minimum)
+    return _poly_two_round_ratio(p, v, v, _grid_kit())
 
 
 def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
@@ -587,8 +809,13 @@ def guarded_cp1_objective(p: float) -> AlphaObjective:
 
 
 def _cp2_grid(p, lambda1, lambda2):
-    out, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, np.maximum)
-    out[(den <= 0.0) | (v1 < 0.0) | (v2 < 0.0) | (v3 < 0.0)] = np.nan
+    kit = _grid_kit()
+    out, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, kit)
+    infeasible = kit.less_equal(den, 0.0)
+    infeasible |= kit.less(v1, 0.0)
+    infeasible |= kit.less(v2, 0.0)
+    infeasible |= kit.less(v3, 0.0)
+    out[infeasible] = np.nan
     return out
 
 

@@ -37,10 +37,11 @@ GREEDY = math.inf
 
 
 def _check_p(p: float) -> float:
+    """The exponent as a float; a negative zero reads as 0."""
     p = float(p)
     if math.isnan(p) or p < 0:
         raise OutOfRange(f"exponent p must be nonnegative, got {p!r}")
-    return p
+    return p + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def poly_round(round_values, p: float) -> np.ndarray:
@@ -239,5 +240,6 @@ def algorithm_by_name(name: str, p: float | None = None) -> Algorithm:
     if name in ("poly", "guarded"):
         if p is None:
             raise ValidationError(f"algorithm {name!r} needs an exponent (--p)")
-        return Algorithm(f"{name}-{p:g}", _check_p(p), guarded=name == "guarded")
+        p = _check_p(p)
+        return Algorithm(f"{name}-{p:g}", p, guarded=name == "guarded")
     raise ValidationError(f"unknown algorithm {name!r}")

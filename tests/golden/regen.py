@@ -159,6 +159,13 @@ ERRORS = (
 )
 
 
+#: A negative zero exponent, which reads as 0 in the rule's name and p.
+NEGATIVE_ZERO = tuple(
+    ("run", "--algorithm", name, "--p", "-0.0", "--instance", "two-round-symmetric:0.599")
+    for name in ("poly", "guarded")
+)
+
+
 def _algorithm_args(algorithm):
     args = ["--algorithm", algorithm[0]]
     if len(algorithm) > 1:
@@ -192,6 +199,8 @@ def _calls():
     for objective in CERTIFIED:
         yield ["search", "--objective", *objective]
     for argv in ERRORS:
+        yield list(argv)
+    for argv in NEGATIVE_ZERO:
         yield list(argv)
 
 

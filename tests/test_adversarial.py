@@ -2,6 +2,8 @@ import dataclasses
 import decimal
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -54,6 +56,8 @@ from roundfair.errors import (
 )
 from roundfair import adversarial
 from roundfair.adversarial import (
+    _ARRAY_KIT,
+    _FLOAT_KIT,
     _GRID_BLOCK_POINTS,
     AlphaObjective,
     _cp2_ratio,
@@ -363,6 +367,23 @@ def _two_bands(x, *rest):
     return np.where(band, sum((y - 0.5) ** 2 for y in rest) - 1.0, 0.0)
 
 
+def _two_bands_along_y(x, y):
+    """-1 on two rectangles of the box (0, 0.1) x (0, 1); the first in
+    row-major order (the lower x) lies in a later slice of the long y axis
+    than the other."""
+    first = (0.02 <= x) & (x < 0.03) & (0.80 <= y) & (y < 0.85)
+    second = (0.06 <= x) & (x < 0.07) & (0.30 <= y) & (y < 0.35)
+    return np.where(first | second, -1.0, 0.0)
+
+
+#: Grids whose equal minima lie in different blocks, with their steps.
+TIE_GRIDS = (
+    (_synthetic(_two_bands, 2), 1e-3),
+    (_synthetic(_two_bands, 1), 1e-5),
+    (dataclasses.replace(_synthetic(_two_bands_along_y), bounds=((0.0, 0.1), (0.0, 1.0))), 1e-3),
+)
+
+
 class TestBlockedGridScan:
     """``minimize_alpha``'s blocked scan against the full-mesh reference."""
 
@@ -395,17 +416,7 @@ class TestBlockedGridScan:
         assert 0.30 <= result.grid_point[0] < 0.31
 
     def test_blocks_split_the_longest_axis(self):
-        # -1 on two rectangles; the first in row-major order (the lower x) lies
-        # in a later block than the other.
-        def two_bands_along_y(x, y):
-            first = (0.02 <= x) & (x < 0.03) & (0.80 <= y) & (y < 0.85)
-            second = (0.06 <= x) & (x < 0.07) & (0.30 <= y) & (y < 0.35)
-            return np.where(first | second, -1.0, 0.0)
-
-        objective = dataclasses.replace(
-            _synthetic(two_bands_along_y), bounds=((0.0, 0.1), (0.0, 1.0))
-        )
-        result, shapes = self._assert_matches_dense(objective, 1e-3)
+        result, shapes = self._assert_matches_dense(TIE_GRIDS[2][0], 1e-3)
         assert len(shapes) > 1
         assert {s[0] for s in shapes} == {101}
         assert sum(s[1] for s in shapes) == 1001
@@ -444,18 +455,128 @@ class TestBlockedGridScan:
         assert result.value <= result.grid_value
         assert result.grid_point != result.argmin
 
-    def test_peak_memory_stays_bounded(self):
+    def test_peak_memory_stays_bounded(self, monkeypatch):
         # numpy reports its buffers to tracemalloc.  A full mesh of this
-        # 497 x 15,001 grid peaks near 700 MB; the blocked scan near 4 MB.
+        # 497 x 15,001 grid peaks near 700 MB.  The blocks write into the
+        # workers' workspaces, which together hold a few buffers of one
+        # block's points: with one worker or two the search peaks near
+        # 4-5 MB, under twelve such buffers, and leaves nothing behind.
         objective = guarded_cp2_objective(2.7, "both_above")
         minimize_alpha(proportional_objective(), grid_step=2e-2)  # warm up first
-        tracemalloc.start()
+        budget = 12 * _GRID_BLOCK_POINTS * np.dtype(float).itemsize
+        for workers in (1, 2):
+            monkeypatch.setattr(adversarial, "_SCAN_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                minimize_alpha(objective)
+                left, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < budget, workers
+            assert left < 2**16, workers
+
+    def test_workspaces_reuse_their_buffers(self, monkeypatch):
+        # Each worker owns one workspace for the whole scan, and every block
+        # takes its buffers again: the 230 blocks of this grid hold eight
+        # buffers per worker, none larger than a worker's block.  The
+        # refine's scans are one block each and allocate.
+        made = []
+
+        class Recorded(adversarial._Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(adversarial, "_Workspace", Recorded)
+        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", 2)
+        minimize_alpha(guarded_cp2_objective(2.7, "both_above"))
+        assert len(made) == 2
+        for workspace in made:
+            assert 0 < len(workspace._buffers) <= 8
+            assert max(b.nbytes for b in workspace._buffers) <= _GRID_BLOCK_POINTS // 2 * 8
+        assert not hasattr(adversarial._scan_local, "kit")
+
+    @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
+    def test_direct_grid_calls_allocate(self, objective):
+        # Outside a scan a grid writes into no workspace: each call returns
+        # a new array, still valid after the other call.
+        axes = [
+            np.linspace(lo + objective.margin, hi - objective.margin, 301)
+            for lo, hi in objective.bounds
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        with np.errstate(all="ignore"):
+            first = objective.grid(objective.p, *mesh)
+            kept = first.copy()
+            second = objective.grid(objective.p, *mesh)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        first[...] = 0.0
+        np.testing.assert_array_equal(second, kept)
+
+
+def _by_workers(monkeypatch, objective, grid_step):
+    """The search with one scan worker and with two, and whether the two
+    started a helper thread."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", workers)
+        results.append(minimize_alpha(objective, grid_step))
+        assert bool(started) <= (workers == 2)
+    return results, bool(started)
+
+
+def _grid_points(objective, grid_step):
+    return math.prod(
+        adversarial._grid_axis(objective, lo, hi, grid_step)[0].size for lo, hi in objective.bounds
+    )
+
+
+class TestScanWorkers:
+    """Two scan workers, each with its own block size and workspace, find
+    bit for bit what one finds."""
+
+    @pytest.mark.parametrize("grid_step", [1e-3, 2e-2])
+    @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
+    def test_six_objectives(self, monkeypatch, objective, grid_step):
+        (one, two), threaded = _by_workers(monkeypatch, objective, grid_step)
+        assert two == one
+        # A grid larger than one worker's block is shared out.
+        assert threaded == (_grid_points(objective, grid_step) > _GRID_BLOCK_POINTS // 2)
+
+    @pytest.mark.parametrize("objective, grid_step", TIE_GRIDS, ids=["2-D", "1-D", "along-y"])
+    def test_equal_minima_in_different_blocks(self, monkeypatch, objective, grid_step):
+        (one, two), threaded = _by_workers(monkeypatch, objective, grid_step)
+        assert threaded
+        assert two == one
+        assert two.grid_value == pytest.approx(-1.0, abs=1e-6)
+
+    def test_more_workers_than_cores_scan_each_block_once(self, monkeypatch):
+        # Four workers switching as often as the interpreter allows: each
+        # block is still claimed by one worker, so the points scanned add up
+        # to the evaluations, and the result is one worker's.
+        objective, grid_step = TIE_GRIDS[0]
+        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", 1)
+        alone = minimize_alpha(objective, grid_step)
+        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", 4)
+        counted, shapes = _counting(objective)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            minimize_alpha(objective)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = minimize_alpha(counted, grid_step)
         finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+            sys.setswitchinterval(interval)
+        assert len(shapes) > 60
+        assert result.evaluations == sum(math.prod(shape) for shape in shapes)
+        assert result == alone
 
 
 #: Exponents in (2, 100]: three right above 2, then 120 evenly spaced; two
@@ -651,8 +772,9 @@ def _closed_form_points(draw):
 
 
 class TestFloatPath:
-    """Single points run the closed forms on Python floats with builtin max
-    and min; the grids run the same bodies with numpy's."""
+    """Single points run the closed forms on Python floats with the float
+    kit, builtin max and min; the grids run the same bodies with the array
+    kit, numpy's ufuncs."""
 
     @pytest.mark.parametrize("p", [1e-3, 2.000001, 2.7, 50.0, 5000.0])
     @pytest.mark.parametrize("family", ["poly-two-round", "cp2-mixed", "cp2-both-above"])
@@ -662,17 +784,17 @@ class TestFloatPath:
             if family == "poly-two-round":
                 v1 = 1.0 - float(rng.random())  # in (0, 1]
                 v2 = 1.0 - v1 * float(rng.random())  # v1 + v2 > 1
-                on_floats = (_poly_two_round_ratio(p, v1, v2, max, min),)
+                on_floats = (_poly_two_round_ratio(p, v1, v2, _FLOAT_KIT),)
                 on_numpy = (
-                    _poly_two_round_ratio(f64(p), f64(v1), f64(v2), np.maximum, np.minimum),
+                    _poly_two_round_ratio(f64(p), f64(v1), f64(v2), _ARRAY_KIT),
                 )
             else:
                 mixed = family == "cp2-mixed"
                 l1 = 1.0 + float(rng.random())
                 l2 = float(rng.random()) if mixed else 1.0 + 15.0 * float(rng.random())
-                on_floats = _cp2_ratio(p, l1, l2, max)
+                on_floats = _cp2_ratio(p, l1, l2, _FLOAT_KIT)
                 with np.errstate(all="ignore"):
-                    on_numpy = _cp2_ratio(f64(p), f64(l1), f64(l2), np.maximum)
+                    on_numpy = _cp2_ratio(f64(p), f64(l1), f64(l2), _ARRAY_KIT)
             assert all(type(v) is float for v in on_floats)
             assert _bits(on_floats) == _bits(on_numpy), (p, on_floats, on_numpy)
 
@@ -1010,12 +1132,13 @@ class TestSweep:
 
     def test_stacked_blocks_stay_within_budget(self, monkeypatch):
         # The analysis sweep's 101 exponents and one far above: each curve
-        # scans whole rows at once, within the block budget, in a few dozen
-        # scans where one search per exponent took about 2,000.  Every grid
-        # call on arrays is recorded: a block of several rows, with the
-        # exponents as a column, and a block of one row or a row at p = 2
-        # evaluated on its own, with a float.  The trip family's body also
-        # runs on floats, at each argmin; those calls are not blocks.
+        # scans whole rows at once, within each worker's share of the block
+        # budget, in a few dozen scans where one search per exponent took
+        # about 2,000.  Every grid call on arrays is recorded: a block of
+        # several rows, with the exponents as a column, and a block of one
+        # row or a row at p = 2 evaluated on its own, with a float.  The trip
+        # family's body also runs on floats, at each argmin; those calls are
+        # not blocks.  Two workers record the grid's blocks in either order.
         shapes = []
 
         def recorded(grid):
@@ -1029,10 +1152,17 @@ class TestSweep:
 
         for name in ("_diagonal_grid", "_cp1_ratio"):
             monkeypatch.setattr(adversarial, name, recorded(getattr(adversarial, name)))
-        sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)] + [5000.0])
-        assert max(math.prod(shape) for shape in shapes) <= _GRID_BLOCK_POINTS
-        assert shapes[0] == (102, 501)
-        assert len(shapes) < 50
+        for workers, blocks in ((1, [(102, 501)]), (2, [(65, 501), (37, 501)])):
+            monkeypatch.setattr(adversarial, "_SCAN_WORKERS", workers)
+            shapes.clear()
+            sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)] + [5000.0])
+            assert max(math.prod(shape) for shape in shapes) <= _GRID_BLOCK_POINTS // workers
+            # The first scan is the no-trip curve's grid: 102 rows of 501
+            # points in blocks of whole rows, and the row at p = 2 on its own.
+            grid_calls = shapes[: len(blocks) + 1]
+            assert sorted(s for s in grid_calls if len(s) == 2) == sorted(blocks)
+            assert [s for s in grid_calls if len(s) == 1] == [(501,)]
+            assert len(shapes) < 50
 
     def test_grid_too_fine_is_out_of_range(self):
         with pytest.raises(OutOfRange, match="grid_step"):
@@ -1134,18 +1264,18 @@ class TestEveryFamilyStacks:
             l2 = rng.uniform(lo2, hi2, 200)
             p = objective.p
             for x, y in zip(l1.tolist(), l2.tolist()):
-                assert _bits(_cp2_ratio(p, x, y, max)) == _bits(
+                assert _bits(_cp2_ratio(p, x, y, _FLOAT_KIT)) == _bits(
                     _cp2_ratio_by_region(p, x, y, mixed, max)
                 ), (p, x, y)
             with np.errstate(all="ignore"):
-                got = _cp2_ratio(p, l1, l2, np.maximum)
+                got = _cp2_ratio(p, l1, l2, _ARRAY_KIT)
                 want = _cp2_ratio_by_region(p, l1, l2, mixed, np.maximum)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], p
         # A stack hands the body a column of exponents; here against the
         # last box's points.
         column = np.array(_TRIP_P)[:, None]
         with np.errstate(all="ignore"):
-            got = _cp2_ratio(column, l1, l2, np.maximum)
+            got = _cp2_ratio(column, l1, l2, _ARRAY_KIT)
             want = _cp2_ratio_by_region(column, l1, l2, mixed, np.maximum)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 

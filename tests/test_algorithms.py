@@ -596,6 +596,14 @@ class TestAlgorithmRegistry:
         with pytest.raises(ValidationError, match="takes no --p"):
             algorithm_by_name(name, p)
 
+    @pytest.mark.parametrize("name", ["poly", "guarded"])
+    def test_negative_zero_p_reads_as_zero(self, name):
+        # -0.0 passed the sign check and was kept, so a run reported the rule
+        # as `poly--0` with p = -0.
+        algorithm = algorithm_by_name(name, -0.0)
+        assert algorithm.name == f"{name}-0"
+        assert algorithm.p == 0.0 and math.copysign(1.0, algorithm.p) == 1.0
+
 
 class TestDeskScale:
     def test_long_two_agent_run(self, rng):

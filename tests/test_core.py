@@ -193,10 +193,15 @@ from roundfair.cli import main
 def loaded():
     print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)
 
+def pool_loaded():
+    print('concurrent.futures' in sys.modules)
+
 loaded()
+pool_loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["search", "--objective", "proportional", "--grid-step", "0.02"]) == 0
     assert main(["sweep", "--p-values", "2,2.7,3", "--grid-step", "0.02"]) == 0
+pool_loaded()
 roundfair.guard_ratio_ceiling(2.7)
 loaded()
 roundfair.offline_fair_share_welfare(roundfair.validate_instance([[0.5, 1.0], [0.5, 0.0]]))
@@ -216,9 +221,11 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     # search and sweep need no solver, as the guard ceiling is a bisection;
     # only the offline LP loads scipy.optimize, and it runs only when greedy
-    # leaves an agent below her fair share.
+    # leaves an agent below her fair share.  A scan's helper threads are
+    # plain threads, so no thread-pool module loads, on import or in a
+    # search.
     assert proc.stdout.split("\n") == [
-        "False False", "False False", "False False", "True True", ""
+        "False False", "False", "False", "False False", "False False", "True True", ""
     ]
 
 

@@ -1,9 +1,10 @@
 """Precision of the closed-form bodies, checked in 50 digits.
 
-Each ratio body is written with plain operators, so handing it
-``mpmath.mpf`` arguments evaluates the same expression at 50 significant
-digits.  At seeded feasible points, including exponents just above 2, the
-float result must lie within ``REL_BOUND`` of that reference, relative.
+Each ratio body is written with plain operators and the float kit's
+builtin ``max``/``min``, so handing it ``mpmath.mpf`` arguments evaluates the
+same expression at 50 significant digits.  At seeded feasible points,
+including exponents just above 2, the float result must lie within
+``REL_BOUND`` of that reference, relative.
 
 The trip-at-round-2 body ``_cp2_ratio`` is not checked here.  Its
 denominator cancels near p = 2: at p = 2.000001, on 3,000 seeded points of
@@ -17,7 +18,12 @@ import numpy as np
 import pytest
 
 from roundfair import guard_ratio_ceiling
-from roundfair.adversarial import _cp1_ratio, _poly_two_round_ratio, _proportional_ratio
+from roundfair.adversarial import (
+    _FLOAT_KIT,
+    _cp1_ratio,
+    _poly_two_round_ratio,
+    _proportional_ratio,
+)
 
 REL_BOUND = 1e-15
 EXPONENTS = (0.5, 1.0, 2.0, 2.000001, 2.7, 5.0, 50.0)
@@ -48,7 +54,8 @@ def _two_round_points(seed):
 
 
 def test_proportional_ratio():
-    worst = max(_relative_error(_proportional_ratio, v1, v2) for v1, v2 in _two_round_points(1))
+    points = _two_round_points(1)
+    worst = max(_relative_error(_proportional_ratio, v1, v2, _FLOAT_KIT) for v1, v2 in points)
     assert worst <= REL_BOUND
 
 
@@ -57,7 +64,7 @@ def test_poly_two_round_ratio(p):
     points = _two_round_points(2)
     # The diagonal family: v1 = v2 in (1/2, 1].
     points += [(v, v) for v in np.random.default_rng(3).uniform(0.5, 1.0, POINTS).tolist()]
-    worst = max(_relative_error(_poly_two_round_ratio, p, v1, v2, max, min) for v1, v2 in points)
+    worst = max(_relative_error(_poly_two_round_ratio, p, v1, v2, _FLOAT_KIT) for v1, v2 in points)
     assert worst <= REL_BOUND
 
 

@@ -188,6 +188,14 @@ class TestCli:
         assert out.startswith("algorithm,p,")
         assert "guarded-2.7" in out
 
+    @pytest.mark.parametrize("name", ["poly", "guarded"])
+    def test_run_negative_zero_p_prints_zero(self, name, capsys):
+        # -0.0 was once kept, so the row read `poly--0,-0`.
+        spec = "two-round-symmetric:0.599"
+        assert main(["run", "--algorithm", name, "--p", "-0.0", "--instance", spec]) == 0
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        assert row[:2] == [f"{name}-0", "0"]
+
     def test_run_lb_pair_emits_two_rows(self, capsys):
         code = main(["run", "--algorithm", "proportional", "--instance", "lb-pair"])
         assert code == 0
