@@ -93,10 +93,10 @@ def _cumulative_utility(values: np.ndarray, fractions: np.ndarray) -> np.ndarray
     return np.add.accumulate(gains, out=gains)
 
 
-def _trace_arrays(values: np.ndarray, cumulative: np.ndarray):
+def _trace_arrays(instance: Instance, cumulative: np.ndarray):
     """Freeze the utilities through each round and add the value still to come."""
-    remaining = np.add.accumulate(values)
-    np.subtract(np.add.reduce(values), remaining, out=remaining)
+    remaining = np.add.accumulate(instance.values)
+    np.subtract(instance.column_totals, remaining, out=remaining)
     cumulative.setflags(write=False)
     remaining.setflags(write=False)
     return cumulative, remaining
@@ -111,7 +111,7 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     p = _check_p(p)
     values = instance.values
     fractions = _poly_fractions(values, p)
-    cumulative, remaining = _trace_arrays(values, _cumulative_utility(values, fractions))
+    cumulative, remaining = _trace_arrays(instance, _cumulative_utility(values, fractions))
     return RunTrace(
         allocation=validate_allocation(fractions),
         cumulative_utility=cumulative,
@@ -194,7 +194,7 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
         cumulative = _cumulative_utility(values, fractions)
         event = CriticalEvent(round_index=t, fraction=f, agent=i)
 
-    cumulative, remaining = _trace_arrays(values, cumulative)
+    cumulative, remaining = _trace_arrays(instance, cumulative)
     return RunTrace(
         allocation=validate_allocation(fractions),
         cumulative_utility=cumulative,

@@ -9,6 +9,13 @@ column per agent.  Agents have additive utilities, and an instance is called
 normalized when every agent's column sums to 1.  All types are immutable after
 construction and safe to share across workers.
 
+Instance facts.  :func:`validate_instance` is the only builder of an
+:class:`Instance`, and it computes what every reader of the instance needs,
+once: each agent's column total (read-only), the unconstrained welfare
+optimum and the ``normalized`` flag.  Runs, audits and doomsday traces read
+these fields instead of reducing the matrix again, so an instance audited
+many times pays for them once.  Nothing is computed lazily.
+
 Storage layout.  Every T x n array the package builds (instance values,
 allocation fractions, a trace's utilities and remaining values) is stored
 column-major (``order="F"``), one contiguous column per agent.  Per-agent sums
@@ -31,6 +38,7 @@ and nonnegative (:func:`check_tolerance`); 0 asks for no slack.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +88,17 @@ def check_tolerance(tol: float, name: str = "tol") -> None:
 class Instance:
     """A T x n matrix of round valuations; ``values[t][i]`` is agent i's value in round t.
 
-    ``values`` is column-major and read-only.
+    ``values`` is column-major and read-only.  :func:`validate_instance`
+    computes the other fields once, from ``values``, when it builds the
+    instance: ``column_totals`` (read-only, each agent's total value over all
+    rounds), ``optimal_welfare`` (the unconstrained welfare optimum, each
+    round to whoever values it most) and ``normalized`` (every total is 1
+    within ``DEFAULT_TOL``).
     """
 
     values: np.ndarray
+    column_totals: np.ndarray
+    optimal_welfare: float
     normalized: bool
 
     @property
@@ -95,10 +110,6 @@ class Instance:
     def num_rounds(self) -> int:
         """Number of rounds T."""
         return self.values.shape[0]
-
-    def column_totals(self) -> np.ndarray:
-        """Each agent's total value over all rounds."""
-        return np.add.reduce(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +168,28 @@ class Verdict:
     envy_margin: float | None
 
 
+#: The largest finite float: entries at most this are not infinite.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _entries_within(matrix: np.ndarray, low: float, high: float) -> bool:
+    """Whether every entry is a number in [low, high].
+
+    The extreme entries are read at argmin and argmax, which cost less than
+    numpy's min and max reductions on a short run and make no temporary.
+    Both pick the first NaN, and every comparison with NaN is False, so a
+    NaN fails.
+    """
+    entries = matrix.ravel(order="K")
+    return bool(entries[entries.argmin()] >= low and entries[entries.argmax()] <= high)
+
+
 def validate_instance(values, require_normalized: bool = False) -> Instance:
     """Check a raw valuation matrix and wrap it as an immutable :class:`Instance`.
 
-    The matrix is copied once, column-major, and frozen.  It must be
-    non-empty and rectangular with nonnegative finite entries.  When
+    The matrix is copied once, column-major, and frozen, and the instance's
+    column totals and welfare optimum are computed from it here, once.  It
+    must be non-empty and rectangular with nonnegative finite entries.  When
     ``require_normalized`` is set, every agent's column must sum to 1 within
     ``DEFAULT_TOL`` (see :func:`check_normalized`); otherwise the instance is
     accepted as-is and its ``normalized`` flag records whether the sums
@@ -177,16 +205,22 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
         raise EmptyInstance("instance has no rounds or no agents")
     if matrix.shape[1] < 2:
         raise ValidationError("an instance needs at least two agents")
-    if not np.isfinite(matrix).all():
-        raise ValidationError("all values must be finite")
-    negative = matrix < 0
-    if negative.any():
-        t, i = np.argwhere(negative)[0]
+    # Only a matrix that fails pays for finding its error.
+    if not _entries_within(matrix, 0.0, _FLOAT_MAX):
+        if not np.isfinite(matrix).all():
+            raise ValidationError("all values must be finite")
+        t, i = np.argwhere(matrix < 0)[0]
         raise NegativeValue(int(t), int(i), float(matrix[t, i]))
 
-    off = np.abs(matrix.sum(axis=0) - 1.0) > DEFAULT_TOL
     matrix.setflags(write=False)
-    instance = Instance(values=matrix, normalized=not bool(off.any()))
+    totals = np.add.reduce(matrix)
+    totals.setflags(write=False)
+    instance = Instance(
+        values=matrix,
+        column_totals=totals,
+        optimal_welfare=float(np.add.reduce(np.maximum.reduce(matrix, axis=1))),
+        normalized=not bool((np.abs(totals - 1.0) > DEFAULT_TOL).any()),
+    )
     if require_normalized:
         check_normalized(instance)
     return instance
@@ -202,14 +236,7 @@ def validate_allocation(fractions) -> Allocation:
     matrix = np.array(fractions, dtype=float, order="F")
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
-    # The extreme entries are read at argmin and argmax, which cost less than
-    # numpy's min and max reductions on a short run.  Both pick the first NaN,
-    # and every comparison with NaN is False.
-    entries = matrix.ravel(order="K")
-    if not (
-        entries[entries.argmin()] >= -ENTRY_TOL
-        and entries[entries.argmax()] <= 1.0 + ENTRY_TOL
-    ):
+    if not _entries_within(matrix, -ENTRY_TOL, 1.0 + ENTRY_TOL):
         raise ValidationError("allocation entries must be finite and lie in [0, 1]")
     row_sums = matrix.sum(axis=1)
     t = int(row_sums.argmax())
@@ -226,6 +253,6 @@ def check_normalized(instance: Instance) -> None:
     """
     if instance.normalized:
         return
-    totals = instance.column_totals()
+    totals = instance.column_totals
     agent = int(np.argmax(np.abs(totals - 1.0)))
     raise NotNormalized(agent, float(totals[agent]))

@@ -24,17 +24,20 @@ def utilities(instance: Instance, allocation: Allocation) -> np.ndarray:
             f"instance is {instance.values.shape}, allocation is "
             f"{allocation.fractions.shape}"
         )
-    return (instance.values * allocation.fractions).sum(axis=0)
+    return np.add.reduce(instance.values * allocation.fractions)
 
 
 def fair_share(instance: Instance) -> np.ndarray:
-    """Each agent's fair-share target: her own total value over n."""
-    return instance.column_totals() / instance.n
+    """Each agent's fair-share target: her own total value over n, as a new array."""
+    return instance.column_totals / instance.n
 
 
 def optimal_welfare(instance: Instance) -> float:
-    """Unconstrained welfare optimum: each round goes to whoever values it most."""
-    return float(np.add.reduce(np.maximum.reduce(instance.values, axis=1)))
+    """Unconstrained welfare optimum: each round goes to whoever values it most.
+
+    Computed once, when :func:`~roundfair.core.validate_instance` builds the
+    instance."""
+    return instance.optimal_welfare
 
 
 def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) -> Verdict:
@@ -48,7 +51,7 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     check_tolerance(tol)
     u = utilities(instance, allocation)
     sw = float(np.add.reduce(u))
-    opt = optimal_welfare(instance)
+    opt = instance.optimal_welfare
     ratio = sw / opt if opt > 0 else 1.0
     # Minima and maxima are read at argmin and argmax: on a short run numpy's
     # min and max reductions cost more to set up than they have to compare.

@@ -165,6 +165,12 @@ NEGATIVE_ZERO = tuple(
     for name in ("poly", "guarded")
 )
 
+#: Instance files holding an entry that is NaN, infinite or negative.
+BAD_FILES = tuple(
+    ("run", "--algorithm", "proportional", "--instance", f"files/{name}.txt")
+    for name in ("nan-entry", "infinite-entry", "negative-entry")
+)
+
 
 def _algorithm_args(algorithm):
     args = ["--algorithm", algorithm[0]]
@@ -201,6 +207,8 @@ def _calls():
     for argv in ERRORS:
         yield list(argv)
     for argv in NEGATIVE_ZERO:
+        yield list(argv)
+    for argv in BAD_FILES:
         yield list(argv)
 
 

@@ -1032,7 +1032,7 @@ class TestTruncationAdversary:
             found += 1
             trace = algorithm.run(failing)
             u = utilities(failing, trace.allocation)
-            totals = failing.column_totals()
+            totals = failing.column_totals
             assert (u < totals / failing.n - 1e-12).any()
             assert not audit(failing, trace.allocation).fair_share_ok
 

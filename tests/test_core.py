@@ -79,10 +79,132 @@ class TestValidateInstance:
         with pytest.raises(ValidationError):
             validate_instance([[math.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_nan_and_negative_infinity_are_not_finite(self, bad):
+        with pytest.raises(ValidationError, match="all values must be finite") as err:
+            validate_instance([[0.5, 0.5], [bad, 0.5]])
+        assert type(err.value) is ValidationError
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[-0.5, 0.5], [math.nan, 0.5]], [[0.5, math.nan], [-0.5, 0.5]]],
+        ids=["negative-first", "nan-first"],
+    )
+    def test_non_finite_wins_over_negative(self, values):
+        with pytest.raises(ValidationError, match="all values must be finite") as err:
+            validate_instance(values)
+        assert type(err.value) is ValidationError
+
+    def test_names_the_first_negative_in_row_major_order(self):
+        # Column-major order, or the smallest entry, would name (2, 0).
+        with pytest.raises(NegativeValue) as err:
+            validate_instance([[0.5, 0.5], [0.2, -0.1], [-0.3, 0.4]])
+        assert (err.value.round_index, err.value.agent) == (1, 1)
+        assert str(err.value) == "negative value -0.1 at round 1, agent 1"
+
+    def test_negative_zero_accepted(self):
+        inst = validate_instance([[-0.0, 1.0], [1.0, 0.0]])
+        assert inst.normalized and inst.values[0, 0] == 0.0
+
     def test_values_are_immutable(self):
         inst = validate_instance([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             inst.values[0, 0] = 2.0
+
+
+def _seeded_values():
+    """Raw matrices: two-agent Dirichlet draws, dead rounds, 25 agents, and
+    one draw handed over both row-major and column-major."""
+    rng = np.random.default_rng(24)
+    two = [rng.dirichlet(np.ones(T), size=2).T for T in (1, 2, 7, 40)]
+    dead = rng.dirichlet(np.ones(6), size=2).T
+    dead[[1, 4]] = 0.0
+    wide = rng.dirichlet(np.ones(9), size=25).T
+    return {
+        **{f"two-agents-{len(v)}": v for v in two},
+        "dead-rounds": dead,
+        "n-25": wide,
+        "n-25-C": np.ascontiguousarray(wide),
+        "n-25-F": np.asfortranarray(wide),
+        "unnormalized": wide * 3.0,
+    }
+
+
+def _generated():
+    return {
+        "two-round": roundfair.two_round_instance(0.599, 0.599),
+        "guarded-cp1": roundfair.guarded_cp1_instance(2.7, 1.1),
+        "guarded-cp2-mixed": roundfair.guarded_cp2_instance(2.7, 1.1, 0.5),
+        "guarded-cp2-both-above": roundfair.guarded_cp2_instance(2.7, 1.2, 3.0),
+        "three-round-cp": three_round_cp(0.76, 0.97),
+        "multi-agent-4": roundfair.multi_agent_instance(4),
+        "multi-agent-9": roundfair.multi_agent_instance(9),
+        "fs-violation": roundfair.fair_share_violation_instance(2.7),
+        **{f"lb-{k}": inst for k, inst in enumerate(roundfair.lower_bound_instances())},
+    }
+
+
+SEEDED = _seeded_values()
+GENERATED = _generated()
+
+
+class TestStoredFacts:
+    """validate_instance computes the column totals and the welfare optimum
+    once; they must equal the expressions every reader used to evaluate."""
+
+    @staticmethod
+    def _check(inst):
+        totals = np.add.reduce(inst.values)
+        assert inst.column_totals.tobytes() == totals.tobytes()
+        assert inst.column_totals.dtype == totals.dtype and inst.column_totals.shape == totals.shape
+        opt = float(np.add.reduce(np.maximum.reduce(inst.values, axis=1)))
+        assert type(inst.optimal_welfare) is float
+        assert inst.optimal_welfare.hex() == opt.hex()
+        assert inst.normalized == bool(np.all(np.abs(inst.values.sum(axis=0) - 1.0) <= 1e-9))
+
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_seeded_instances(self, name):
+        inst = validate_instance(SEEDED[name])
+        self._check(inst)
+        assert inst.values.tobytes(order="F") == np.asarray(SEEDED[name]).tobytes(order="F")
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_instances(self, name):
+        self._check(GENERATED[name])
+
+    def test_layout_of_the_input_does_not_matter(self):
+        c = validate_instance(SEEDED["n-25-C"])
+        f = validate_instance(SEEDED["n-25-F"])
+        assert c.column_totals.tobytes() == f.column_totals.tobytes()
+        assert c.optimal_welfare.hex() == f.optimal_welfare.hex()
+
+    def test_totals_are_read_only(self):
+        inst = validate_instance(SEEDED["two-agents-7"])
+        assert not inst.column_totals.flags.writeable
+        with pytest.raises(ValueError):
+            inst.column_totals[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, math.nan, -math.inf, math.nan, math.inf],
+        [math.inf, -math.inf, 0.0, math.nan],
+        [math.nan] * 3,
+        # Longer than one SIMD register, with the NaN past the first lanes.
+        [*np.linspace(-1.0, 1.0, 37), math.nan, -2.0, math.nan, 3.0],
+    ],
+)
+def test_argmin_and_argmax_pick_the_first_nan(values):
+    """Both validators read a matrix's extremes at argmin and argmax and
+    rely on a NaN being picked there, so that the range check fails."""
+    array = np.array(values)
+    first = int(np.flatnonzero(np.isnan(array))[0])
+    assert array.argmin() == first and array.argmax() == first
+    matrix = np.asfortranarray(np.reshape(np.resize(array, 2 * array.size), (-1, 2)))
+    entries = matrix.ravel(order="K")
+    first = int(np.flatnonzero(np.isnan(entries))[0])
+    assert entries.argmin() == first and entries.argmax() == first
 
 
 class TestValidateAllocation:
@@ -168,7 +290,7 @@ def test_two_round_symmetric_roundtrip(v11):
     inst = two_round_instance(v11, v11)
     again = validate_instance(inst.values, require_normalized=True)
     assert again.normalized
-    assert np.all(np.abs(inst.column_totals() - 1.0) <= 1e-12)
+    assert np.all(np.abs(inst.column_totals - 1.0) <= 1e-12)
 
 
 @given(
@@ -179,7 +301,7 @@ def test_three_round_cp_roundtrip(v11, v21):
     eps = 0.5 * min(1 - v11, 1 - v21)
     inst = three_round_cp(v11, v21, eps)
     assert validate_instance(inst.values, require_normalized=True).normalized
-    assert np.all(np.abs(inst.column_totals() - 1.0) <= 1e-12)
+    assert np.all(np.abs(inst.column_totals - 1.0) <= 1e-12)
 
 
 #: Imports roundfair, runs the analysis commands in process, then the offline

@@ -180,6 +180,15 @@ class TestFairShareTarget:
         inst = random_instance(rng, n=3)
         assert fair_share(inst) == pytest.approx(np.full(3, 1 / 3), abs=1e-15)
 
+    def test_target_is_a_new_array_each_call(self):
+        first = fair_share(self.LOPSIDED)
+        second = fair_share(self.LOPSIDED)
+        assert first is not second and first.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, self.LOPSIDED.column_totals)
+        first[:] = -1.0
+        assert fair_share(self.LOPSIDED).tolist() == [0.2, 0.05]
+
     def test_equal_split_of_unnormalized_instance_is_fair(self):
         verdict = audit(self.UNNORMALIZED, EQUAL_SPLIT)
         assert verdict.fair_share_ok and verdict.envy_free_ok
