@@ -87,19 +87,11 @@ def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
     return weights
 
 
-def _cumulative_utility(values: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    """Each agent's utility through each round, summed in the gains' own buffer."""
-    gains = values * fractions
-    return np.add.accumulate(gains, out=gains)
-
-
 def _trace_arrays(instance: Instance, cumulative: np.ndarray):
-    """Freeze the utilities through each round and add the value still to come."""
-    remaining = np.add.accumulate(instance.values)
-    np.subtract(instance.column_totals, remaining, out=remaining)
+    """Freeze the utilities through each round and pair them with the value
+    still to come, which the instance keeps, so no run re-sums it."""
     cumulative.setflags(write=False)
-    remaining.setflags(write=False)
-    return cumulative, remaining
+    return cumulative, instance.remaining_value
 
 
 def run_poly(instance: Instance, p: float) -> RunTrace:
@@ -111,7 +103,9 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     p = _check_p(p)
     values = instance.values
     fractions = _poly_fractions(values, p)
-    cumulative, remaining = _trace_arrays(instance, _cumulative_utility(values, fractions))
+    # Each agent's utility through each round, summed in the gains' own buffer.
+    gains = values * fractions
+    cumulative, remaining = _trace_arrays(instance, np.add.accumulate(gains, out=gains))
     return RunTrace(
         allocation=validate_allocation(fractions),
         cumulative_utility=cumulative,
@@ -120,20 +114,19 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     )
 
 
-def _first_trip(surplus, values, gains) -> tuple[int, float, int] | None:
+def _first_trip(surplus, slope) -> tuple[int, float, int] | None:
     """The first round whose guard binds, as ``(round, f, agent)``, or None.
 
     Row t of ``surplus`` is the guard surplus before round t: each agent's
     utility so far plus her value still to come, round t included, minus 1/2.
-    It is overwritten.  ``gains`` are the products ``v_i * share_i`` of the
-    round ``values`` and the power rule's shares.  While round t is split by
-    the power rule, agent i's surplus after a fraction f of it is
-    ``surplus_i - f * (v_i - v_i * share_i)``.  Setting that to 0 is linear
-    in f.  Only strictly decreasing surpluses can cross, and a computed
-    crossing within TRIP_SLACK of [0, 1] is clamped inside.  Within the
-    round, ties go to the smaller f, then the lower agent.
+    It is overwritten.  ``slope`` is ``v_i - v_i * share_i`` for the round
+    values and the power rule's shares: while round t is split by the power
+    rule, agent i's surplus after a fraction f of it is
+    ``surplus_i - f * slope_i``.  Setting that to 0 is linear in f.  Only
+    strictly decreasing surpluses can cross, and a computed crossing within
+    TRIP_SLACK of [0, 1] is clamped inside.  Within the round, ties go to the
+    smaller f, then the lower agent.
     """
-    slope = values - gains
     # Where the slope is 0 the quotient is inf or nan and the mask below drops
     # it; a subnormal slope gives f = inf, which cannot hit.
     with np.errstate(all="ignore"):
@@ -173,7 +166,8 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     values = instance.values
     fractions = _poly_fractions(values, p)
     gains = values * fractions
-    cumulative = np.add.accumulate(gains)
+    slope = values - gains
+    cumulative = np.add.accumulate(gains, out=gains)
     # The guard surplus before each round: the value still to come, summed
     # round by round from a unit, plus the utility so far (none before round
     # 0), less 1/2, in a buffer laid out like ``values``.
@@ -183,7 +177,8 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     np.subtract.accumulate(surplus, out=surplus)
     surplus[1:] += cumulative[:-1]
     surplus -= 0.5
-    trip = _first_trip(surplus, values, gains)
+    trip = _first_trip(surplus, slope)
+    del surplus, slope  # freed before validate_allocation copies the fractions
     event = None
     if trip is not None:
         t, f, i = trip
@@ -191,7 +186,11 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
         fractions[t, i] += 1.0 - f
         fractions[t + 1 :] = 0.0
         fractions[t + 1 :, i] = 1.0
-        cumulative = _cumulative_utility(values, fractions)
+        # Rows before the trip keep their sums.  The new gains go in from row
+        # t on, and the sum continues from row t - 1, which it leaves as it is.
+        np.multiply(values[t:], fractions[t:], out=cumulative[t:])
+        resum = cumulative[max(t - 1, 0) :]
+        np.add.accumulate(resum, out=resum)
         event = CriticalEvent(round_index=t, fraction=f, agent=i)
 
     cumulative, remaining = _trace_arrays(instance, cumulative)

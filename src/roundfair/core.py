@@ -11,10 +11,13 @@ construction and safe to share across workers.
 
 Instance facts.  :func:`validate_instance` is the only builder of an
 :class:`Instance`, and it computes what every reader of the instance needs,
-once: each agent's column total (read-only), the unconstrained welfare
-optimum and the ``normalized`` flag.  Runs, audits and doomsday traces read
-these fields instead of reducing the matrix again, so an instance audited
-many times pays for them once.  Nothing is computed lazily.
+once: each agent's column total and her value still to come after each
+round (both read-only), the unconstrained welfare optimum and the
+``normalized`` flag.  Runs, audits and doomsday traces read these fields
+instead of reducing the matrix again, so an instance run and audited many
+times pays for them once; every run's trace holds the instance's own
+remaining values.  The price is memory: an instance holds two T x n arrays,
+twice its matrix.  Nothing is computed lazily.
 
 Storage layout.  Every T x n array the package builds (instance values,
 allocation fractions, a trace's utilities and remaining values) is stored
@@ -91,13 +94,17 @@ class Instance:
     ``values`` is column-major and read-only.  :func:`validate_instance`
     computes the other fields once, from ``values``, when it builds the
     instance: ``column_totals`` (read-only, each agent's total value over all
-    rounds), ``optimal_welfare`` (the unconstrained welfare optimum, each
-    round to whoever values it most) and ``normalized`` (every total is 1
-    within ``DEFAULT_TOL``).
+    rounds), ``remaining_value`` (read-only and column-major like ``values``;
+    ``remaining_value[t][i]`` is agent i's value still to arrive strictly
+    after round t, her total less the running sum of her values),
+    ``optimal_welfare`` (the unconstrained welfare optimum, each round to
+    whoever values it most) and ``normalized`` (every total is 1 within
+    ``DEFAULT_TOL``).
     """
 
     values: np.ndarray
     column_totals: np.ndarray
+    remaining_value: np.ndarray
     optimal_welfare: float
     normalized: bool
 
@@ -137,8 +144,9 @@ class RunTrace:
 
     ``cumulative_utility[t][i]`` is agent i's utility through round t, and
     ``remaining_value[t][i]`` the value still to arrive strictly after round t.
-    At most one critical event can occur per run.  Both arrays are
-    column-major and read-only, like the allocation's fractions.
+    A rule's trace holds its instance's own ``remaining_value``, which no
+    allocation changes.  At most one critical event can occur per run.  Both
+    arrays are column-major and read-only, like the allocation's fractions.
     """
 
     allocation: Allocation
@@ -188,12 +196,12 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     """Check a raw valuation matrix and wrap it as an immutable :class:`Instance`.
 
     The matrix is copied once, column-major, and frozen, and the instance's
-    column totals and welfare optimum are computed from it here, once.  It
-    must be non-empty and rectangular with nonnegative finite entries.  When
-    ``require_normalized`` is set, every agent's column must sum to 1 within
-    ``DEFAULT_TOL`` (see :func:`check_normalized`); otherwise the instance is
-    accepted as-is and its ``normalized`` flag records whether the sums
-    happen to hold.
+    column totals, remaining values and welfare optimum are computed from it
+    here, once.  It must be non-empty and rectangular with nonnegative finite
+    entries.  When ``require_normalized`` is set, every agent's column must
+    sum to 1 within ``DEFAULT_TOL`` (see :func:`check_normalized`); otherwise
+    the instance is accepted as-is and its ``normalized`` flag records
+    whether the sums happen to hold.
     """
     try:
         matrix = np.array(values, dtype=float, order="F")
@@ -215,11 +223,17 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     matrix.setflags(write=False)
     totals = np.add.reduce(matrix)
     totals.setflags(write=False)
+    remaining = np.add.accumulate(matrix)
+    np.subtract(totals, remaining, out=remaining)
+    remaining.setflags(write=False)
     instance = Instance(
         values=matrix,
         column_totals=totals,
+        remaining_value=remaining,
         optimal_welfare=float(np.add.reduce(np.maximum.reduce(matrix, axis=1))),
-        normalized=not bool((np.abs(totals - 1.0) > DEFAULT_TOL).any()),
+        # A loop over the n totals as Python floats costs less than the four
+        # numpy calls of the array form.
+        normalized=all(abs(total - 1.0) <= DEFAULT_TOL for total in totals.tolist()),
     )
     if require_normalized:
         check_normalized(instance)

@@ -131,12 +131,11 @@ def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarr
     """
     need = _need(u, target, tol)
     shares = np.where(need > 0.0, np.inf, 0.0)
-    # Quotients over a remainder of 0 or below are not copied; over a
-    # subnormal one a need may overflow to inf, which fails the state as it
-    # should.
-    with np.errstate(all="ignore"):
-        np.divide(need, rem, out=need)
-    np.copyto(shares, need, where=rem > 0.0)
+    # Only a positive remainder divides; over a subnormal one a need may
+    # overflow to inf, and an instance whose column total overflows gives
+    # inf over inf.  Both fail the state as they should.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(need, rem, out=shares, where=rem > 0.0)
     return np.add.reduce(shares, axis=-1) <= 1.0
 
 

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from roundfair import (
     poly_round,
     run_guarded,
     run_poly,
+    three_round_cp,
     two_round_instance,
     utilities,
     validate_allocation,
@@ -474,18 +477,37 @@ def test_rule_allocations_match_public_validation():
     assert runs > 1000 and trips > 50
 
 
-def _assert_matches_reference(inst, p) -> bool:
-    """run_guarded against the scalar reference; returns whether it tripped."""
+def _assert_matches_reference(inst, p, f_tol=None) -> bool:
+    """run_guarded against the scalar reference; returns whether it tripped.
+
+    ``f_tol(t, i)`` bounds the trip fraction's error for a trip by agent i in
+    round t, 1e-12 by default.  The trip round's shares move with f at rates
+    of at most 1, so they take the same bound; every other share agrees
+    within 1e-12.  With ``f_tol``, two agents whose crossings lie within
+    their bounds of each other tie, and rounding may break the tie either
+    way: the run may trip the other agent at the reference's point, and then
+    only the rounds before the trip are compared.
+    """
     trace = run_guarded(inst, p)
+    ours = trace.allocation.fractions
     fractions, trip = guarded_reference(inst.values, p)
     event = trace.critical_event
     if trip is None:
         assert event is None
     else:
         t, f, i = trip
-        assert (event.round_index, event.agent) == (t, i)
-        assert abs(event.fraction - f) <= 1e-12
-    assert np.abs(trace.allocation.fractions - fractions).max() <= 1e-12
+        assert event.round_index == t
+        bound = 1e-12
+        if f_tol is not None:
+            bound = max(f_tol(t, i), f_tol(t, event.agent), bound)
+        assert abs(event.fraction - f) <= bound
+        if event.agent == i:
+            assert np.abs(ours[t] - fractions[t]).max() <= bound
+            ours, fractions = np.delete(ours, t, axis=0), np.delete(fractions, t, axis=0)
+        else:
+            assert f_tol is not None
+            ours, fractions = ours[:t], fractions[:t]
+    assert np.abs(ours - fractions).max(initial=0.0) <= 1e-12
     return trip is not None
 
 
@@ -502,6 +524,114 @@ class TestGuardedReference:
         values = late_trip_values(np.random.default_rng(seed), 100_000)
         inst = validate_instance(values, require_normalized=True)
         assert _assert_matches_reference(inst, 2.7)
+
+
+def _trip_pool():
+    """Seeded two-agent instances that trip at every exponent: Dirichlet
+    draws, the same draws with each round cut into 2-6 random pieces (a trip
+    at the end of a round then falls on its last piece, later in the run),
+    and short late-trip runs."""
+    rng = np.random.default_rng(707)
+    pool = random_instances(707, 200)
+    for inst in pool[:200]:
+        pieces = int(rng.integers(2, 7))
+        weights = rng.dirichlet(np.ones(pieces), size=inst.num_rounds).reshape(-1, 1)
+        values = np.repeat(inst.values, pieces, axis=0) * weights
+        pool.append(validate_instance(values / values.sum(axis=0)))
+    pool += [
+        validate_instance(late_trip_values(rng, int(rng.integers(2, 300)))) for _ in range(100)
+    ]
+    return pool
+
+
+class TestTripResum:
+    """A trip re-sums the utilities only from the trip round on; the rounds
+    before it keep their sums, and the result is the full re-sum's bits."""
+
+    POOL = _trip_pool()
+
+    @staticmethod
+    def _assert_full_resum(inst, trace):
+        full = np.add.accumulate(inst.values * trace.allocation.fractions)
+        assert np.array_equal(trace.cumulative_utility, full)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 2.7, 5.0, 10.0, 50.0])
+    def test_random_pool(self, p):
+        trip_rounds = []
+        for inst in self.POOL:
+            trace = run_guarded(inst, p)
+            event = trace.critical_event
+            if event is not None:
+                self._assert_full_resum(inst, trace)
+                trip_rounds.append((event.round_index, inst.num_rounds))
+        # Near p = 0 both agents gain on almost every draw, so few trip.
+        assert len(trip_rounds) >= 10
+        assert any(t == 0 for t, _ in trip_rounds)
+        assert sum(t > 0 for t, _ in trip_rounds) >= 5
+        assert any(t == T - 1 > 0 for t, T in trip_rounds)
+
+    @pytest.mark.parametrize(
+        "make, p, round_index",
+        [
+            (lambda: validate_instance([[1.0, 0.0], [0.0, 1.0]]), 0.0, 0),
+            (lambda: three_round_cp(0.76, 0.97), 2.7, 0),
+            (lambda: guarded_cp2_instance(2.7, 1.1, 0.5), 2.7, 1),
+            (lambda: two_round_instance(0.5, 0.5), 2.0, 1),
+            (lambda: validate_instance([[0.5, 0.5], [0.3, 0.2], [0.2, 0.3]]), 0.0, 2),
+        ],
+        ids=["first-round-end", "first-round", "middle-round", "last-of-two", "last-of-three"],
+    )
+    def test_trips_in_the_first_middle_and_last_round(self, make, p, round_index):
+        inst = make()
+        trace = run_guarded(inst, p)
+        assert trace.critical_event.round_index == round_index
+        self._assert_full_resum(inst, trace)
+
+    @pytest.mark.parametrize("seed", [9, 19, 20])
+    def test_late_trip_on_long_horizon(self, seed):
+        values = late_trip_values(np.random.default_rng(seed), 100_000)
+        inst = validate_instance(values, require_normalized=True)
+        trace = run_guarded(inst, 2.7)
+        assert trace.critical_event.round_index > 80_000
+        self._assert_full_resum(inst, trace)
+
+
+class TestWorkCounts:
+    """A running sum is a serial chain, many times slower per element than a
+    multiply.  So a run makes a fixed number of them, and never re-sums the
+    instance's own values, whose sums the instance stores."""
+
+    @staticmethod
+    def _running_sums(run, *args):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call":
+                name = getattr(arg, "__name__", None)
+                if name == "cumsum" or (
+                    name == "accumulate" and isinstance(getattr(arg, "__self__", None), np.ufunc)
+                ):
+                    calls.append(name)
+
+        sys.setprofile(profile)
+        try:
+            trace = run(*args)
+        finally:
+            sys.setprofile(None)
+        return trace, len(calls)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 2.7, GREEDY])
+    def test_power_rule_sums_once(self, rng, p):
+        for n in (2, 5):
+            _, sums = self._running_sums(run_poly, random_instance(rng, n=n), p)
+            assert sums == 1
+
+    def test_guarded_run_sums_twice_and_once_more_on_a_trip(self):
+        counts = {}
+        for inst in random_instances(808, 60):
+            trace, sums = self._running_sums(run_guarded, inst, 2.7)
+            counts.setdefault(trace.critical_event is not None, set()).add(sums)
+        assert counts == {False: {2}, True: {3}}
 
 
 #: Exponents for the trip-boundary search, with the largest lambda1 to draw;
@@ -540,6 +670,33 @@ def near_trip_instances(draw):
     return p, validate_instance(values, require_normalized=True)
 
 
+#: Roundings of magnitude at most 1 in the two runs' guard surpluses before
+#: round t, per (t + 1) machine epsilons; see ``_surplus_rounding_over_slope``.
+SURPLUS_ROUNDINGS = 16
+
+
+def _surplus_rounding_over_slope(inst, p, t, i):
+    """Bound on how far ``run_guarded``'s trip fraction for agent i in round t
+    can lie from the reference's: ``c (t + 1) eps / slope``, c =
+    ``SURPLUS_ROUNDINGS``.
+
+    Both runs form the surplus before round t from the same operations on
+    sums of magnitude at most 1: t subtractions from the unit, t products
+    and t - 1 additions for the utility so far, and two more.  With unit
+    roundoff u = eps / 2, each run's surplus is within about (2t + 8) u of
+    the exact one, which also covers shares a few ulps apart (numpy's
+    vectorized pow need not match libm's, and a share enters the utility
+    weighted by a value, all values summing to 1).  So the surpluses differ
+    by at most 8 (t + 1) eps.  The slope ``v - v * x`` carries a few ulps of
+    v in each run, which moves f (at most 1 + TRIP_SLACK) by at most another
+    6 eps / slope.  Together, 14 (t + 1) eps / slope, rounded up to 16.  The
+    clamp to [0, 1] only shrinks a difference.
+    """
+    v = float(inst.values[t, i])
+    slope = v - v * float(poly_round(inst.values[t], p)[i])
+    return SURPLUS_ROUNDINGS * (t + 1) * np.finfo(float).eps / slope
+
+
 @settings(max_examples=150, deadline=None)
 @given(near_trip_instances())
 def test_guard_holds_at_the_trip_boundary(case):
@@ -553,9 +710,12 @@ def test_guard_holds_at_the_trip_boundary(case):
     margin = float(utilities(inst, trace.allocation)[held].min() - 0.5)
     target(-margin, label="shortfall below 1/2")
     assert margin >= -DEFAULT_TOL
+    # The whole run matches the reference.  A late solve carries the rounding
+    # of the sums so far, which a small slope magnifies past 1e-12 in f, so
+    # its bound is that rounding over the slope.
+    _assert_matches_reference(inst, p, partial(_surplus_rounding_over_slope, inst, p))
     # The guard's first solve, from the fresh state, is the reference run on
-    # round 0 alone.  Later solves carry the rounding of the sums so far, which
-    # a small slope late in a long run magnifies past 1e-12 in f.
+    # round 0 alone, and holds to 1e-12.
     _, first = guarded_reference(inst.values[:1], p)
     if event is not None and event.round_index == 0:
         assert first is not None and first[2] == event.agent

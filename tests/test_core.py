@@ -161,6 +161,10 @@ class TestStoredFacts:
         assert type(inst.optimal_welfare) is float
         assert inst.optimal_welfare.hex() == opt.hex()
         assert inst.normalized == bool(np.all(np.abs(inst.values.sum(axis=0) - 1.0) <= 1e-9))
+        remaining = inst.column_totals - np.add.accumulate(inst.values)
+        assert inst.remaining_value.tobytes() == remaining.tobytes()
+        assert inst.remaining_value.shape == inst.values.shape
+        assert inst.remaining_value.flags.f_contiguous
 
     @pytest.mark.parametrize("name", sorted(SEEDED))
     def test_seeded_instances(self, name):
@@ -177,12 +181,31 @@ class TestStoredFacts:
         f = validate_instance(SEEDED["n-25-F"])
         assert c.column_totals.tobytes() == f.column_totals.tobytes()
         assert c.optimal_welfare.hex() == f.optimal_welfare.hex()
+        lists = validate_instance(SEEDED["n-25"].tolist())
+        for other in (f, lists):
+            assert c.remaining_value.tobytes() == other.remaining_value.tobytes()
 
     def test_totals_are_read_only(self):
         inst = validate_instance(SEEDED["two-agents-7"])
         assert not inst.column_totals.flags.writeable
         with pytest.raises(ValueError):
             inst.column_totals[0] = 2.0
+
+    def test_remaining_values_are_read_only(self):
+        inst = validate_instance(SEEDED["two-agents-7"])
+        assert not inst.remaining_value.flags.writeable
+        with pytest.raises(ValueError):
+            inst.remaining_value[0, 0] = 2.0
+
+    @pytest.mark.parametrize("name", ["two-agents-1", "two-agents-40", "dead-rounds", "n-25"])
+    def test_every_trace_holds_the_instance_remaining_values(self, name):
+        inst = validate_instance(SEEDED[name])
+        rules = list(roundfair.builtin_algorithms())
+        rules += [roundfair.Algorithm("guarded-0", 0.0, guarded=True)]
+        for rule in rules:
+            if rule.guarded and (inst.n != 2 or not inst.normalized):
+                continue
+            assert rule.run(inst).remaining_value is inst.remaining_value, rule.name
 
 
 @pytest.mark.parametrize(

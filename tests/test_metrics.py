@@ -337,6 +337,68 @@ class TestDoomsdayCompatible:
                     assert abs(load - 1.0) < 1e-6, (u, rem)
 
 
+#: (utilities so far, remaining values, compatible) at the kernel's edges:
+#: agent 0 has nothing left, a roundoff below nothing or a subnormal rest,
+#: and needs no share (0.5), lacks 0.1 (0.4) or lacks just over tol.  The
+#: last state, with a positive rest, is the plain case.
+DOOMSDAY_EDGES = {
+    "zero-rest-no-need": ([0.5, 0.6], [0.0, 0.1], True),
+    "zero-rest-need": ([0.4, 0.6], [0.0, 0.1], False),
+    "zero-rests-no-need": ([0.5, 0.5], [0.0, 0.0], True),
+    "below-zero-no-need": ([0.5, 0.6], [-1e-17, 0.1], True),
+    "below-zero-need": ([0.4, 0.6], [-1e-17, 0.1], False),
+    "subnormal-no-need": ([0.5, 0.6], [1e-310, 0.1], True),
+    "subnormal-need": ([0.4, 0.6], [1e-310, 0.1], False),
+    "least-subnormal-need": ([0.5 - 2e-9, 0.6], [5e-324, 0.1], False),
+    "positive-rest-need": ([0.4, 0.6], [0.2, 0.1], True),
+}
+
+
+class TestDoomsdayEdges:
+    """Each edge of the doomsday kernel, one state at a time and stacked as
+    a trace, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("name", sorted(DOOMSDAY_EDGES))
+    def test_one_state(self, name):
+        u, rem, compatible = DOOMSDAY_EDGES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert doomsday_compatible(u, rem) is compatible
+
+    def test_stacked_as_a_trace(self):
+        states = list(DOOMSDAY_EDGES.values())
+        T = len(states)
+        # Totals of exactly 1, so the fair-share target is exactly 1/2.
+        values = np.zeros((T, 2))
+        values[0] = 1.0
+        trace = RunTrace(
+            allocation=validate_allocation(np.full((T, 2), 0.5)),
+            cumulative_utility=np.array([u for u, _, _ in states], order="F"),
+            remaining_value=np.array([rem for _, rem, _ in states], order="F"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = doomsday_trace(validate_instance(values), trace)
+        assert flags == [compatible for _, _, compatible in states]
+
+    def test_overflowing_total(self):
+        # Finite entries whose column total overflows: agent 0's target and
+        # first remainder are inf, so her share is inf over inf, and her next
+        # remainder is inf - inf.  Both states fail, quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = validate_instance(np.array([[1e308, 0.5], [1e308, 0.5]]))
+        assert np.isinf(inst.remaining_value[0, 0]) and np.isnan(inst.remaining_value[1, 0])
+        trace = RunTrace(
+            allocation=validate_allocation(np.full((2, 2), 0.5)),
+            cumulative_utility=np.array([[0.5e308, 0.25], [1e308, 0.5]], order="F"),
+            remaining_value=inst.remaining_value,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert doomsday_trace(inst, trace) == [False, False]
+
+
 class TestDoomsdayTrace:
     def test_equal_split_always_compatible(self, rng):
         for _ in range(30):
