@@ -20,7 +20,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .algorithms import Algorithm
+from .algorithms import Algorithm, _poly_fractions
 from .core import (
     CLOSED_FORM_SLACK,
     DEFAULT_TOL,
@@ -819,21 +819,42 @@ def _cp2_grid(p, lambda1, lambda2):
     return out
 
 
+def _cp2_mu_grid(p, lambda1, mu):
+    """:func:`_cp2_grid` in the coordinates (lambda1, mu = 1/lambda2): the
+    reciprocal is taken once per axis value."""
+    return _cp2_grid(p, lambda1, 1.0 / mu)
+
+
+def _cp2_mu_point(p: float, lambda1: float, mu: float) -> float:
+    """The both-above ratio at (lambda1, lambda2 = 1/mu), for mu in (0, 1)."""
+    if not 0.0 < mu < 1.0:
+        raise DomainError(f"both_above subcase needs 0 < mu = 1/lambda2 < 1, got {mu!r}")
+    return alpha_guarded_cp2(p, lambda1, 1.0 / mu, "both_above", slack=0.0)
+
+
 def guarded_cp2_objective(p: float, subcase: str = "mixed") -> AlphaObjective:
-    """Trip-at-round-2 ratio over one subcase region; the box picks the
-    region, so both subcases share one grid."""
+    """Trip-at-round-2 ratio over one subcase region.
+
+    The mixed region is searched in (lambda1, lambda2) on (1, ceiling) x
+    (0, 1).  The both-above region, lambda2 > 1, is unbounded, and its
+    infimum lies at lambda2 -> inf, so it is searched in (lambda1, mu) with
+    mu = 1/lambda2 on the open box (1, ceiling) x (0, 1): an argmin at the
+    mu margin means the infimum is approached as lambda2 grows without
+    bound.  Both run the same body, :func:`_cp2_ratio`.
+    """
     ceiling = guard_ratio_ceiling(p)
     if subcase == "mixed":
-        bounds = ((1.0, ceiling), (0.0, 1.0))
+        point = functools.partial(alpha_guarded_cp2, subcase=subcase, slack=0.0)
+        grid = _cp2_grid
     elif subcase == "both_above":
-        bounds = ((1.0, ceiling), (1.0, 16.0))
+        point, grid = _cp2_mu_point, _cp2_mu_grid
     else:
         raise DomainError(f"unknown subcase {subcase!r}")
     return AlphaObjective(
         name=f"guarded-cp2-{subcase.replace('_', '-')}",
-        bounds=bounds,
-        point=functools.partial(alpha_guarded_cp2, subcase=subcase, slack=0.0),
-        grid=_cp2_grid,
+        bounds=((1.0, ceiling), (0.0, 1.0)),
+        point=point,
+        grid=grid,
         p=p,
     )
 
@@ -888,16 +909,27 @@ def guarded_cp1_instance(p: float, lambda1: float) -> Instance:
 
 
 def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
-    """Three-round instance on which the guard trips exactly at the end of round 2."""
+    """Three-round instance on which the guard trips exactly at the end of round 2.
+
+    Where lambda2 > 1, agent 1's round-2 slope ``v2 (1 - x2)`` (x2 her
+    share, at most 1/2) is at most 1/lambda2, so the trip fraction
+    magnifies the guard surplus's rounding by about lambda2.  The stored
+    round 1's share also differs from the closed form's by up to about p
+    ulps, the rounding of its ratio raised to the p-th power.  So there v2
+    is solved from round 1's share as :func:`~roundfair.algorithms.run_guarded`
+    computes it, and from the surplus as the run forms it, keeping agent 2's
+    round-2 value and so her column.
+    """
     if lambda1 < 0.0 or lambda2 < 0.0:  # a float power would be complex
         raise DomainError(f"need lambda1, lambda2 >= 0, got ({lambda1!r}, {lambda2!r})")
-    _, v1, v2, v3 = _cp2_point(p, lambda1, lambda2, ENTRY_TOL)
-    rows = [
-        [max(v1, 0.0), lambda1 * max(v1, 0.0)],
-        [max(v2, 0.0), lambda2 * max(v2, 0.0)],
-        [max(v3, 0.0), 0.0],
-    ]
-    return validate_instance(rows, require_normalized=True)
+    v1, v2, v3 = (max(v, 0.0) for v in _cp2_point(p, lambda1, lambda2, ENTRY_TOL)[1:])
+    first, second = [v1, lambda1 * v1], [v2, lambda2 * v2]
+    if lambda2 > 1.0 and v2 > 0.0:
+        x1, x2 = _poly_fractions(np.array([first, second]), p)[:, 0].tolist()
+        surplus = (1.0 - v1) + v1 * x1 - 0.5
+        second[0] = v2 = max(surplus / (1.0 - x2), 0.0)
+        v3 = max(1.0 - v1 - v2, 0.0)
+    return validate_instance([first, second, [v3, 0.0]], require_normalized=True)
 
 
 def three_round_cp(v11: float, v21: float, eps: float = 1e-6) -> Instance:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from roundfair import doomsday_compatible, doomsday_witness, validate_instance
+from roundfair import doomsday_compatible, doomsday_witness, poly_round, validate_instance
 from roundfair.core import DEFAULT_TOL, TRIP_SLACK
 
 # Reproducible property searches: ``pytest --hypothesis-profile=ci``.
@@ -71,6 +71,33 @@ def guarded_reference(values, p):
         u = [u[0] + a * x[0], u[1] + b * x[1]]
         rem = [rem[0] - a, rem[1] - b]
     return fractions, None
+
+
+#: Roundings of magnitude at most 1 in the two runs' guard surpluses before
+#: round t, per (t + 1) machine epsilons; see ``surplus_rounding_over_slope``.
+SURPLUS_ROUNDINGS = 16
+
+
+def surplus_rounding_over_slope(inst, p, t, i):
+    """Bound on how far ``run_guarded``'s trip fraction for agent i in round t
+    can lie from the reference's: ``c (t + 1) eps / slope``, c =
+    ``SURPLUS_ROUNDINGS``.
+
+    Both runs form the surplus before round t from the same operations on
+    sums of magnitude at most 1: t subtractions from the unit, t products
+    and t - 1 additions for the utility so far, and two more.  With unit
+    roundoff u = eps / 2, each run's surplus is within about (2t + 8) u of
+    the exact one, which also covers shares a few ulps apart (numpy's
+    vectorized pow need not match libm's, and a share enters the utility
+    weighted by a value, all values summing to 1).  So the surpluses differ
+    by at most 8 (t + 1) eps.  The slope ``v - v * x`` carries a few ulps of
+    v in each run, which moves f (at most 1 + TRIP_SLACK) by at most another
+    6 eps / slope.  Together, 14 (t + 1) eps / slope, rounded up to 16.  The
+    clamp to [0, 1] only shrinks a difference.
+    """
+    v = float(inst.values[t, i])
+    slope = v - v * float(poly_round(inst.values[t], p)[i])
+    return SURPLUS_ROUNDINGS * (t + 1) * np.finfo(float).eps / slope
 
 
 def doomsday_maintained(utilities_so_far, remaining_values, next_round_values, tol=DEFAULT_TOL):

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from roundfair import (
     multi_agent_offline_fair_share_opt,
     multi_agent_welfare_caps,
     optimal_welfare,
+    poly_round,
     poly_two_round_diagonal_objective,
     poly_two_round_objective,
     proportional_objective,
@@ -63,7 +65,12 @@ from roundfair.adversarial import (
     _cp2_ratio,
     _poly_two_round_ratio,
 )
-from conftest import dense_grid_argmin, random_instance, scipy_brentq
+from conftest import (
+    dense_grid_argmin,
+    random_instance,
+    scipy_brentq,
+    surplus_rounding_over_slope,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -457,10 +464,10 @@ class TestBlockedGridScan:
 
     def test_peak_memory_stays_bounded(self, monkeypatch):
         # numpy reports its buffers to tracemalloc.  A full mesh of this
-        # 497 x 15,001 grid peaks near 700 MB.  The blocks write into the
+        # 497 x 1,001 grid peaks near 50 MB.  The blocks write into the
         # workers' workspaces, which together hold a few buffers of one
         # block's points: with one worker or two the search peaks near
-        # 4-5 MB, under twelve such buffers, and leaves nothing behind.
+        # 4 MB, under twelve such buffers, and leaves nothing behind.
         objective = guarded_cp2_objective(2.7, "both_above")
         minimize_alpha(proportional_objective(), grid_step=2e-2)  # warm up first
         budget = 12 * _GRID_BLOCK_POINTS * np.dtype(float).itemsize
@@ -477,7 +484,7 @@ class TestBlockedGridScan:
 
     def test_workspaces_reuse_their_buffers(self, monkeypatch):
         # Each worker owns one workspace for the whole scan, and every block
-        # takes its buffers again: the 230 blocks of this grid hold eight
+        # takes its buffers again: the 16 blocks of this grid hold eight
         # buffers per worker, none larger than a worker's block.  The
         # refine's scans are one block each and allocate.
         made = []
@@ -735,13 +742,106 @@ class TestLargeExponent:
             inst = two_round_instance(*x)
             trace = run_poly(inst, p)
         else:
-            inst = (
-                guarded_cp1_instance(p, *x) if name == "guarded-cp1" else guarded_cp2_instance(p, *x)
-            )
+            if name == "guarded-cp1":
+                inst = guarded_cp1_instance(p, *x)
+            elif name == "guarded-cp2-mixed":
+                inst = guarded_cp2_instance(p, *x)
+            else:  # searched in (lambda1, mu = 1/lambda2)
+                inst = guarded_cp2_instance(p, x[0], 1.0 / x[1])
             trace = run_guarded(inst, p)
             trip_round = 0 if name == "guarded-cp1" else 1
             assert trace.critical_event.round_index == trip_round
         assert audit(inst, trace.allocation).ratio == pytest.approx(result.value, abs=1e-9)
+
+
+#: The both-above search's argmins on its old box, lambda2 in [1, 16], at
+#: the default step: the box edge at p = 3 and 5.
+_BOX_ARGMINS = (
+    (2.7, 1.4954936, 1.4954948),
+    (3.0, 1.42486308, 15.999999),
+    (5.0, 1.2095315, 15.999999),
+)
+
+
+def _exact_round_end_ratio(rows, p):
+    """The welfare ratio of a both-above instance, in 50 digits, when agent 0
+    trips at the end of round 2: the power rule's exact shares in rounds 1
+    and 2, round 3 to agent 0.  Returns the ratio, agent 0's round-2 share
+    and the optimum."""
+    (v1, w1), (v2, w2), (v3, _) = [[mpmath.mpf(float(x)) for x in row] for row in rows]
+    x1, x2 = (1 / (1 + (w / v) ** p) for v, w in ((v1, w1), (v2, w2)))
+    opt = w1 + w2 + v3  # both ratios above 1: agent 1 values rounds 1 and 2 more
+    return (v1 * x1 + w1 * (1 - x1) + v2 * x2 + w2 * (1 - x2) + v3) / opt, x2, opt
+
+
+class TestBothAboveInMu:
+    """The both-above family, lambda1, lambda2 > 1, is searched in (lambda1,
+    mu = 1/lambda2) on the open box (0, 1); its infimum lies at lambda2 ->
+    inf, the mu margin."""
+
+    def test_default_grid_work_count(self):
+        objective = guarded_cp2_objective(2.7, "both_above")
+        assert _grid_points(objective, adversarial.GRID_STEP) == 497 * 1001
+        assert minimize_alpha(objective).evaluations == 506_107
+
+    @pytest.mark.parametrize("p, lambda1, lambda2", _BOX_ARGMINS)
+    def test_value_is_at_most_the_old_box_argmin(self, p, lambda1, lambda2):
+        result = minimize_alpha(guarded_cp2_objective(p, "both_above"))
+        assert result.value <= alpha_guarded_cp2(p, lambda1, lambda2, "both_above", slack=0.0)
+        assert result.argmin[1] == AlphaObjective.margin
+
+    def test_point_is_the_closed_form_at_the_reciprocal(self):
+        objective = guarded_cp2_objective(2.7, "both_above")
+        assert objective.evaluate((1.45, 0.25)) == alpha_guarded_cp2(
+            2.7, 1.45, 4.0, "both_above", slack=0.0
+        )
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5, 1.0, 4.0, math.inf, math.nan])
+    def test_point_rejects_mu_outside_the_box(self, mu):
+        with pytest.raises(DomainError, match="0 < mu"):
+            guarded_cp2_objective(2.7, "both_above").evaluate((1.45, mu))
+
+    @pytest.mark.parametrize("p", [2.7, 3.0, 5.0, 50.0, 5000.0, 1e6])
+    def test_argmin_instance_trips_at_the_end_of_round_2(self, p):
+        # At mu = 1e-6, agent 0's round-2 slope is about 1e-6 or less, so a
+        # trip fraction carries the guard surplus's rounding times 1e6, and
+        # the stored round 1's share is off the closed form's by up to
+        # about p ulps.  The instance solves v2 from the run's own round-1
+        # share, so in 50 digits, on the run's shares, the crossing lies
+        # within the float bound of the round's end.
+        result = minimize_alpha(guarded_cp2_objective(p, "both_above"), grid_step=2e-2)
+        lambda1, mu = result.argmin
+        lambda2 = 1.0 / mu
+        inst = guarded_cp2_instance(p, lambda1, lambda2)
+        (v1, _), (v2, _), (v3, _) = inst.values.tolist()
+        bound = surplus_rounding_over_slope(inst, p, 1, 0)
+        # The instance the closed form's round values give, unsolved.
+        _, c1, c2, c3 = adversarial._cp2_point(p, lambda1, lambda2, 0.0)
+        unsolved = [[c1, lambda1 * c1], [c2, lambda2 * c2], [c3, 0.0]]
+        assert inst.values[0].tolist() == unsolved[0]
+        assert inst.values[:, 1].tolist() == [row[1] for row in unsolved]
+        with mpmath.workdps(50):
+            x1, x2 = (mpmath.mpf(float(poly_round(row, p)[0])) for row in inst.values[:2])
+            crossing = (1 - mpmath.mpf(v1) + v1 * x1 - mpmath.mpf(0.5)) / (v2 * (1 - x2))
+            assert abs(crossing - 1) <= bound
+            # Solving moved only agent 0's rounds 2 and 3, and so the ratio
+            # by at most (|dv2| + (v2 + w2) |dx2| + 2 |dv3|) / opt: R is
+            # linear in v2 x2, w2 (1 - x2) and v3, and opt holds v3.
+            ratio, share, opt = _exact_round_end_ratio(inst.values, p)
+            before, share_before, _ = _exact_round_end_ratio(unsolved, p)
+            w2 = mpmath.mpf(unsolved[1][1])
+            moved = (
+                abs(mpmath.mpf(v2) - c2)
+                + (v2 + w2) * abs(share - share_before)
+                + 2 * abs(mpmath.mpf(v3) - c3)
+            ) / opt
+            assert abs(ratio - before) <= moved <= 1e-10
+        trace = run_guarded(inst, p)
+        event = trace.critical_event
+        assert event is not None and (event.round_index, event.agent) == (1, 0)
+        assert event.fraction >= 1.0 - bound
+        assert audit(inst, trace.allocation).ratio == pytest.approx(result.value, abs=1e-9)
+        assert float(ratio) == pytest.approx(result.value, abs=1e-9)
 
 
 def _bits(values):
@@ -751,8 +851,9 @@ def _bits(values):
 @st.composite
 def _closed_form_points(draw):
     """An exponent and parameter points at or next to the families' box
-    edges: 0 and 1 for round values, and 1, the guard's ceiling and 16 for
-    value ratios, with the floats on either side."""
+    edges: 0 and 1 for round values, and 1, the guard's ceiling and
+    1/margin for value ratios, with the floats on either side.  1/margin is
+    the largest lambda2 the both-above search reaches, at mu = margin."""
 
     def near(x):
         return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
@@ -761,7 +862,9 @@ def _closed_form_points(draw):
                        st.floats(1e-3, 1e6)))
     ceiling = guard_ratio_ceiling(p) if p > 2.0 else 1.0
     ratio = st.one_of(
-        st.sampled_from([0.0, 5e-324, *near(1.0), *near(ceiling), *near(16.0)]),
+        st.sampled_from(
+            [0.0, 5e-324, *near(1.0), *near(ceiling), *near(1.0 / AlphaObjective.margin)]
+        ),
         st.floats(0.0, 16.0),
     )
     value = st.one_of(
@@ -791,7 +894,8 @@ class TestFloatPath:
             else:
                 mixed = family == "cp2-mixed"
                 l1 = 1.0 + float(rng.random())
-                l2 = float(rng.random()) if mixed else 1.0 + 15.0 * float(rng.random())
+                # Both-above: lambda2 = 1/mu, mu in (0, 1], as its search samples it.
+                l2 = float(rng.random()) if mixed else 1.0 / (1.0 - float(rng.random()))
                 on_floats = _cp2_ratio(p, l1, l2, _FLOAT_KIT)
                 with np.errstate(all="ignore"):
                     on_numpy = _cp2_ratio(f64(p), f64(l1), f64(l2), _ARRAY_KIT)
@@ -1261,7 +1365,8 @@ class TestEveryFamilyStacks:
         for objective in objectives:
             (lo1, hi1), (lo2, hi2) = objective.bounds
             l1 = rng.uniform(lo1, hi1, 200)
-            l2 = rng.uniform(lo2, hi2, 200)
+            # The both-above box is in mu = 1/lambda2.
+            l2 = rng.uniform(lo2, hi2, 200) if mixed else 1.0 / rng.uniform(lo2, hi2, 200)
             p = objective.p
             for x, y in zip(l1.tolist(), l2.tolist()):
                 assert _bits(_cp2_ratio(p, x, y, _FLOAT_KIT)) == _bits(

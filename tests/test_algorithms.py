@@ -34,7 +34,13 @@ from roundfair.errors import (
     ValidationError,
 )
 from roundfair.core import DEFAULT_TOL
-from conftest import guarded_reference, late_trip_values, random_instance, random_instances
+from conftest import (
+    guarded_reference,
+    late_trip_values,
+    random_instance,
+    random_instances,
+    surplus_rounding_over_slope,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -670,33 +676,6 @@ def near_trip_instances(draw):
     return p, validate_instance(values, require_normalized=True)
 
 
-#: Roundings of magnitude at most 1 in the two runs' guard surpluses before
-#: round t, per (t + 1) machine epsilons; see ``_surplus_rounding_over_slope``.
-SURPLUS_ROUNDINGS = 16
-
-
-def _surplus_rounding_over_slope(inst, p, t, i):
-    """Bound on how far ``run_guarded``'s trip fraction for agent i in round t
-    can lie from the reference's: ``c (t + 1) eps / slope``, c =
-    ``SURPLUS_ROUNDINGS``.
-
-    Both runs form the surplus before round t from the same operations on
-    sums of magnitude at most 1: t subtractions from the unit, t products
-    and t - 1 additions for the utility so far, and two more.  With unit
-    roundoff u = eps / 2, each run's surplus is within about (2t + 8) u of
-    the exact one, which also covers shares a few ulps apart (numpy's
-    vectorized pow need not match libm's, and a share enters the utility
-    weighted by a value, all values summing to 1).  So the surpluses differ
-    by at most 8 (t + 1) eps.  The slope ``v - v * x`` carries a few ulps of
-    v in each run, which moves f (at most 1 + TRIP_SLACK) by at most another
-    6 eps / slope.  Together, 14 (t + 1) eps / slope, rounded up to 16.  The
-    clamp to [0, 1] only shrinks a difference.
-    """
-    v = float(inst.values[t, i])
-    slope = v - v * float(poly_round(inst.values[t], p)[i])
-    return SURPLUS_ROUNDINGS * (t + 1) * np.finfo(float).eps / slope
-
-
 @settings(max_examples=150, deadline=None)
 @given(near_trip_instances())
 def test_guard_holds_at_the_trip_boundary(case):
@@ -713,7 +692,7 @@ def test_guard_holds_at_the_trip_boundary(case):
     # The whole run matches the reference.  A late solve carries the rounding
     # of the sums so far, which a small slope magnifies past 1e-12 in f, so
     # its bound is that rounding over the slope.
-    _assert_matches_reference(inst, p, partial(_surplus_rounding_over_slope, inst, p))
+    _assert_matches_reference(inst, p, partial(surplus_rounding_over_slope, inst, p))
     # The guard's first solve, from the fresh state, is the reference run on
     # round 0 alone, and holds to 1e-12.
     _, first = guarded_reference(inst.values[:1], p)
