@@ -926,7 +926,7 @@ def guarded_cp2_instance(p: float, lambda1: float, lambda2: float) -> Instance:
     first, second = [v1, lambda1 * v1], [v2, lambda2 * v2]
     if lambda2 > 1.0 and v2 > 0.0:
         x1, x2 = _poly_fractions(np.array([first, second]), p)[:, 0].tolist()
-        surplus = (1.0 - v1) + v1 * x1 - 0.5
+        surplus = v1 * x1 + (1.0 - v1) - 0.5  # u + rem - total / 2, on a total of 1
         second[0] = v2 = max(surplus / (1.0 - x2), 0.0)
         v3 = max(1.0 - v1 - v2, 0.0)
     return validate_instance([first, second, [v3, 0.0]], require_normalized=True)

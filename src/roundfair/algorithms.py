@@ -6,10 +6,10 @@ p-th power of her value for it, so p = 0 is equal split, p = 1 the classic
 proportional rule, and p = GREEDY the winner-take-all rule.  The guarded
 family (two agents, finite p) follows the same per-round rule but watches a
 safety condition: the moment one agent's utility so far plus everything she
-still has to come drops to exactly half her total value, the rest of that item
-and all later items go to her in full.  That hand-over point is the critical
-point; tracking it keeps the tripped agent's final utility at or above one
-half.
+still has to come drops to exactly half her own total value, the rest of that
+item and all later items go to her in full.  That hand-over point is the
+critical point; tracking it keeps the tripped agent's final utility at or
+above her fair share.
 
 Rounds are processed irrevocably in order and no rule ever looks ahead or
 needs to know the number of rounds in advance.
@@ -28,6 +28,7 @@ from .core import (
     Instance,
     RunTrace,
     check_normalized,
+    fair_share,
     validate_allocation,
 )
 from .errors import InfiniteP, NotTwoAgents, OutOfRange, ValidationError
@@ -118,10 +119,10 @@ def _first_trip(surplus, slope) -> tuple[int, float, int] | None:
     """The first round whose guard binds, as ``(round, f, agent)``, or None.
 
     Row t of ``surplus`` is the guard surplus before round t: each agent's
-    utility so far plus her value still to come, round t included, minus 1/2.
-    It is overwritten.  ``slope`` is ``v_i - v_i * share_i`` for the round
-    values and the power rule's shares: while round t is split by the power
-    rule, agent i's surplus after a fraction f of it is
+    utility so far plus her value still to come, round t included, minus half
+    her total.  It is overwritten.  ``slope`` is ``v_i - v_i * share_i`` for
+    the round values and the power rule's shares: while round t is split by
+    the power rule, agent i's surplus after a fraction f of it is
     ``surplus_i - f * slope_i``.  Setting that to 0 is linear in f.  Only
     strictly decreasing surpluses can cross, and a computed crossing within
     TRIP_SLACK of [0, 1] is clamped inside.  Within the round, ties go to the
@@ -147,14 +148,15 @@ def _first_trip(surplus, slope) -> tuple[int, float, int] | None:
 def run_guarded(instance: Instance, p: float) -> RunTrace:
     """Run the guarded rule for two agents: power-weighted until a trip.
 
-    The guard solves, before each round, for the earliest in-round critical
-    point of the power rule's run so far.  At the first round where one exists
-    at fraction f, the first f of that item is split by the power rule, the
-    remaining 1 - f and every later item go wholly to the tripped agent, and
-    the event is recorded.  Requires a normalized two-agent instance and a
-    finite exponent.  The tripped agent ends at or above 1/2; the other agent
-    does too at the exponents the analysis uses, but not at p = 0, where a
-    trip at the end of an agent's last valued round hands her the rest.
+    The guard solves, before each round, for the earliest in-round point where
+    an agent's utility so far plus the instance's value still to come falls to
+    her ``fair_share``, half her own total.  At the first round where one
+    exists at fraction f, the first f of that item is split by the power rule,
+    the remaining 1 - f and every later item go wholly to the tripped agent,
+    and the event is recorded.  Requires a normalized two-agent instance and a
+    finite exponent.  The tripped agent ends at or above her fair share; the
+    other does too at the exponents the analysis uses, but not at p = 0, where
+    a trip at the end of an agent's last valued round hands her the rest.
     """
     p = _check_p(p)
     if math.isinf(p):
@@ -168,15 +170,12 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     gains = values * fractions
     slope = values - gains
     cumulative = np.add.accumulate(gains, out=gains)
-    # The guard surplus before each round: the value still to come, summed
-    # round by round from a unit, plus the utility so far (none before round
-    # 0), less 1/2, in a buffer laid out like ``values``.
+    # The guard surplus before each round: utility so far (none before round
+    # 0) plus value still to come, round included, less the fair-share target.
     surplus = np.empty_like(values)
-    surplus[0] = 1.0
-    surplus[1:] = values[:-1]
-    np.subtract.accumulate(surplus, out=surplus)
-    surplus[1:] += cumulative[:-1]
-    surplus -= 0.5
+    surplus[0] = instance.column_totals
+    np.add(cumulative[:-1], instance.remaining_value[:-1], out=surplus[1:])
+    surplus -= fair_share(instance)
     trip = _first_trip(surplus, slope)
     del surplus, slope  # freed before validate_allocation copies the fractions
     event = None

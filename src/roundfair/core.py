@@ -1,8 +1,8 @@
 """Core domain types: valuation instances, allocations, run traces, and audit verdicts.
 
-This module holds only the types, their validation and the package's
-tolerances.  The instance families are built in :mod:`adversarial`, next to
-the closed forms they realize.
+This module holds only the types, their validation, the fair-share target
+and the package's tolerances.  The instance families are built in
+:mod:`adversarial`, next to the closed forms they realize.
 
 An instance is a T x n matrix of nonnegative values, one row per round and one
 column per agent.  Agents have additive utilities, and an instance is called
@@ -93,13 +93,13 @@ class Instance:
 
     ``values`` is column-major and read-only.  :func:`validate_instance`
     computes the other fields once, from ``values``, when it builds the
-    instance: ``column_totals`` (read-only, each agent's total value over all
-    rounds), ``remaining_value`` (read-only and column-major like ``values``;
+    instance: ``column_totals`` (read-only, each agent's total value, which
+    :func:`fair_share` divides), ``remaining_value`` (read-only, column-major;
     ``remaining_value[t][i]`` is agent i's value still to arrive strictly
-    after round t, her total less the running sum of her values),
-    ``optimal_welfare`` (the unconstrained welfare optimum, each round to
-    whoever values it most) and ``normalized`` (every total is 1 within
-    ``DEFAULT_TOL``).
+    after round t, her total less the running sum of her values, which the
+    guard and the doomsday test read), ``optimal_welfare`` (the unconstrained
+    welfare optimum, each round to whoever values it most) and
+    ``normalized`` (every total is 1 within ``DEFAULT_TOL``).
     """
 
     values: np.ndarray
@@ -258,6 +258,12 @@ def validate_allocation(fractions) -> Allocation:
         raise ValidationError(f"round {t} allocates {row_sums[t]!r} > 1")
     matrix.setflags(write=False)
     return Allocation(fractions=matrix)
+
+
+def fair_share(instance: Instance) -> np.ndarray:
+    """Each agent's fair-share target, which ``audit`` measures and the
+    guarded rule protects: her own total value over n, as a new array."""
+    return instance.column_totals / instance.n
 
 
 def check_normalized(instance: Instance) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algorithms import GREEDY, _poly_fractions
-from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict, check_tolerance
+from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict, check_tolerance, fair_share
 from .errors import DimensionMismatch, ShapeMismatch, ValidationError
 
 
@@ -25,11 +25,6 @@ def utilities(instance: Instance, allocation: Allocation) -> np.ndarray:
             f"{allocation.fractions.shape}"
         )
     return np.add.reduce(instance.values * allocation.fractions)
-
-
-def fair_share(instance: Instance) -> np.ndarray:
-    """Each agent's fair-share target: her own total value over n, as a new array."""
-    return instance.column_totals / instance.n
 
 
 def optimal_welfare(instance: Instance) -> float:

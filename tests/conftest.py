@@ -32,21 +32,26 @@ def late_trip_values(rng, rounds):
     return np.column_stack([a / a.sum(), b / b.sum()])
 
 
-def guarded_reference(values, p):
+def guarded_reference(values, p, totals=None):
     """Reference guarded run: the power rule and the trip solve, one round at a time.
 
     This is the scalar definition of the guarded rule, kept to check the array
-    implementation in ``run_guarded`` against.  Before each round it solves,
-    for each agent, the fraction f of the round at which her utility so far
-    plus her value still to come (counted from a unit total) falls to 1/2
-    under the power rule's shares.  The first round with a crossing in
-    [0, 1 + TRIP_SLACK] trips: the smaller f wins, then the lower agent.
-    Returns the fractions and ``(round, f, agent)`` or None.
+    implementation in ``run_guarded`` against.  Each agent's total is summed
+    as ``validate_instance`` sums it, over her column, unless ``totals`` gives
+    it.  Before each round it solves, for each agent, the fraction f of the
+    round at which her utility so far plus her value still to come (her
+    total less the running sum of her values) falls to her fair-share
+    target, half her total, under the power rule's shares.  The first round
+    with a crossing in [0, 1 + TRIP_SLACK] trips: the smaller f wins, then
+    the lower agent.  Returns the fractions and ``(round, f, agent)`` or None.
     """
     values = np.asarray(values, dtype=float)
+    if totals is None:
+        totals = np.add.reduce(np.asfortranarray(values))
+    totals = [float(total) for total in totals]
     fractions = np.zeros(values.shape)
     u = [0.0, 0.0]
-    rem = [1.0, 1.0]
+    summed = [0.0, 0.0]
     for t, (a, b) in enumerate(values.tolist()):
         m = max(a, b)
         if m <= 0.0 or p == 0.0:
@@ -58,7 +63,8 @@ def guarded_reference(values, p):
         for i, v in enumerate((a, b)):
             slope = v - v * x[i]
             if slope > 0.0:
-                f = (u[i] + rem[i] - 0.5) / slope
+                rem = totals[i] - summed[i]
+                f = (u[i] + rem - totals[i] / 2) / slope
                 if f <= 1.0 + TRIP_SLACK:
                     candidates.append((min(max(f, 0.0), 1.0), i))
         if candidates:
@@ -69,7 +75,7 @@ def guarded_reference(values, p):
             return fractions, (t, f, i)
         fractions[t] = x
         u = [u[0] + a * x[0], u[1] + b * x[1]]
-        rem = [rem[0] - a, rem[1] - b]
+        summed = [summed[0] + a, summed[1] + b]
     return fractions, None
 
 
@@ -84,13 +90,17 @@ def surplus_rounding_over_slope(inst, p, t, i):
     ``SURPLUS_ROUNDINGS``.
 
     Both runs form the surplus before round t from the same operations on
-    sums of magnitude at most 1: t subtractions from the unit, t products
-    and t - 1 additions for the utility so far, and two more.  With unit
-    roundoff u = eps / 2, each run's surplus is within about (2t + 8) u of
-    the exact one, which also covers shares a few ulps apart (numpy's
-    vectorized pow need not match libm's, and a share enters the utility
-    weighted by a value, all values summing to 1).  So the surpluses differ
-    by at most 8 (t + 1) eps.  The slope ``v - v * x`` carries a few ulps of
+    sums of magnitude at most 1.  The value still to come is the same bits
+    in both: the agent's total, summed as ``validate_instance`` sums it,
+    less the running sum of her first t values.  The utility so far takes t
+    products and t - 1 additions, and the surplus two more: the value still
+    to come added, and the target, half the total (exact), subtracted.  With
+    unit roundoff u = eps / 2, each run's utility and surplus are within
+    about (2t + 7) u of the exact ones on the same value still to come,
+    which also covers shares a few ulps apart (numpy's vectorized pow need
+    not match libm's, and a share enters the utility weighted by a value,
+    all values summing to 1).  So the surpluses differ by at most
+    8 (t + 1) eps.  The slope ``v - v * x`` carries a few ulps of
     v in each run, which moves f (at most 1 + TRIP_SLACK) by at most another
     6 eps / slope.  Together, 14 (t + 1) eps / slope, rounded up to 16.  The
     clamp to [0, 1] only shrinks a difference.

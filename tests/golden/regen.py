@@ -9,7 +9,8 @@ regenerates the file with
 
 and lists each changed line, with its cause, in CHANGES.md.  The calls run
 ``roundfair.cli.main`` in process, with this directory as the working
-directory, so the file paths in ``argv`` are relative to it.
+directory, so the file paths in ``argv`` are relative to it.  ``replay.py``
+runs the calls of ``INSTALLED`` through the installed console script.
 """
 
 from __future__ import annotations
@@ -172,6 +173,64 @@ BAD_FILES = tuple(
 )
 
 
+#: The calls ``replay.py`` runs through the installed ``roundfair`` console
+#: script, first the commands CI once smoke-tested by exit code alone, in
+#: the default format (csv).  Those the lists above do not make are appended
+#: to the corpus.
+INSTALLED = (
+    ("search", "--objective", "proportional"),
+    ("search", "--objective", "guarded-cp2-both-above", "--p", "2.7"),
+    ("sweep", "--p-values", "2,2.7,3"),
+    ("sweep", "--p-values", "1,5"),
+    # One stacked search per curve: rows below, at, just above and far above
+    # 2, so the trip curve's rows differ in length.
+    ("sweep", "--p-values", "0.5,2,2.000001,2.7,5000"),
+    ("search", "--objective", "poly-two-round-diagonal", "--p", "2.7"),
+    ("search", "--objective", "guarded-cp2-mixed", "--p", "2.000001"),
+    ("search", "--objective", "guarded-cp1", "--p", "2.0001"),
+    ("search", "--objective", "guarded-cp1", "--p", "5000"),
+    ("search", "--objective", "poly-two-round", "--p", "5000", "--grid-step", "0.02"),
+    ("run", "--algorithm", "guarded", "--p", "2.7", "--instance", "three-round-cp:0.76,0.97"),
+    ("run", "--algorithm", "guarded", "--p", "2.7", "--instance", "two-round-symmetric:0.599"),
+    ("run", "--algorithm", "guarded", "--p", "2.7", "--instance", "fs-violation:3"),
+    ("run", "--algorithm", "guarded", "--p", "2.7", "--instance", "lb-pair"),
+    # The guarded rule needs two agents, so the 4-agent family runs unguarded.
+    ("run", "--algorithm", "poly", "--p", "2.7", "--instance", "multi-agent:4"),
+    ("replay-lb", "--algorithm", "guarded", "--p", "2.7"),
+    (
+        "doomsday", "--algorithm", "guarded", "--p", "2.7",
+        "--instance", "three-round-cp:0.76,0.97",
+    ),
+    ("verify", "--instance", "files/two-agents-5.txt", "--allocation", "files/two-agents-5-equal.txt"),
+    # Exit 2: an fs-violation that rounds to an instance violating nothing,
+    # grids too large for an array and for memory, a NaN exponent, a sweep
+    # over no exponent, NaN and negative tolerances, and --p given to a
+    # fixed-exponent rule or objective.
+    ("run", "--algorithm", "proportional", "--instance", "fs-violation:1e18"),
+    ("search", "--objective", "guarded-cp1", "--p", "2.7", "--grid-step", "1e-300"),
+    ("search", "--objective", "guarded-cp1", "--p", "2.7", "--grid-step", "1e-17"),
+    ("search", "--objective", "guarded-cp1", "--p", "nan"),
+    ("sweep", "--p-values", ""),
+    (
+        "verify",
+        "--instance", "files/two-agents-5.txt",
+        "--allocation", "files/two-agents-5-equal.txt",
+        "--tol", "nan",
+    ),
+    ("run", "--algorithm", "proportional", "--instance", "two-round-symmetric:0.599", "--tol=-1"),
+    ("run", "--algorithm", "proportional", "--p", "3", "--instance", "two-round-symmetric:0.599"),
+    ("search", "--objective", "proportional", "--p", "3"),
+    # A negative zero exponent reads as 0: it once printed poly--0.
+    ("run", "--algorithm", "poly", "--p", "-0.0", "--instance", "two-round-symmetric:0.599"),
+)
+#: The first of them for each subcommand again, in json.
+INSTALLED += tuple(
+    (*argv, "--format", "json")
+    for k, argv in enumerate(INSTALLED)
+    if argv[0] not in {earlier[0] for earlier in INSTALLED[:k]}
+)
+
+
 def _algorithm_args(algorithm):
     args = ["--algorithm", algorithm[0]]
     if len(algorithm) > 1:
@@ -212,8 +271,10 @@ def _calls():
         yield list(argv)
 
 
+_LISTED = tuple(_calls())
+
 #: Every argv the corpus records, in file order.
-CALLS = tuple(_calls())
+CALLS = _LISTED + tuple(list(argv) for argv in INSTALLED if list(argv) not in _LISTED)
 
 
 def record(argv) -> dict:

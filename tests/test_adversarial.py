@@ -822,7 +822,8 @@ class TestBothAboveInMu:
         assert inst.values[:, 1].tolist() == [row[1] for row in unsolved]
         with mpmath.workdps(50):
             x1, x2 = (mpmath.mpf(float(poly_round(row, p)[0])) for row in inst.values[:2])
-            crossing = (1 - mpmath.mpf(v1) + v1 * x1 - mpmath.mpf(0.5)) / (v2 * (1 - x2))
+            total = mpmath.mpf(float(inst.column_totals[0]))
+            crossing = (v1 * x1 + (total - v1) - total / 2) / (v2 * (1 - x2))
             assert abs(crossing - 1) <= bound
             # Solving moved only agent 0's rounds 2 and 3, and so the ratio
             # by at most (|dv2| + (v2 + w2) |dx2| + 2 |dv3|) / opt: R is
