@@ -28,13 +28,17 @@ from .core import (
     Instance,
     RunTrace,
     check_normalized,
-    fair_share,
+    operand,
     validate_allocation,
 )
 from .errors import InfiniteP, NotTwoAgents, OutOfRange, ValidationError
 
 #: Distinguished exponent selecting the winner-take-all rule.
 GREEDY = math.inf
+
+_ZERO, _ONE = operand(0.0), operand(1.0)
+#: The largest trip fraction that still hits: 1 plus ``TRIP_SLACK``.
+_TRIP_LIMIT = operand(1.0 + TRIP_SLACK)
 
 
 def _check_p(p: float) -> float:
@@ -82,7 +86,7 @@ def _poly_fractions(values: np.ndarray, p: float) -> np.ndarray:
     else:
         with np.errstate(invalid="ignore"):
             weights = values / row_max
-        np.fmin(weights, 1.0, out=weights)
+        np.fmin(weights, _ONE, out=weights)
         weights **= p
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
     return weights
@@ -132,8 +136,8 @@ def _first_trip(surplus, slope) -> tuple[int, float, int] | None:
     # it; a subnormal slope gives f = inf, which cannot hit.
     with np.errstate(all="ignore"):
         f = np.divide(surplus, slope, out=surplus)
-    hit = f <= 1.0 + TRIP_SLACK
-    hit &= slope > 0.0
+    hit = f <= _TRIP_LIMIT
+    hit &= slope > _ZERO
     # Each agent's first hit, if she has one; the earliest of them trips.
     hits = [(t, i) for i, t in enumerate(hit.argmax(axis=0).tolist()) if hit[t, i]]
     if not hits:
@@ -175,7 +179,7 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     surplus = np.empty_like(values)
     surplus[0] = instance.column_totals
     np.add(cumulative[:-1], instance.remaining_value[:-1], out=surplus[1:])
-    surplus -= fair_share(instance)
+    surplus -= instance.fair_share
     trip = _first_trip(surplus, slope)
     del surplus, slope  # freed before validate_allocation copies the fractions
     event = None

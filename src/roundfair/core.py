@@ -1,8 +1,9 @@
 """Core domain types: valuation instances, allocations, run traces, and audit verdicts.
 
-This module holds only the types, their validation, the fair-share target
-and the package's tolerances.  The instance families are built in
-:mod:`adversarial`, next to the closed forms they realize.
+This module holds only the types, their validation, the fair-share target,
+the package's tolerances and :func:`operand`, which makes the constant
+operands of the short-run path's ufunc calls.  The instance families are
+built in :mod:`adversarial`, next to the closed forms they realize.
 
 An instance is a T x n matrix of nonnegative values, one row per round and one
 column per agent.  Agents have additive utilities, and an instance is called
@@ -11,13 +12,16 @@ construction and safe to share across workers.
 
 Instance facts.  :func:`validate_instance` is the only builder of an
 :class:`Instance`, and it computes what every reader of the instance needs,
-once: each agent's column total and her value still to come after each
-round (both read-only), the unconstrained welfare optimum and the
-``normalized`` flag.  Runs, audits and doomsday traces read these fields
-instead of reducing the matrix again, so an instance run and audited many
-times pays for them once; every run's trace holds the instance's own
-remaining values.  The price is memory: an instance holds two T x n arrays,
-twice its matrix.  Nothing is computed lazily.
+once: each agent's column total, her fair-share target (her total over n)
+and her value still to come after each round (all read-only), the
+unconstrained welfare optimum and the ``normalized`` flag.  Runs, audits and
+doomsday traces read these fields instead of reducing the matrix again, so
+an instance run and audited many times pays for them once; every run's
+trace holds the instance's own remaining values.  Likewise an
+:class:`Allocation` sums its rounds' shares once, when it is built, and the
+audit reads those sums.  The price is memory: an instance holds two T x n
+arrays, twice its matrix, and two n-vectors; an allocation holds one
+T-vector beside its fractions.  Nothing is computed lazily.
 
 Storage layout.  Every T x n array the package builds (instance values,
 allocation fractions, a trace's utilities and remaining values) is stored
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +83,18 @@ CLOSED_FORM_SLACK = 1e-3
 REFINE_TOL = 1e-9
 
 
+def operand(x: float) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array, for a ufunc's constant operand.
+
+    A ufunc converts a Python float operand on every call, which costs about
+    0.1 µs on numpy 2.4, a share of a short run's fixed cost; a 0-d array of
+    the same float64 skips that, and the result is the same float64.
+    """
+    array = np.array(x, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 def check_tolerance(tol: float, name: str = "tol") -> None:
     """Reject a caller's slack that is NaN, infinite or negative: NaN fails
     every comparison, inf accepts anything, and a negative slack demands
@@ -93,8 +109,10 @@ class Instance:
 
     ``values`` is column-major and read-only.  :func:`validate_instance`
     computes the other fields once, from ``values``, when it builds the
-    instance: ``column_totals`` (read-only, each agent's total value, which
-    :func:`fair_share` divides), ``remaining_value`` (read-only, column-major;
+    instance: ``column_totals`` (read-only, each agent's total value),
+    ``fair_share`` (read-only, ``column_totals / n``, the target the guard
+    protects and the audit and doomsday test measure; :func:`fair_share`
+    returns a writable copy), ``remaining_value`` (read-only, column-major;
     ``remaining_value[t][i]`` is agent i's value still to arrive strictly
     after round t, her total less the running sum of her values, which the
     guard and the doomsday test read), ``optimal_welfare`` (the unconstrained
@@ -104,6 +122,7 @@ class Instance:
 
     values: np.ndarray
     column_totals: np.ndarray
+    fair_share: np.ndarray
     remaining_value: np.ndarray
     optimal_welfare: float
     normalized: bool
@@ -123,10 +142,20 @@ class Instance:
 class Allocation:
     """Per-round fractions; ``fractions[t][i]`` is the share of round t given to agent i.
 
-    ``fractions`` is column-major and read-only.
+    ``fractions`` is column-major and read-only.  ``row_sums[t]`` (read-only)
+    is the share of round t allocated in all; it is summed from ``fractions``
+    when the allocation is built, so it always agrees with them.
+    :func:`validate_allocation` checks it and :func:`~roundfair.metrics.audit`
+    reads it.
     """
 
     fractions: np.ndarray
+    row_sums: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        row_sums = np.add.reduce(self.fractions, axis=1)
+        row_sums.setflags(write=False)
+        object.__setattr__(self, "row_sums", row_sums)
 
 
 @dataclass(frozen=True)
@@ -196,12 +225,12 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     """Check a raw valuation matrix and wrap it as an immutable :class:`Instance`.
 
     The matrix is copied once, column-major, and frozen, and the instance's
-    column totals, remaining values and welfare optimum are computed from it
-    here, once.  It must be non-empty and rectangular with nonnegative finite
-    entries.  When ``require_normalized`` is set, every agent's column must
-    sum to 1 within ``DEFAULT_TOL`` (see :func:`check_normalized`); otherwise
-    the instance is accepted as-is and its ``normalized`` flag records
-    whether the sums happen to hold.
+    column totals, fair-share target, remaining values and welfare optimum
+    are computed from it here, once.  It must be non-empty and rectangular
+    with nonnegative finite entries.  When ``require_normalized`` is set,
+    every agent's column must sum to 1 within ``DEFAULT_TOL`` (see
+    :func:`check_normalized`); otherwise the instance is accepted as-is and
+    its ``normalized`` flag records whether the sums happen to hold.
     """
     try:
         matrix = np.array(values, dtype=float, order="F")
@@ -223,12 +252,15 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     matrix.setflags(write=False)
     totals = np.add.reduce(matrix)
     totals.setflags(write=False)
+    share = totals / matrix.shape[1]
+    share.setflags(write=False)
     remaining = np.add.accumulate(matrix)
     np.subtract(totals, remaining, out=remaining)
     remaining.setflags(write=False)
     instance = Instance(
         values=matrix,
         column_totals=totals,
+        fair_share=share,
         remaining_value=remaining,
         optimal_welfare=float(np.add.reduce(np.maximum.reduce(matrix, axis=1))),
         # A loop over the n totals as Python floats costs less than the four
@@ -245,25 +277,31 @@ def validate_allocation(fractions) -> Allocation:
 
     The matrix is copied once, column-major, and frozen.  Entries must be
     finite and lie in [0, 1] within ``ENTRY_TOL``; each round may allocate at
-    most 1 within ``DEFAULT_TOL``.
+    most 1 within ``DEFAULT_TOL``.  The round sums this checks are the ones
+    the allocation stores, summed once as it is built.
     """
-    matrix = np.array(fractions, dtype=float, order="F")
+    try:
+        matrix = np.array(fractions, dtype=float, order="F")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"fractions are not a rectangular numeric matrix: {exc}") from None
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
     if not _entries_within(matrix, -ENTRY_TOL, 1.0 + ENTRY_TOL):
         raise ValidationError("allocation entries must be finite and lie in [0, 1]")
-    row_sums = matrix.sum(axis=1)
+    matrix.setflags(write=False)
+    allocation = Allocation(fractions=matrix)
+    row_sums = allocation.row_sums
     t = int(row_sums.argmax())
     if row_sums[t] > 1.0 + DEFAULT_TOL:
         raise ValidationError(f"round {t} allocates {row_sums[t]!r} > 1")
-    matrix.setflags(write=False)
-    return Allocation(fractions=matrix)
+    return allocation
 
 
 def fair_share(instance: Instance) -> np.ndarray:
     """Each agent's fair-share target, which ``audit`` measures and the
-    guarded rule protects: her own total value over n, as a new array."""
-    return instance.column_totals / instance.n
+    guarded rule protects: her own total value over n.  A writable copy of
+    the instance's stored ``fair_share``, new on every call."""
+    return instance.fair_share.copy()
 
 
 def check_normalized(instance: Instance) -> None:

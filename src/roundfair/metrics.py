@@ -13,8 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .algorithms import GREEDY, _poly_fractions
-from .core import DEFAULT_TOL, Allocation, Instance, RunTrace, Verdict, check_tolerance, fair_share
+from .core import (
+    DEFAULT_TOL,
+    Allocation,
+    Instance,
+    RunTrace,
+    Verdict,
+    check_tolerance,
+    fair_share,  # re-exported: metrics.fair_share is public
+    operand,
+)
 from .errors import DimensionMismatch, ShapeMismatch, ValidationError
+
+_ZERO, _ONE, _INF = operand(0.0), operand(1.0), operand(np.inf)
 
 
 def utilities(instance: Instance, allocation: Allocation) -> np.ndarray:
@@ -51,12 +62,13 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
     # Minima and maxima are read at argmin and argmax: on a short run numpy's
     # min and max reductions cost more to set up than they have to compare.
     # Both pick the first nan, as min and max propagate it.
-    margins = u - fair_share(instance)
+    margins = u - instance.fair_share
     fair_share_margin = float(margins[margins.argmin()])
 
     # Every round sums to 1 within tol exactly when the extreme sums do:
-    # subtracting 1 is monotone, so it commutes with min and max.
-    row_sums = np.add.reduce(allocation.fractions, axis=1)
+    # subtracting 1 is monotone, so it commutes with min and max.  The sums
+    # are the allocation's own, taken when it was built.
+    row_sums = allocation.row_sums
     fully_allocated = bool(
         row_sums[row_sums.argmin()] - 1.0 >= -tol
         and row_sums[row_sums.argmax()] - 1.0 <= tol
@@ -103,7 +115,7 @@ def _need(u: np.ndarray, target, tol: float) -> np.ndarray:
     deficit below her (or a shared scalar) target."""
     need = target - u
     need -= tol
-    return np.maximum(need, 0.0, out=need)
+    return np.maximum(need, _ZERO, out=need)
 
 
 def _minimal_shares(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarray:
@@ -125,13 +137,13 @@ def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarr
     since a stranded agent's share counts as inf.
     """
     need = _need(u, target, tol)
-    shares = np.where(need > 0.0, np.inf, 0.0)
+    shares = np.where(need > _ZERO, _INF, _ZERO)
     # Only a positive remainder divides; over a subnormal one a need may
     # overflow to inf, and an instance whose column total overflows gives
     # inf over inf.  Both fail the state as they should.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(need, rem, out=shares, where=rem > 0.0)
-    return np.add.reduce(shares, axis=-1) <= 1.0
+        np.divide(need, rem, out=shares, where=rem > _ZERO)
+    return np.add.reduce(shares, axis=-1) <= _ONE
 
 
 def doomsday_compatible(
@@ -187,10 +199,11 @@ def doomsday_trace(
 ) -> list[bool]:
     """Apply the doomsday test, against :func:`fair_share`, after every round."""
     check_tolerance(tol)
-    if trace.cumulative_utility.shape != instance.values.shape:
+    shape = instance.values.shape
+    if trace.cumulative_utility.shape != shape or trace.remaining_value.shape != shape:
         raise ShapeMismatch("trace does not match this instance")
     return _doomsday_ok(
-        trace.cumulative_utility, trace.remaining_value, fair_share(instance), tol
+        trace.cumulative_utility, trace.remaining_value, instance.fair_share, tol
     ).tolist()
 
 
@@ -210,7 +223,7 @@ def offline_fair_share_welfare(instance: Instance) -> float:
     bound, and the bound is returned without solving.
     """
     V = instance.values
-    target = fair_share(instance)
+    target = instance.fair_share
     greedy = np.add.reduce(V * _poly_fractions(V, GREEDY), axis=0)
     if (greedy >= target).all():
         return optimal_welfare(instance)

@@ -18,6 +18,7 @@ from roundfair import (
     validate_allocation,
     validate_instance,
 )
+from roundfair.core import fair_share
 from roundfair.errors import (
     EmptyInstance,
     NegativeValue,
@@ -149,14 +150,18 @@ GENERATED = _generated()
 
 
 class TestStoredFacts:
-    """validate_instance computes the column totals and the welfare optimum
-    once; they must equal the expressions every reader used to evaluate."""
+    """validate_instance computes the column totals, the fair-share target and
+    the welfare optimum once; they must equal the expressions every reader
+    used to evaluate."""
 
     @staticmethod
     def _check(inst):
         totals = np.add.reduce(inst.values)
         assert inst.column_totals.tobytes() == totals.tobytes()
         assert inst.column_totals.dtype == totals.dtype and inst.column_totals.shape == totals.shape
+        share = inst.column_totals / inst.n
+        assert inst.fair_share.tobytes() == share.tobytes()
+        assert inst.fair_share.dtype == share.dtype and inst.fair_share.shape == share.shape
         opt = float(np.add.reduce(np.maximum.reduce(inst.values, axis=1)))
         assert type(inst.optimal_welfare) is float
         assert inst.optimal_welfare.hex() == opt.hex()
@@ -196,6 +201,31 @@ class TestStoredFacts:
         assert not inst.remaining_value.flags.writeable
         with pytest.raises(ValueError):
             inst.remaining_value[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n", [2, 5, 25])
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+    def test_fair_share_is_total_over_n_and_read_only(self, n, scale):
+        rng = np.random.default_rng(n)
+        for rounds in (1, 3, 20):
+            values = rng.dirichlet(np.ones(rounds), size=n).T * scale
+            inst = validate_instance(values)
+            assert inst.normalized == (scale == 1.0)
+            want = np.add.reduce(inst.values) / n
+            assert inst.fair_share.tobytes() == want.tobytes()
+            assert not inst.fair_share.flags.writeable
+            with pytest.raises(ValueError):
+                inst.fair_share[0] = 1.0
+
+    def test_fair_share_accessor_returns_a_new_writable_copy(self):
+        inst = validate_instance(SEEDED["unnormalized"])
+        first = fair_share(inst)
+        second = fair_share(inst)
+        assert first.tobytes() == inst.fair_share.tobytes()
+        assert first.flags.writeable and first is not second
+        assert not np.shares_memory(first, inst.fair_share)
+        assert not np.shares_memory(first, second)
+        first[:] = -1.0
+        assert fair_share(inst).tobytes() == inst.fair_share.tobytes()
 
     @pytest.mark.parametrize("name", ["two-agents-1", "two-agents-40", "dead-rounds", "n-25"])
     def test_every_trace_holds_the_instance_remaining_values(self, name):
@@ -259,6 +289,44 @@ class TestValidateAllocation:
     def test_names_the_oversubscribed_round(self):
         with pytest.raises(ValidationError, match="round 1"):
             validate_allocation([[0.5, 0.5], [0.6, 0.6], [0.7, 0.0]])
+
+    @pytest.mark.parametrize(
+        "fractions", [[[0.5], [0.5, 0.5]], [["a", "b"]], [[object(), 0.5]]]
+    )
+    def test_ragged_or_non_numeric_input_is_a_validation_error(self, fractions):
+        # numpy's own ValueError or TypeError would escape the package's errors
+        with pytest.raises(ValidationError, match="not a rectangular numeric matrix") as err:
+            validate_allocation(fractions)
+        assert type(err.value) is ValidationError
+
+
+class TestRowSums:
+    """An allocation sums its rounds once, when it is built, whoever builds it."""
+
+    @staticmethod
+    def _check(allocation):
+        want = np.add.reduce(allocation.fractions, axis=1)
+        assert allocation.row_sums.tobytes() == want.tobytes()
+        assert allocation.row_sums.shape == (allocation.fractions.shape[0],)
+        assert not allocation.row_sums.flags.writeable
+        with pytest.raises(ValueError):
+            allocation.row_sums[0] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 25])
+    def test_validated_and_run_allocations(self, n):
+        rng = np.random.default_rng(n)
+        for rounds in (1, 3, 20):
+            fractions = rng.dirichlet(np.ones(n), size=rounds) * rng.uniform(0.5, 1.0)
+            self._check(validate_allocation(fractions))
+            inst = validate_instance(rng.dirichlet(np.ones(rounds), size=n).T)
+            for rule in roundfair.builtin_algorithms():
+                if not rule.guarded or n == 2:
+                    self._check(rule.run(inst).allocation)
+
+    def test_built_directly(self):
+        for rows in ([[0.25, 0.75], [0.1, 0.2]], [[0.7, 0.7]], [[0.1, 0.2, 0.3]]):
+            self._check(roundfair.Allocation(fractions=np.asfortranarray(rows)))
+            self._check(roundfair.Allocation(fractions=np.ascontiguousarray(rows)))
 
 
 class TestTwoRoundSymmetric:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from roundfair import (
     validate_instance,
 )
 from roundfair.errors import DimensionMismatch, OutOfRange, ShapeMismatch, ValidationError
+from roundfair import core
 from roundfair.core import DEFAULT_TOL
 from roundfair.metrics import fair_share
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     doomsday_maintained,
     late_trip_values,
     random_instance,
+    random_instances,
 )
 
 
@@ -207,6 +210,58 @@ class TestFairShareTarget:
             remaining_value=np.array([[0.1, 0.05], [0.0, 0.0]]),
         )
         assert doomsday_trace(self.LOPSIDED, trace) == [False, False]
+
+
+class TestPoolWorkCounts:
+    """A pool operation runs a rule, audits the allocation and traces the
+    doomsday test.  The instance stores its fair-share target and the
+    allocation its round sums, so none of the three recomputes either."""
+
+    @staticmethod
+    def _calls(fn, *args):
+        """``fn(*args)`` and the calls it made: Python functions by code
+        object, numpy's add-reductions and ``sum`` methods by the name of the
+        function that made them."""
+        functions, sums = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                functions.append(frame.f_code)
+            elif event == "c_call":
+                name = getattr(arg, "__name__", None)
+                if name == "sum" or (name == "reduce" and getattr(arg, "__self__", None) is np.add):
+                    sums.append((frame.f_code.co_name, name))
+
+        sys.setprofile(profile)
+        try:
+            out = fn(*args)
+        finally:
+            sys.setprofile(None)
+        return out, functions, sums
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_operation_divides_the_totals_again(self, n):
+        rules = [a for a in builtin_algorithms() if n == 2 or not a.guarded]
+        for inst in random_instances(28, 10, n=n):
+            for rule in rules:
+                trace, functions, _ = self._calls(rule.run, inst)
+                _, more, _ = self._calls(audit, inst, trace.allocation)
+                functions += more
+                _, more, _ = self._calls(doomsday_trace, inst, trace)
+                functions += more
+                assert core.fair_share.__code__ not in functions, rule.name
+
+    def test_audit_reads_the_allocations_round_sums(self):
+        # Two sums remain: each agent's utility over the rounds, in
+        # ``utilities``, and the welfare over the agents, in ``audit``.
+        for n in (2, 5):
+            for inst in random_instances(29, 10, n=n):
+                for rule in builtin_algorithms():
+                    if rule.guarded and n != 2:
+                        continue
+                    allocation = rule.run(inst).allocation
+                    _, _, sums = self._calls(audit, inst, allocation)
+                    assert sums == [("utilities", "reduce"), ("audit", "reduce")], rule.name
 
 
 class TestToleranceIsChecked:
@@ -423,6 +478,22 @@ class TestDoomsdayTrace:
         other = random_instance(rng, min_rounds=4, max_rounds=4)
         with pytest.raises(ShapeMismatch):
             doomsday_trace(other, run_poly(inst, 1), 1e-9)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 3), (1, 2)])
+    def test_remaining_value_shape_mismatch(self, shape):
+        # A (2,) remainder would broadcast over both rounds and read
+        # [False, True] where the run's own state gives [True, True]; a (3, 2)
+        # one would fail inside numpy.  Both are a trace of another instance.
+        inst = validate_instance([[0.5, 0.5], [0.5, 0.5]])
+        trace = run_poly(inst, 1.0)
+        assert doomsday_trace(inst, trace) == [True, True]
+        forged = RunTrace(
+            allocation=trace.allocation,
+            cumulative_utility=trace.cumulative_utility,
+            remaining_value=np.zeros(shape),
+        )
+        with pytest.raises(ShapeMismatch, match="trace does not match this instance"):
+            doomsday_trace(inst, forged)
 
     @pytest.mark.parametrize("seed", [9, 19, 20])
     def test_late_trip_on_long_horizon_stays_compatible(self, seed):
