@@ -13,7 +13,6 @@ import functools
 import math
 import operator
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -22,11 +21,14 @@ import numpy as np
 
 from .algorithms import Algorithm, _poly_fractions
 from .core import (
+    _ARRAY_KIT,
     CLOSED_FORM_SLACK,
     DEFAULT_TOL,
     ENTRY_TOL,
     REFINE_TOL,
     Instance,
+    _ArrayKit,
+    _Workspace,
     check_tolerance,
     validate_instance,
 )
@@ -52,8 +54,9 @@ from .metrics import audit
 # min, sums, differences, products and powers.  Its other steps are plain
 # operators on per-axis values, and augmented assignments, which work in
 # place on arrays and rebind on floats.  The float kit is builtin
-# ``max``/``min`` and the plain operators; the array kit is numpy's ufuncs,
-# and inside a scan it writes into the scan's workspace.  An interval form
+# ``max``/``min`` and the plain operators; the array kit is numpy's ufuncs
+# (``core._ArrayKit``), and inside a scan it writes into the scan's own
+# workspace (``core._Workspace``).  An interval form
 # would pass its own kit.  On the families' domains every power in a body
 # has a base of at most 1, so no power overflows and none that matters
 # underflows: the bodies are defined at every finite p.  Where an array
@@ -73,82 +76,7 @@ class _FloatKit:
     power = staticmethod(operator.pow)
 
 
-class _ArrayKit:
-    """numpy's ufuncs, for broadcasting arrays; every step allocates its
-    result."""
-
-    maximum = np.maximum
-    minimum = np.minimum
-    add = np.add
-    subtract = np.subtract
-    multiply = np.multiply
-    power = staticmethod(operator.pow)
-    less = np.less
-    less_equal = np.less_equal
-    equal = np.equal
-
-
-def _into_buffer(ufunc, dtype=np.dtype(float)):
-    def step(self, a, b):
-        return ufunc(a, b, out=self._take(np.broadcast(a, b).shape, dtype))
-
-    return step
-
-
-def _unheld_count() -> int:
-    buffers = [np.empty(0)]
-    return sys.getrefcount(buffers[0])
-
-
-#: The reference count of a buffer that only its workspace's list holds,
-#: read as :meth:`_Workspace._take` reads it.
-_UNHELD = _unheld_count()
-
-
-class _Workspace(_ArrayKit):
-    """The array kit writing into buffers it owns.
-
-    Each step writes into the first buffer that fits and that no live array
-    views, and returns a view of it; a buffer's reference count tells
-    whether a view of it is still alive.  So a block's dead temporaries
-    free their buffers for its later steps, and a scan's next block reuses
-    the same buffers instead of asking the allocator for new ones.
-    """
-
-    def __init__(self):
-        self._buffers = []
-
-    def _take(self, shape, dtype):
-        size = math.prod(shape) * dtype.itemsize
-        buffers = self._buffers
-        for i in range(len(buffers)):
-            if buffers[i].size >= size and sys.getrefcount(buffers[i]) == _UNHELD:
-                break
-        else:
-            i = len(buffers)
-            buffers.append(np.empty(size, np.uint8))
-        return np.ndarray(shape, dtype, buffers[i])
-
-    maximum = _into_buffer(np.maximum)
-    minimum = _into_buffer(np.minimum)
-    add = _into_buffer(np.add)
-    subtract = _into_buffer(np.subtract)
-    multiply = _into_buffer(np.multiply)
-    less = _into_buffer(np.less, np.dtype(bool))
-    less_equal = _into_buffer(np.less_equal, np.dtype(bool))
-    equal = _into_buffer(np.equal, np.dtype(bool))
-
-    def power(self, a, p):
-        """``a ** p``, as a copy of ``a`` raised in place: like ``a ** p``,
-        that takes numpy's sqrt or square at a float p of 0.5 or 2."""
-        out = self._take(np.broadcast(a, p).shape, np.dtype(float))
-        np.copyto(out, a)
-        out **= p
-        return out
-
-
 _FLOAT_KIT = _FloatKit()
-_ARRAY_KIT = _ArrayKit()
 
 #: ``kit`` is the workspace of the scan block running on this thread, if any.
 _scan_local = threading.local()

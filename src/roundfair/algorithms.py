@@ -27,6 +27,7 @@ from .core import (
     CriticalEvent,
     Instance,
     RunTrace,
+    _run_kit,
     check_normalized,
     operand,
     validate_allocation,
@@ -119,7 +120,7 @@ def run_poly(instance: Instance, p: float) -> RunTrace:
     )
 
 
-def _first_trip(surplus, slope) -> tuple[int, float, int] | None:
+def _first_trip(surplus, slope, kit) -> tuple[int, float, int] | None:
     """The first round whose guard binds, as ``(round, f, agent)``, or None.
 
     Row t of ``surplus`` is the guard surplus before round t: each agent's
@@ -130,18 +131,21 @@ def _first_trip(surplus, slope) -> tuple[int, float, int] | None:
     ``surplus_i - f * slope_i``.  Setting that to 0 is linear in f.  Only
     strictly decreasing surpluses can cross, and a computed crossing within
     TRIP_SLACK of [0, 1] is clamped inside.  Within the round, ties go to the
-    smaller f, then the lower agent.
+    smaller f, then the lower agent.  The two masks come from ``kit``.
     """
     # Where the slope is 0 the quotient is inf or nan and the mask below drops
     # it; a subnormal slope gives f = inf, which cannot hit.
     with np.errstate(all="ignore"):
         f = np.divide(surplus, slope, out=surplus)
-    hit = f <= _TRIP_LIMIT
-    hit &= slope > _ZERO
+    hit = kit.less_equal(f, _TRIP_LIMIT)
+    hit &= kit.greater(slope, _ZERO)
+    # Most runs never trip: one argmax over the whole mask finds a hit if
+    # there is one, and only then is each agent's first hit looked up.
+    flat = hit.ravel(order="K")
+    if not flat[flat.argmax()]:
+        return None
     # Each agent's first hit, if she has one; the earliest of them trips.
     hits = [(t, i) for i, t in enumerate(hit.argmax(axis=0).tolist()) if hit[t, i]]
-    if not hits:
-        return None
     t = min(hits)[0]
     f_t, agent = min(
         (min(max(float(f[t, i]), 0.0), 1.0), i) for r, i in hits if r == t
@@ -161,6 +165,13 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     finite exponent.  The tripped agent ends at or above her fair share; the
     other does too at the exponents the analysis uses, but not at p = 0, where
     a trip at the end of an agent's last valued round hands her the rest.
+
+    The guard's T x n temporaries (the slope, the surplus that becomes the
+    trip fractions, and two masks) come from the calling thread's workspace
+    when the instance has at least ``core._WORKSPACE_MIN_ENTRIES`` entries,
+    and are allocated afresh below that; the workspace keeps them for the
+    thread's next long run (see :func:`core._run_kit`).  Every array of the
+    returned trace is new.
     """
     p = _check_p(p)
     if math.isinf(p):
@@ -170,18 +181,21 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     check_normalized(instance)
 
     values = instance.values
+    kit = _run_kit(values.size)
     fractions = _poly_fractions(values, p)
     gains = values * fractions
-    slope = values - gains
+    slope = kit.subtract(values, gains)
     cumulative = np.add.accumulate(gains, out=gains)
     # The guard surplus before each round: utility so far (none before round
     # 0) plus value still to come, round included, less the fair-share target.
-    surplus = np.empty_like(values)
+    surplus = kit.empty_like(values)
     surplus[0] = instance.column_totals
     np.add(cumulative[:-1], instance.remaining_value[:-1], out=surplus[1:])
     surplus -= instance.fair_share
-    trip = _first_trip(surplus, slope)
-    del surplus, slope  # freed before validate_allocation copies the fractions
+    trip = _first_trip(surplus, slope, kit)
+    # Released, to the allocator or the workspace, before validate_allocation
+    # copies the fractions.
+    del surplus, slope
     event = None
     if trip is not None:
         t, f, i = trip

@@ -1,9 +1,10 @@
 """Core domain types: valuation instances, allocations, run traces, and audit verdicts.
 
 This module holds only the types, their validation, the fair-share target,
-the package's tolerances and :func:`operand`, which makes the constant
-operands of the short-run path's ufunc calls.  The instance families are
-built in :mod:`adversarial`, next to the closed forms they realize.
+the package's tolerances, :func:`operand`, which makes the constant
+operands of the short-run path's ufunc calls, and the array kits that
+computations make their temporaries with.  The instance families are built
+in :mod:`adversarial`, next to the closed forms they realize.
 
 An instance is a T x n matrix of nonnegative values, one row per round and one
 column per agent.  Agents have additive utilities, and an instance is called
@@ -30,6 +31,17 @@ then run over contiguous memory and per-round reductions as n passes over
 columns, instead of T inner loops of length n, and no result depends on the
 layout the caller's matrix had.
 
+Temporaries of long runs.  A guarded run's guard and the doomsday test take
+their T x n temporaries from a kit (:func:`_run_kit`).  For a matrix of at
+least ``_WORKSPACE_MIN_ENTRIES`` (2^14) entries, 128 KiB of float64 and
+glibc's default mmap threshold, it is the calling thread's workspace, which
+keeps its buffers from call to call, so a long run's temporaries are not
+mapped and page-faulted in anew on every call.  Below that every
+temporary is allocated, as numpy does.  The results are the same bits
+either way, and every array a call returns is new.  The workspace retains
+about 2.25 x T·n·8 bytes of the largest matrix its thread ran (two float
+and two bool arrays of its shape) until the thread exits.
+
 Tolerance policy.  Every slack the package applies is defined below, once,
 and other modules import it.  Each slack is absolute and named for the scale
 it sits on: ``DEFAULT_TOL`` for sums of unit-scale numbers (column sums, round
@@ -45,7 +57,9 @@ and nonnegative (:func:`check_tolerance`); 0 asks for no slack.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +107,149 @@ def operand(x: float) -> np.ndarray:
     array = np.array(x, dtype=float)
     array.setflags(write=False)
     return array
+
+
+# ---------------------------------------------------------------------------
+# array kits
+#
+# A kit is the set of array steps a computation makes its temporaries with.
+# The allocating kit is numpy's ufuncs, and every step returns a new array.
+# A workspace writes each step into a buffer it owns and keeps the buffers
+# from call to call.  The worst-case search scans its grid blocks in
+# per-scan workspaces (:mod:`adversarial`); a long run's guard and doomsday
+# test take theirs from their thread's workspace (:func:`_run_kit`).
+
+
+class _ArrayKit:
+    """numpy's ufuncs, for broadcasting arrays; every step allocates its
+    result."""
+
+    maximum = np.maximum
+    minimum = np.minimum
+    add = np.add
+    subtract = np.subtract
+    multiply = np.multiply
+    power = staticmethod(operator.pow)
+    less = np.less
+    less_equal = np.less_equal
+    equal = np.equal
+    greater = np.greater
+    empty_like = staticmethod(np.empty_like)
+
+
+def _layout(a, b) -> str:
+    """The layout of a ufunc's result on ``a`` and ``b``: column-major when
+    an operand is column-major only, as numpy's default ``order="K"`` makes
+    it, else row-major."""
+    for x in (a, b):
+        if isinstance(x, np.ndarray) and x.flags.fnc:
+            return "F"
+    return "C"
+
+
+def _into_buffer(ufunc, dtype=np.dtype(float)):
+    def step(self, a, b):
+        return ufunc(a, b, out=self._take(np.broadcast(a, b).shape, dtype, _layout(a, b)))
+
+    return step
+
+
+def _unheld_count() -> int:
+    buffers = [np.empty(0)]
+    return sys.getrefcount(buffers[0])
+
+
+#: The reference count of a buffer that only its workspace's list holds,
+#: read as :meth:`_Workspace._take` reads it.
+_UNHELD = _unheld_count()
+
+
+class _Workspace(_ArrayKit):
+    """The array kit writing into buffers it owns.
+
+    Each step writes into the first buffer that fits and that no live array
+    views, and returns a view of it; a buffer's reference count tells
+    whether a view of it is still alive.  So a computation's dead
+    temporaries free their buffers for its later steps, and its next call
+    reuses the same buffers instead of asking the allocator for new ones.
+    When no free buffer fits, a free one that is too small is replaced by
+    one that fits, so the workspace holds no more buffers than a call holds
+    views at once, none larger than the largest step asked for.  Results
+    are laid out as the allocating kit lays them out.
+    """
+
+    def __init__(self):
+        self._buffers = []
+
+    def _take(self, shape, dtype, order="C"):
+        size = math.prod(shape) * dtype.itemsize
+        buffers = self._buffers
+        spare = len(buffers)
+        for i in range(len(buffers)):
+            if sys.getrefcount(buffers[i]) == _UNHELD:
+                if buffers[i].size >= size:
+                    break
+                spare = i
+        else:
+            i = spare
+            if i < len(buffers):
+                buffers[i] = np.empty(size, np.uint8)
+            else:
+                buffers.append(np.empty(size, np.uint8))
+        return np.ndarray(shape, dtype, buffers[i], order=order)
+
+    maximum = _into_buffer(np.maximum)
+    minimum = _into_buffer(np.minimum)
+    add = _into_buffer(np.add)
+    subtract = _into_buffer(np.subtract)
+    multiply = _into_buffer(np.multiply)
+    less = _into_buffer(np.less, np.dtype(bool))
+    less_equal = _into_buffer(np.less_equal, np.dtype(bool))
+    equal = _into_buffer(np.equal, np.dtype(bool))
+    greater = _into_buffer(np.greater, np.dtype(bool))
+
+    def power(self, a, p):
+        """``a ** p``, as a copy of ``a`` raised in place: like ``a ** p``,
+        that takes numpy's sqrt or square at a float p of 0.5 or 2."""
+        out = self._take(np.broadcast(a, p).shape, np.dtype(float))
+        np.copyto(out, a)
+        out **= p
+        return out
+
+    def empty_like(self, a):
+        """An uninitialized buffer of ``a``'s shape, dtype and layout."""
+        return self._take(a.shape, a.dtype, "F" if a.flags.fnc else "C")
+
+
+_ARRAY_KIT = _ArrayKit()
+
+#: A run's matrix with at least this many entries takes its temporaries from
+#: its thread's workspace: 2^14 float64 entries are 128 KiB, glibc's default
+#: mmap threshold, above which a fresh temporary is mapped, and its pages
+#: faulted in, anew on every call.
+_WORKSPACE_MIN_ENTRIES = 2**14
+
+#: ``workspace`` is this thread's workspace for long runs, once one has run.
+_run_local = threading.local()
+
+
+def _run_kit(entries: int) -> _ArrayKit:
+    """The kit for the temporaries of a run's matrix of ``entries`` entries:
+    the calling thread's workspace, made on first use, from
+    ``_WORKSPACE_MIN_ENTRIES`` entries on, else the allocating kit.
+
+    The workspace keeps its buffers until the thread exits: about
+    2.25 x T·n·8 bytes of the largest matrix the thread ran, two float and
+    two bool arrays of its shape.  Only temporaries come from it; every
+    array a call returns is new.
+    """
+    if entries < _WORKSPACE_MIN_ENTRIES:
+        return _ARRAY_KIT
+    try:
+        return _run_local.workspace
+    except AttributeError:
+        workspace = _run_local.workspace = _Workspace()
+        return workspace
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -209,16 +366,36 @@ class Verdict:
 _FLOAT_MAX = sys.float_info.max
 
 
-def _entries_within(matrix: np.ndarray, low: float, high: float) -> bool:
-    """Whether every entry is a number in [low, high].
+#: T times the largest entry bounds every sum an instance holds.  Up to half
+#: the largest float, each computed sum of the T or fewer entries it covers
+#: stays finite: its rounding error is below T·eps of it, and T·eps < 1.
+_SUM_LIMIT = _FLOAT_MAX / 2
 
-    The extreme entries are read at argmin and argmax, which cost less than
-    numpy's min and max reductions on a short run and make no temporary.
-    Both pick the first NaN, and every comparison with NaN is False, so a
-    NaN fails.
+
+def _extremes(matrix: np.ndarray) -> tuple[float, float]:
+    """The smallest and the largest entry, or NaN for both if any is NaN.
+
+    They are read at argmin and argmax, which cost less than numpy's min and
+    max reductions on a short run and make no temporary.  Both pick the
+    first NaN, and every comparison with NaN is False, so a NaN fails every
+    bound.
     """
     entries = matrix.ravel(order="K")
-    return bool(entries[entries.argmin()] >= low and entries[entries.argmax()] <= high)
+    return entries.item(entries.argmin()), entries.item(entries.argmax())
+
+
+def _check_sums(matrix: np.ndarray) -> None:
+    """Raise :class:`ValidationError` when an agent's total or running sum,
+    or the welfare optimum, overflows, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.add.reduce(matrix))
+        finite &= np.isfinite(np.add.accumulate(matrix)[-1])
+        welfare = np.add.reduce(np.maximum.reduce(matrix, axis=1))
+    if not finite.all():
+        agent = int(np.argmin(finite))
+        raise ValidationError(f"agent {agent}'s values sum past the largest float")
+    if not math.isfinite(welfare):
+        raise ValidationError("the rounds' largest values sum past the largest float")
 
 
 def validate_instance(values, require_normalized: bool = False) -> Instance:
@@ -227,8 +404,10 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     The matrix is copied once, column-major, and frozen, and the instance's
     column totals, fair-share target, remaining values and welfare optimum
     are computed from it here, once.  It must be non-empty and rectangular
-    with nonnegative finite entries.  When ``require_normalized`` is set,
-    every agent's column must sum to 1 within ``DEFAULT_TOL`` (see
+    with nonnegative finite entries, and its sums must stay finite: no
+    agent's total, and not the sum of the rounds' largest values, may
+    overflow.  When ``require_normalized`` is set, every agent's column must
+    sum to 1 within ``DEFAULT_TOL`` (see
     :func:`check_normalized`); otherwise the instance is accepted as-is and
     its ``normalized`` flag records whether the sums happen to hold.
     """
@@ -243,11 +422,14 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
     if matrix.shape[1] < 2:
         raise ValidationError("an instance needs at least two agents")
     # Only a matrix that fails pays for finding its error.
-    if not _entries_within(matrix, 0.0, _FLOAT_MAX):
+    smallest, largest = _extremes(matrix)
+    if not (smallest >= 0.0 and largest <= _FLOAT_MAX):
         if not np.isfinite(matrix).all():
             raise ValidationError("all values must be finite")
         t, i = np.argwhere(matrix < 0)[0]
         raise NegativeValue(int(t), int(i), float(matrix[t, i]))
+    if matrix.shape[0] * largest > _SUM_LIMIT:
+        _check_sums(matrix)
 
     matrix.setflags(write=False)
     totals = np.add.reduce(matrix)
@@ -286,7 +468,8 @@ def validate_allocation(fractions) -> Allocation:
         raise ValidationError(f"fractions are not a rectangular numeric matrix: {exc}") from None
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
-    if not _entries_within(matrix, -ENTRY_TOL, 1.0 + ENTRY_TOL):
+    smallest, largest = _extremes(matrix)
+    if not (smallest >= -ENTRY_TOL and largest <= 1.0 + ENTRY_TOL):
         raise ValidationError("allocation entries must be finite and lie in [0, 1]")
     matrix.setflags(write=False)
     allocation = Allocation(fractions=matrix)

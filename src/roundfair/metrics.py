@@ -14,11 +14,13 @@ import numpy as np
 
 from .algorithms import GREEDY, _poly_fractions
 from .core import (
+    _ARRAY_KIT,
     DEFAULT_TOL,
     Allocation,
     Instance,
     RunTrace,
     Verdict,
+    _run_kit,
     check_tolerance,
     fair_share,  # re-exported: metrics.fair_share is public
     operand,
@@ -110,10 +112,10 @@ def _state_arrays(utilities_so_far, remaining_values):
     return u, rem
 
 
-def _need(u: np.ndarray, target, tol: float) -> np.ndarray:
+def _need(u: np.ndarray, target, tol: float, kit) -> np.ndarray:
     """Each agent's ``max(d_i - tol, 0)``, where ``d_i = target_i - u_i`` is her
-    deficit below her (or a shared scalar) target."""
-    need = target - u
+    deficit below her (or a shared scalar) target, in a buffer from ``kit``."""
+    need = kit.subtract(target, u)
     need -= tol
     return np.maximum(need, _ZERO, out=need)
 
@@ -124,7 +126,7 @@ def _minimal_shares(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.nd
     Agent i needs the share :func:`_need` over ``rem_i`` of a last round; an
     agent with nothing left to come gets 0.
     """
-    need = _need(u, target, tol)
+    need = _need(u, target, tol, _ARRAY_KIT)
     return np.divide(need, rem, out=np.zeros_like(need), where=rem > 0.0)
 
 
@@ -134,15 +136,23 @@ def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarr
     A state passes when no agent is stranded, that is still needs a share
     but has nothing left to come, and the minimal shares of
     :func:`_minimal_shares` sum to at most 1.  Both parts are one sum here,
-    since a stranded agent's share counts as inf.
+    since a stranded agent's share counts as inf.  The need, the shares and
+    their two masks come from the kit :func:`core._run_kit` picks for the
+    states' size; the returned flags are new.
     """
-    need = _need(u, target, tol)
-    shares = np.where(need > _ZERO, _INF, _ZERO)
+    kit = _run_kit(u.size)
+    need = _need(u, target, tol, kit)
+    # A stranded agent's share is inf, any other 0, until a positive
+    # remainder divides.
+    shares = kit.empty_like(need)
+    shares.fill(0.0)
+    np.copyto(shares, _INF, where=kit.greater(need, _ZERO))
     # Only a positive remainder divides; over a subnormal one a need may
-    # overflow to inf, and an instance whose column total overflows gives
-    # inf over inf.  Both fail the state as they should.
+    # overflow to inf, and in an instance built around validate_instance a
+    # column total that overflowed gives inf over inf.  Both fail the state
+    # as they should.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(need, rem, out=shares, where=rem > _ZERO)
+        np.divide(need, rem, out=shares, where=kit.greater(rem, _ZERO))
     return np.add.reduce(shares, axis=-1) <= _ONE
 
 
@@ -197,7 +207,14 @@ def doomsday_witness(
 def doomsday_trace(
     instance: Instance, trace: RunTrace, tol: float = DEFAULT_TOL
 ) -> list[bool]:
-    """Apply the doomsday test, against :func:`fair_share`, after every round."""
+    """Apply the doomsday test, against :func:`fair_share`, after every round.
+
+    The test's T x n temporaries (the need, the shares and their two masks)
+    come from the calling thread's workspace when the trace has at least
+    ``core._WORKSPACE_MIN_ENTRIES`` entries, and are allocated afresh below
+    that; the workspace keeps them for the thread's next long run (see
+    :func:`core._run_kit`).  The returned flags are a new list.
+    """
     check_tolerance(tol)
     shape = instance.values.shape
     if trace.cumulative_utility.shape != shape or trace.remaining_value.shape != shape:

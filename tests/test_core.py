@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tokenize
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,18 @@ from roundfair.errors import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+#: A column whose pairwise total is the largest float but whose running
+#: sum rounds up past it in its last round.
+RUNNING_SUM_OVERFLOWS = [
+    float.fromhex(h)
+    for h in (
+        "0x1.913d3222a1f56p+1020", "0x1.2a8c9becd14d1p+1020", "0x1.9d00669be15a3p+1020",
+        "0x1.e3c051270e942p+1020", "0x1.5407bc27f9a33p+1021", "0x1.7f41e370fbae6p+1020",
+        "0x1.2ed672f6175a8p+1020", "0x1.e964468a3d44dp+1020", "0x1.3a0c8e84e07bbp+1021",
+        "0x1.fa08fc530859bp+1015",
+    )
+]
 
 #: The golden corpus's unnormalized instance: agent totals 0.3 and 2.5.
 UNNORMALIZED = Path(__file__).parent / "golden" / "files" / "unnormalized.txt"
@@ -58,6 +71,42 @@ class TestValidateInstance:
     def test_irrational_normalized_columns(self):
         inst = validate_instance([[SQ2, 1 - SQ2], [1 - SQ2, SQ2]])
         assert inst.normalized
+
+    @pytest.mark.parametrize(
+        "values, agent",
+        [
+            ([[1.5e308, 1e-3], [1.5e308, 1e-3], [1.5e308, 1.0]], 0),
+            ([[1.0, 1e308], [0.0, 1e308]], 1),
+            ([[1e308, 0.0]] * 5 + [[0.0, 1.0]], 0),
+            ([[v, 0.1] for v in RUNNING_SUM_OVERFLOWS], 0),
+        ],
+        ids=["three-rounds", "second-agent", "six-rounds", "running-sum-only"],
+    )
+    def test_overflowing_total_rejected(self, values, agent):
+        # Finite entries whose column total overflows would store an inf
+        # total and NaN remaining values; the error names the agent, and
+        # finding it warns of nothing.  In the last case only the running
+        # sum overflows: numpy's pairwise total of the column rounds to the
+        # largest float.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"agent {agent}'s values sum"):
+                validate_instance(values)
+
+    def test_overflowing_welfare_rejected(self):
+        # Each column total is finite, but the rounds' largest values are not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="largest values sum"):
+                validate_instance([[1e308, 0.0], [0.0, 1e308]])
+
+    def test_large_finite_totals_accepted(self):
+        # Near the limit but finite: T times the largest entry passes half
+        # the largest float, and the sums are checked and found finite.
+        big = sys.float_info.max / 4
+        inst = validate_instance([[big, big], [big, 0.0], [0.0, big]])
+        assert inst.column_totals.tolist() == [2 * big, 2 * big]
+        assert inst.optimal_welfare == 3 * big
 
     def test_negative_entry(self):
         with pytest.raises(NegativeValue) as err:

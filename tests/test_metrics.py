@@ -440,9 +440,20 @@ class TestDoomsdayEdges:
         # Finite entries whose column total overflows: agent 0's target and
         # first remainder are inf, so her share is inf over inf, and her next
         # remainder is inf - inf.  Both states fail, quietly.
+        # validate_instance rejects these values, so the instance is built
+        # directly, with the fields it would have stored.
+        values = np.array([[1e308, 0.5], [1e308, 0.5]], order="F")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inst = validate_instance(np.array([[1e308, 0.5], [1e308, 0.5]]))
+            totals = np.add.reduce(values)
+            inst = core.Instance(
+                values=values,
+                column_totals=totals,
+                fair_share=totals / 2,
+                remaining_value=totals - np.add.accumulate(values),
+                optimal_welfare=float(np.add.reduce(values.max(axis=1))),
+                normalized=False,
+            )
         assert np.isinf(inst.remaining_value[0, 0]) and np.isnan(inst.remaining_value[1, 0])
         trace = RunTrace(
             allocation=validate_allocation(np.full((2, 2), 0.5)),
