@@ -306,6 +306,31 @@ _MAX_AXIS_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _ZOOM = 20
 
 
+def _whole_box(*axes):
+    """The scan region of every family but the two-round ones: each line of
+    the grid from its first column."""
+    return np.zeros((len(axes[0]), axes[0].shape[1] if len(axes) > 1 else 1), dtype=np.intp)
+
+
+def _two_round_region(v1, v2):
+    """The two-round families' scan region: on each line v1 of the grid, the
+    columns v2 from the first whose sum v1 + v2 is not below 1, before which
+    the family is NaN, and, where a row's two axes are the same, from the
+    diagonal on.  Both bodies are symmetric in (v1, v2) bit for bit, so a
+    point below the diagonal has its twin above it, earlier in row-major
+    order, and is never the scan's first minimum."""
+    starts = np.empty(v1.shape, dtype=np.intp)
+    for start, a, b in zip(starts, v1, v2):
+        # The rounded sum grows with b, and b >= 1 - a, rounded, makes it at
+        # least 1; before that column it can still round up to 1.
+        start[:] = np.searchsorted(b, 1.0 - a)
+        while (back := (start > 0) & (a + b[start - 1] >= 1.0)).any():
+            start -= back
+        if np.array_equal(a, b, equal_nan=True):
+            np.maximum(start, np.arange(start.size), out=start)
+    return starts
+
+
 @dataclass(frozen=True)
 class AlphaObjective:
     """A ratio family at exponent ``p`` over an open box, on points and on grids.
@@ -323,6 +348,13 @@ class AlphaObjective:
     every objective, keeps the search away from the open boundary and its
     singular denominators; an axis narrower than four margins gives up a
     quarter of its width on each side instead.
+
+    A family has one axis or two.  ``region(*axes)`` takes a scan's axes,
+    one ``(rows, size)`` array each, and returns, per row and per line of
+    the first axis (one line in 1-D), the first column of the last axis the
+    scan must cover: every point before it is NaN, or has an equal point
+    earlier in row-major order.  It is the whole box but for the two-round
+    families (:func:`_two_round_region`).
     """
 
     name: str
@@ -330,6 +362,7 @@ class AlphaObjective:
     point: Callable[..., float]
     grid: Callable[..., np.ndarray]
     p: float
+    region: Callable[..., np.ndarray] = _whole_box
     margin: ClassVar[float] = 1e-6
 
     def evaluate(self, x: Sequence[float]) -> float:
@@ -342,10 +375,14 @@ class SearchResult:
     """Outcome of a grid-then-refine minimization.
 
     ``grid_point`` and ``grid_value`` are the best grid point and its grid
-    ratio, before refinement.  ``evaluations`` counts every scanned point, of
-    the grid and of the refine's grids; ``refined`` says the refine found a
-    value strictly below ``grid_value``.  ``value`` is ``evaluate`` at
-    ``argmin``.
+    ratio, before refinement.  ``evaluations`` counts the points of each
+    scan's region, of the grid and of the refine's grids: every point, but
+    in the two-round families those whose v1 + v2 is not below 1 and, where
+    the grid's two axes are the same, that lie on or above its diagonal
+    (:func:`_two_round_region`).  It is the same stacked or alone, however
+    the blocks fall.  ``refined`` says
+    the refine found a value strictly below ``grid_value``.  ``value`` is
+    ``evaluate`` at ``argmin``.
     """
 
     argmin: tuple[float, ...]
@@ -356,22 +393,28 @@ class SearchResult:
     grid_value: float
 
 
-def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
+def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes: np.ndarray):
     """The best point of each row's grid and its value, NaN in a row whose
-    every point is NaN.
+    every point is NaN, and the number of points of each row's scan region.
 
     Row ``i`` spans the grid of ``axes[k][i]``, one axis per ``k``, at
-    exponent ``exponents[i]``; each ``axes[k]`` is NaN past a row's own
-    length, and ``grid`` gives NaN at a NaN coordinate, so padded points
-    never win.  The grid is scanned in blocks of whole rows or, where one
-    row exceeds the budget, of one row split along its longest axis, so
-    per-axis powers are computed on 1-D data and no full-size grid is ever
-    built.  A block of one row gets its exponent as a float and coordinates
-    without the row axis; a block of several gets the exponents as a column.
-    numpy raises an array to a scalar power of 0.5 or 2 by sqrt or square,
-    whose last bits can differ from its power loop's, so in such a block a
-    row at either exponent is evaluated again on its own, as its search
-    alone evaluates it.
+    exponent ``exponents[i]``; each ``axes[k]`` is NaN past the row's own
+    length ``sizes[i, k]``, and ``grid`` gives NaN at a NaN coordinate, so
+    padded points never win and are not counted.  ``region`` gives each
+    row's region (:class:`AlphaObjective`), whose points the scan counts.
+    The blocks cover all of it and may cover more: a point outside it is
+    NaN or has an equal twin earlier in row-major order, so it never changes
+    a row's first minimum.  A block holds as many whole rows as the budget
+    does, or, where one row exceeds it, a box of one row: a slice of its
+    last axis, or, where its first axis is the longer, a run of first-axis
+    lines from their least start, grown while the box stays within the
+    budget.  So per-axis powers are computed on 1-D data and no full-size
+    grid is ever built.  A block of one row gets its exponent as a float and
+    coordinates without the row axis; a block of several gets the exponents
+    as a column.  numpy raises an array to a scalar power of 0.5 or 2 by
+    sqrt or square, whose last bits can differ from its power loop's, so in
+    such a block a row at either exponent is evaluated again on its own, as
+    its search alone evaluates it.
 
     ``_SCAN_WORKERS`` threads, the calling one and helpers started for the
     scan, take the blocks in turn; a scan of one block runs on the calling
@@ -382,18 +425,37 @@ def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
     were shared out.
     """
     shape = tuple(ax.shape[1] for ax in axes)
-    long = shape.index(max(shape))
-    inner = math.prod(shape[long + 1 :])
+    last = len(axes) - 1
+    starts = region(*axes)
+    # Each row's own lines, each from its start to the row's own length.
+    width = np.maximum(sizes[:, last:] - starts, 0)
+    width[np.arange(starts.shape[1]) >= sizes[:, :1]] = 0
+    counts = width.sum(axis=1)
+
     per_row = math.prod(shape)
     budget = max(1, _GRID_BLOCK_POINTS // _SCAN_WORKERS)
     row_step = max(1, budget // per_row)
-    step = max(1, budget // (row_step * (per_row // shape[long])))
-    whole_rows = step >= shape[long]
-    blocks = [
-        (top, first)
-        for top in range(0, len(exponents), row_step)
-        for first in range(0, shape[long], step)
-    ]
+    whole_rows = per_row <= budget
+    long = shape.index(max(shape))
+    # Each block is its first row and a (start, stop) pair per axis.
+    whole = [(0, n) for n in shape]
+    blocks = []
+    for top in range(0, len(exponents), row_step):
+        if whole_rows:
+            blocks.append((top, whole))
+        elif long == last:
+            step = max(1, budget // (per_row // shape[last]))
+            blocks += [(top, whole[:last] + [(a, a + step)]) for a in range(0, shape[last], step)]
+        else:
+            # A run of lines starts at its least start, but no later than
+            # the last column, so no box is empty.
+            a = 0
+            while a < shape[0]:
+                run = np.minimum(np.minimum.accumulate(starts[top, a:]), shape[last] - 1)
+                size = (shape[last] - run) * np.arange(1, run.size + 1)
+                b = a + max(1, int(np.searchsorted(size, budget, "right")))
+                blocks.append((top, [(a, b), (int(run[b - a - 1]), shape[last])]))
+                a = b
     # Axis k of an open mesh has shape (rows, 1, ..., 1, size, 1, ..., 1).
     open_shapes = [(1,) * k + (-1,) + (1,) * (len(axes) - 1 - k) for k in range(len(axes))]
     tail = tuple(range(1, len(axes) + 1))
@@ -403,12 +465,11 @@ def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
     claims = iter(range(len(blocks)))  # each block goes to the worker that claims it
     lock = threading.Lock()  # guards ceiling and claims, which the workers share
 
-    def evaluate(kit, top, first):
+    def evaluate(kit, top, box):
         """The block's minimum per row, and the flat index of its first
         point within the row, or None where the block cannot win."""
         block = slice(top, top + row_step)
-        coords = [ax[block] for ax in axes]
-        coords[long] = coords[long][:, first : first + step]
+        coords = [ax[block, lo:hi] for ax, (lo, hi) in zip(axes, box)]
         open_mesh = [c.reshape(c.shape[:1] + o) for c, o in zip(coords, open_shapes)]
         block_shape = coords[0].shape[:1] + tuple(c.shape[1] for c in coords)
         p = exponents[block]
@@ -425,14 +486,16 @@ def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
         if whole_rows:
             hits = kit.equal(vals, low.reshape((-1,) + (1,) * len(axes)))
             return low, np.argmax(hits.reshape(len(low), -1), axis=1)
-        # One row, in slices of its longest axis.
+        # One row, in boxes.
         low = float(low[0])
         with lock:
             if not low <= ceiling[top]:  # NaN, or above another block's minimum
                 return low, None
             ceiling[top] = low
-        outer, rest = divmod(int(np.argmax(kit.equal(vals, low))), block_shape[1 + long] * inner)
-        return low, outer * shape[long] * inner + rest + first * inner
+        line, column = divmod(int(np.argmax(kit.equal(vals, low))), block_shape[-1])
+        if last:  # a 2-D box's lines start at its first
+            line += box[0][0]
+        return low, line * shape[last] + box[last][0] + column
 
     results = [None] * len(blocks)
 
@@ -484,14 +547,14 @@ def _scan(grid, exponents: np.ndarray, axes: Sequence[np.ndarray]):
             # Whole rows: no other block holds any of them.
             best_flat[top : top + row_step], best_val[top : top + row_step] = flat, low
         elif flat is None:
-            continue  # NaN, or above another slice's minimum
+            continue  # NaN, or above another box's minimum
         elif math.isnan(best_val[top]) or (low, flat) < (best_val[top], best_flat[top]):
             # Row-major order is the order of flat indices in the whole row,
-            # so of equal minima in different slices the first wins.
+            # so of equal minima in different boxes the first wins.
             best_flat[top], best_val[top] = flat, low
     index = np.unravel_index(best_flat, shape)
     every = np.arange(len(exponents))
-    return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val
+    return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val, counts
 
 
 def _grid_axis(objective: AlphaObjective, lo: float, hi: float, grid_step: float):
@@ -544,7 +607,7 @@ def _minimize_rows(objectives: Sequence[AlphaObjective], grid_step: float) -> li
         live.append(r)
     if not live:
         return outcomes
-    family = objectives[0].grid
+    family, region = objectives[0].grid, objectives[0].region
     exponents = np.array([objectives[r].p for r in live], dtype=float)
     # Each axis's rows, NaN-padded to the longest, and the box around them.
     axes = []
@@ -556,8 +619,8 @@ def _minimize_rows(objectives: Sequence[AlphaObjective], grid_step: float) -> li
     lo = np.array([[start for _, start, _ in grid] for grid in grids])[:, :, None]
     hi = np.array([[stop for _, _, stop in grid] for grid in grids])[:, :, None]
 
-    evaluations = np.array([math.prod(ax.size for ax, _, _ in grid) for grid in grids])
-    grid_point, grid_value = _scan(family, exponents, axes)
+    sizes = np.array([[ax.size for ax, _, _ in grid] for grid in grids])
+    grid_point, grid_value, evaluations = _scan(family, region, exponents, axes, sizes)
     point, best = grid_point.copy(), grid_value.copy()
     # The rows still zooming, by position in ``live``, with their centres,
     # the centres' values, steps and boxes.
@@ -572,18 +635,18 @@ def _minimize_rows(objectives: Sequence[AlphaObjective], grid_step: float) -> li
         # inside its box.
         if (lo[:, :, 0] <= ax[:, :, 0]).all() and (ax[:, :, -1] <= hi[:, :, 0]).all():
             axes = list(ax.transpose(1, 0, 2))
-            evaluations[zoom] += offsets.size ** ax.shape[1]
+            sizes = np.full(ax.shape[:2], offsets.size)
         else:
             # Offset 0 is the centre itself, kept even if it lies a hair outside.
             keep = (offsets == 0) | ((lo <= ax) & (ax <= hi))
-            counts = keep.sum(axis=2)
+            sizes = keep.sum(axis=2)
             # Kept points move to the front of their row, in order, and each
             # axis is cut to its longest row.
             ax = np.take_along_axis(ax, np.argsort(~keep, axis=2, kind="stable"), 2)
-            ax[offsets + _ZOOM >= counts[:, :, None]] = math.nan
-            axes = [a[:, :n] for a, n in zip(ax.transpose(1, 0, 2), counts.max(axis=0))]
-            evaluations[zoom] += counts.prod(axis=1)
-        found, low = _scan(family, exponents[zoom], axes)
+            ax[offsets + _ZOOM >= sizes[:, :, None]] = math.nan
+            axes = [a[:, :n] for a, n in zip(ax.transpose(1, 0, 2), sizes.max(axis=0))]
+        found, low, scanned = _scan(family, region, exponents[zoom], axes, sizes)
+        evaluations[zoom] += scanned
         lower = low < centre_value
         centre = np.where(lower[:, None], found, centre)
         centre_value = np.fmin(low, centre_value)
@@ -624,15 +687,18 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
 
     The grid covers the domain shrunk on each side by ``margin``, or by a
     quarter of the axis where that is less, at step ``grid_step``; of equal
-    minima the first in row-major order wins.  It is scanned in blocks on up
-    to two threads, each writing the blocks' temporaries into a workspace of
-    its own that every block reuses (:func:`_scan`).  The refine divides the
-    step by ``_ZOOM`` and rescans the ``2 _ZOOM + 1`` points per axis centred
-    on the best point, clipped to the shrunk box.  While a rescan finds a
-    strictly lower value it re-centres there at the same step; once the
-    point holds, the step shrinks again, until it is at most
-    ``REFINE_TOL``.  Fully deterministic.  This is the stack of one of
-    :func:`_minimize_rows`.
+    minima the first in row-major order wins.  Each scan covers the
+    objective's region, which only the two-round families narrow: to the
+    half of the grid on or above its diagonal where v1 + v2 is not below 1,
+    exactly, since their grids are their own transposes bit for bit and NaN
+    below v1 + v2 = 1.  It is scanned in blocks on up to two threads, each
+    writing the blocks' temporaries into a workspace of its own that every
+    block reuses (:func:`_scan`).  The refine divides the step by ``_ZOOM``
+    and rescans the ``2 _ZOOM + 1`` points per axis centred on the best
+    point, clipped to the shrunk box.  While a rescan finds a strictly lower
+    value it re-centres there at the same step; once the point holds, the
+    step shrinks again, until it is at most ``REFINE_TOL``.  Fully
+    deterministic.  This is the stack of one of :func:`_minimize_rows`.
     """
     (outcome,) = _minimize_rows([objective], grid_step)
     if isinstance(outcome, Exception):
@@ -641,6 +707,8 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
 
 
 def _proportional_grid(p, v1, v2):
+    """The proportional ratio on a grid, NaN where v1 + v2 < 1.  Swapping v1
+    and v2 gives the same bits, which :func:`_two_round_region` relies on."""
     kit = _grid_kit()
     out = _proportional_ratio(v1, v2, kit)
     out[kit.less(kit.add(v1, v2), 1.0)] = np.nan
@@ -648,17 +716,21 @@ def _proportional_grid(p, v1, v2):
 
 
 def proportional_objective() -> AlphaObjective:
-    """Ratio of the proportional rule over the crossed two-round family."""
+    """Ratio of the proportional rule over the crossed two-round family.  Its
+    scans cover the grid on or above the diagonal where v1 + v2 >= 1."""
     return AlphaObjective(
         name="proportional",
         bounds=((0.0, 1.0), (0.0, 1.0)),
         point=lambda p, v1, v2: alpha_proportional(v1, v2),
         grid=_proportional_grid,
         p=1.0,
+        region=_two_round_region,
     )
 
 
 def _poly_two_round_grid(p, v1, v2):
+    """The two-round ratio on a grid, NaN where v1 + v2 <= 1.  Swapping v1
+    and v2 gives the same bits, which :func:`_two_round_region` relies on."""
     kit = _grid_kit()
     out = _poly_two_round_ratio(p, v1, v2, kit)
     out[kit.less_equal(kit.add(v1, v2), 1.0)] = np.nan
@@ -666,7 +738,8 @@ def _poly_two_round_grid(p, v1, v2):
 
 
 def poly_two_round_objective(p: float) -> AlphaObjective:
-    """Ratio of the power-weighted rule over the crossed two-round family."""
+    """Ratio of the power-weighted rule over the crossed two-round family.
+    Its scans cover the grid on or above the diagonal where v1 + v2 >= 1."""
     _check_exponent(p)
     return AlphaObjective(
         name="poly-two-round",
@@ -674,6 +747,7 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
         point=alpha_poly_two_round,
         grid=_poly_two_round_grid,
         p=p,
+        region=_two_round_region,
     )
 
 

@@ -150,13 +150,9 @@ def dense_fair_share_lp(instance):
     return float(-result.fun)
 
 
-def dense_grid_argmin(objective, grid_step):
-    """Reference grid scan: the whole grid as one full meshgrid.
-
-    This is the scan ``minimize_alpha`` once did in a single step, kept to
-    check its blocked scan against.  Returns the best grid point (first
-    minimum in row-major order), its value and the number of grid points.
-    """
+def dense_grid_axes(objective, grid_step):
+    """The search grid's axes: each side of the box shrunk by the margin, at
+    ``grid_step``, with the far end appended."""
     axes = []
     for lo, hi in objective.bounds:
         start, stop = lo + objective.margin, hi - objective.margin
@@ -164,7 +160,17 @@ def dense_grid_argmin(objective, grid_step):
         if ax.size == 0 or ax[-1] < stop - 1e-15:
             ax = np.append(ax, stop)
         axes.append(ax)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes
+
+
+def dense_grid_argmin(objective, grid_step):
+    """Reference grid scan: the whole grid as one full meshgrid.
+
+    This is the scan ``minimize_alpha`` once did in a single step, kept to
+    check its blocked scan against.  Returns the best grid point (first
+    minimum in row-major order), its value and the number of grid points.
+    """
+    mesh = np.meshgrid(*dense_grid_axes(objective, grid_step), indexing="ij")
     with np.errstate(all="ignore"):
         grid_vals = np.asarray(objective.grid(objective.p, *mesh), dtype=float)
     best_flat = int(np.nanargmin(grid_vals))

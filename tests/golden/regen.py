@@ -7,7 +7,10 @@ regenerates the file with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and lists each changed line, with its cause, in CHANGES.md.  The calls run
+and lists each changed line, with its cause, in CHANGES.md.  ``--diff``
+writes nothing: it prints each record whose bytes would change, by its
+1-based line, argv and old and new fields, and exits 1 if any would.  The
+calls run
 ``roundfair.cli.main`` in process, with this directory as the working
 directory, so the file paths in ``argv`` are relative to it.  ``replay.py``
 runs the calls of ``INSTALLED`` through the installed console script.
@@ -15,10 +18,14 @@ runs the calls of ``INSTALLED`` through the installed console script.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
+import shlex
+import sys
 from pathlib import Path
 
 from roundfair.cli import main
@@ -295,6 +302,42 @@ def render(rec: dict) -> str:
     return json.dumps(rec) + "\n"
 
 
+def diff() -> int:
+    """Print each record whose bytes would change, with the lines of its
+    fields that differ; 1 if any would, else 0."""
+    old = CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
+    old += [None] * (len(CALLS) - len(old))
+    changed = 0
+    for number, (argv, line) in enumerate(zip(CALLS, old), 1):
+        new = render(record(argv))
+        if new == line:
+            continue
+        changed += 1
+        print(f"line {number}: {shlex.join(argv)}")
+        was = json.loads(line) if line else {}
+        for field, value in json.loads(new).items():
+            before = was.get(field)
+            if before == value:
+                continue
+            if isinstance(before, str) and isinstance(value, str):
+                for text in difflib.ndiff(before.splitlines(), value.splitlines()):
+                    if text[:2] in ("- ", "+ "):
+                        print(f"  {field} {text}")
+            else:
+                print(f"  {field}: {before!r} -> {value!r}")
+    for number, line in enumerate(old[len(CALLS) :], len(CALLS) + 1):
+        changed += 1
+        print(f"line {number}: no longer made: {shlex.join(json.loads(line)['argv'])}")
+    print(f"{changed} records would change")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff", action="store_true", help="print the records that would change; write nothing"
+    )
+    if parser.parse_args().diff:
+        sys.exit(diff())
     CORPUS.write_text("".join(render(record(argv)) for argv in CALLS), encoding="utf-8")
     print(f"wrote {len(CALLS)} records to {CORPUS}")

@@ -1,6 +1,5 @@
 import dataclasses
 import decimal
-import itertools
 import math
 import sys
 import threading
@@ -67,6 +66,7 @@ from roundfair.adversarial import (
 )
 from conftest import (
     dense_grid_argmin,
+    dense_grid_axes,
     random_instance,
     scipy_brentq,
     surplus_rounding_over_slope,
@@ -355,7 +355,7 @@ def _counting(objective):
     return dataclasses.replace(objective, grid=grid), shapes
 
 
-def _synthetic(grid, dimension=2):
+def _synthetic(grid, dimension=2, region=adversarial._whole_box):
     """A unit-box objective whose scalar form is its grid form on one point;
     ``grid`` takes no exponent."""
     return AlphaObjective(
@@ -364,6 +364,7 @@ def _synthetic(grid, dimension=2):
         point=lambda p, *x: float(grid(*np.asarray(x, dtype=float))),
         grid=lambda p, *coords: grid(*coords),
         p=1.0,
+        region=region,
     )
 
 
@@ -383,6 +384,36 @@ def _two_bands_along_y(x, y):
     return np.where(first | second, -1.0, 0.0)
 
 
+def _mirror_squares(x, y):
+    """-1 on [0.55, 0.56) x [0.90, 0.91) and on its mirror image, 0 elsewhere
+    on x + y >= 1 and NaN below it: a grid equal to its transpose, as the
+    two-round families' are, whose equal minima lie in lines far apart."""
+    square = (0.55 <= x) & (x < 0.56) & (0.90 <= y) & (y < 0.91)
+    mirror = (0.55 <= y) & (y < 0.56) & (0.90 <= x) & (x < 0.91)
+    return np.where(x + y < 1.0, np.nan, np.where(square | mirror, -1.0, 0.0))
+
+
+def _diagonal_band(x, y):
+    """-1 within 0.0025 of the diagonal, 0 elsewhere on x + y >= 1 and NaN
+    below it: equal minima along the diagonal, on both sides of it and in
+    every block."""
+    return np.where(x + y < 1.0, np.nan, np.where(abs(x - y) < 0.0025, -1.0, 0.0))
+
+
+def _region_points(objective, *axes):
+    """The points of a scan over ``axes`` that ``objective``'s region holds:
+    all of them, but in a two-round region those whose rounded sum v1 + v2
+    is not below 1 and, where the two axes are the same, that lie on or
+    above the diagonal.  Returns their mask over the grid."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    keep = np.ones(mesh[0].shape, dtype=bool)
+    if objective.region is adversarial._two_round_region:
+        keep = mesh[0] + mesh[1] >= 1.0
+        if np.array_equal(*axes):
+            keep &= mesh[0] <= mesh[1]
+    return keep
+
+
 #: Grids whose equal minima lie in different blocks, with their steps.
 TIE_GRIDS = (
     (_synthetic(_two_bands, 2), 1e-3),
@@ -395,23 +426,78 @@ class TestBlockedGridScan:
     """``minimize_alpha``'s blocked scan against the full-mesh reference."""
 
     def _assert_matches_dense(self, objective, grid_step):
-        """Returns the result and the grid's block shapes; the refine's scans
-        follow them in the recorded calls."""
-        counted, shapes = _counting(objective)
-        result = minimize_alpha(counted, grid_step)
-        point, value, size = dense_grid_argmin(objective, grid_step)
+        """Returns the result and the grid's block shapes.
+
+        The grid's blocks cover its region, each point once, and may cover
+        more; ``evaluations`` counts the region's points, of the grid and of
+        each refine scan, whose one block is its whole window."""
+        calls, starts = [], []
+
+        def grid(p, *coords):
+            calls.append([np.ravel(c) for c in coords])
+            return objective.grid(p, *coords)
+
+        scan = adversarial._scan
+
+        def spy(*args):
+            starts.append(len(calls))
+            return scan(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adversarial, "_scan", spy)
+            result = minimize_alpha(dataclasses.replace(objective, grid=grid), grid_step)
+        point, value, _ = dense_grid_argmin(objective, grid_step)
         assert result.grid_point == point
         assert result.grid_value == value
-        sizes = [math.prod(s) for s in shapes]
-        assert max(sizes) <= _GRID_BLOCK_POINTS
-        assert result.evaluations == sum(sizes)
-        blocks = list(itertools.accumulate(sizes)).index(size) + 1
+        shapes = [tuple(c.size for c in coords) for coords in calls]
+        assert max(math.prod(s) for s in shapes) <= _GRID_BLOCK_POINTS
+        axes = dense_grid_axes(objective, grid_step)
+        region = _region_points(objective, *axes)
+        covered = np.zeros(region.shape, dtype=int)
+        blocks = starts[1] if len(starts) > 1 else len(calls)
+        for coords in calls[:blocks]:
+            index = [np.searchsorted(ax, c) for ax, c in zip(axes, coords)]
+            assert all((ax[i] == c).all() for ax, i, c in zip(axes, index, coords))
+            covered[np.ix_(*index)] += 1
+        assert covered.max() == 1
+        assert covered[region].all()
+        refine = sum(int(_region_points(objective, *coords).sum()) for coords in calls[blocks:])
+        assert len(calls) - blocks == len(starts) - 1  # one block per refine scan
+        assert result.evaluations == int(region.sum()) + refine
         return result, shapes[:blocks]
 
     @pytest.mark.parametrize("grid_step", [1e-3, 5e-3, 2e-2])
     @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
     def test_six_objectives(self, objective, grid_step):
         self._assert_matches_dense(objective, grid_step)
+
+    @pytest.mark.parametrize("grid_step", [1e-3, 0.013, 0.05])
+    @pytest.mark.parametrize(
+        "objective",
+        [proportional_objective(), poly_two_round_objective(1000.0), poly_two_round_objective(5000.0)],
+        ids=lambda o: f"{o.name}-{o.p:g}",
+    )
+    def test_two_round_region(self, objective, grid_step):
+        # The region holds the staircase above the diagonal: at the default
+        # step, 251,001 of the 1,001 x 1,001 grid's points.  Its boxes hold
+        # up to a worker's budget each, and together less than twice the
+        # region, where the whole grid is four times it.
+        result, shapes = self._assert_matches_dense(objective, grid_step)
+        if grid_step == 1e-3:
+            points = int(_region_points(objective, *dense_grid_axes(objective, grid_step)).sum())
+            assert points == 251_001
+            sizes = [math.prod(s) for s in shapes]
+            assert max(sizes) <= _GRID_BLOCK_POINTS // adversarial._SCAN_WORKERS
+            assert sum(sizes) < 2 * points
+            assert result.evaluations < 2 * points
+
+    @pytest.mark.parametrize("grid", [_mirror_squares, _diagonal_band])
+    def test_symmetric_family_returns_the_first_minimum(self, grid):
+        objective = _synthetic(grid, region=adversarial._two_round_region)
+        result, shapes = self._assert_matches_dense(objective, 1e-3)
+        assert len(shapes) > 1
+        assert result.grid_value == -1.0
+        assert result.grid_point[0] <= result.grid_point[1]
 
     @pytest.mark.parametrize("dimension, grid_step", [(2, 1e-3), (1, 1e-5)])
     def test_first_of_equal_minima_in_different_blocks_wins(self, dimension, grid_step):
@@ -709,6 +795,24 @@ class TestLargeExponent:
         for i, j in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 2)]:
             assert two_round[i, j] == alpha_poly_two_round(5000, v[i], v[j])
         assert diagonal.tolist() == [1.0, two_round[1, 1], two_round[2, 2]]
+
+    def test_p_1000_search_misses_the_diagonal_valley(self):
+        # The default grid steps over the valley near (0.50032, 0.50032)
+        # and the zoom walks to the box edge; the diagonal search finds it.
+        result = minimize_alpha(poly_two_round_objective(1000.0))
+        assert result.value == 0.9997220683630714
+        assert result.argmin == (0.0012767362500000002, 0.999999)
+        diagonal = minimize_alpha(poly_two_round_diagonal_objective(1000.0))
+        assert diagonal.value == 0.9997217133404876
+        assert diagonal.argmin == (0.5003194562500001,)
+
+    @pytest.mark.xfail(
+        strict=True, reason="a fixed grid misses the valley at large p (ROADMAP item 11)"
+    )
+    def test_p_1000_search_reaches_the_diagonal_minimum(self):
+        two_d = minimize_alpha(poly_two_round_objective(1000.0))
+        diagonal = minimize_alpha(poly_two_round_diagonal_objective(1000.0))
+        assert two_d.value <= diagonal.value + 1e-12
 
     def test_normal_denominators_keep_their_value(self):
         # The smallest normal float is 2.2e-308; 0.93**9000 is about 1e-284.
@@ -1384,6 +1488,35 @@ class TestEveryFamilyStacks:
             got = _cp2_ratio(column, l1, l2, _ARRAY_KIT)
             want = _cp2_ratio_by_region(column, l1, l2, mixed, np.maximum)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+class TestTwoRoundSymmetry:
+    """The two-round scans skip the half of each grid below its diagonal.
+    That is exact only because each family's grid is its own transpose, bit
+    for bit and NaN for NaN: of two twin points the one above the diagonal
+    comes first in row-major order."""
+
+    @pytest.mark.parametrize("grid_step", [adversarial.GRID_STEP, 0.013])
+    @pytest.mark.parametrize("p", _TWO_ROUND_P)
+    @pytest.mark.parametrize(
+        "grid", [adversarial._proportional_grid, adversarial._poly_two_round_grid],
+        ids=["proportional", "poly-two-round"],
+    )
+    def test_grid_is_its_own_transpose(self, grid, p, grid_step):
+        ax = adversarial._grid_axis(proportional_objective(), 0.0, 1.0, grid_step)[0]
+        if grid_step == 0.013:  # the appended stop is nearer its neighbour than a step
+            assert ax[-1] - ax[-2] < grid_step
+        with np.errstate(all="ignore"):
+            allocated = grid(p, ax[:, None], ax[None, :]).copy()
+            adversarial._scan_local.kit = adversarial._Workspace()
+            try:
+                in_workspace = grid(p, ax[:, None], ax[None, :]).copy()
+            finally:
+                del adversarial._scan_local.kit
+        assert np.isnan(allocated).any() and not np.isnan(allocated).all()
+        for bits in (allocated.view(np.uint64), in_workspace.view(np.uint64)):
+            assert (bits == bits.T).all()
+        assert (allocated.view(np.uint64) == in_workspace.view(np.uint64)).all()
 
 
 class TestObjectiveByName:
