@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -55,13 +54,14 @@ from .metrics import audit
 # operators on per-axis values, and augmented assignments, which work in
 # place on arrays and rebind on floats.  The float kit is builtin
 # ``max``/``min`` and the plain operators; the array kit is numpy's ufuncs
-# (``core._ArrayKit``), and inside a scan it writes into the scan's own
-# workspace (``core._Workspace``).  An interval form
-# would pass its own kit.  On the families' domains every power in a body
-# has a base of at most 1, so no power overflows and none that matters
-# underflows: the bodies are defined at every finite p.  Where an array
-# gives inf or NaN, floats raise ZeroDivisionError at a singular point and
-# OverflowError at a power with a base above 1.
+# (``core._ArrayKit``), and inside a scan of several blocks it writes into
+# the scan's one workspace (``core._Workspace``), whose buffers every block
+# reuses.  An interval form would pass its own kit.  On the families'
+# domains every power in a body has a base of at most 1, so no power
+# overflows and none that matters underflows: the bodies are defined at
+# every finite p.  Where an array gives inf or NaN, floats raise
+# ZeroDivisionError at a singular point and OverflowError at a power with a
+# base above 1.
 
 
 class _FloatKit:
@@ -78,7 +78,7 @@ class _FloatKit:
 
 _FLOAT_KIT = _FloatKit()
 
-#: ``kit`` is the workspace of the scan block running on this thread, if any.
+#: ``kit`` is the array kit of the scan running on this thread, if any.
 _scan_local = threading.local()
 
 
@@ -276,23 +276,9 @@ def alpha_guarded_cp2(
 # ---------------------------------------------------------------------------
 # search over the closed forms
 
-#: Grid points one scan evaluates at a time, over all its workers: each
-#: worker's block is a slice of the grid's longest axis of
-#: ``_GRID_BLOCK_POINTS // _SCAN_WORKERS`` points, so each buffer of its
-#: workspace stays at a few hundred kB whatever the grid size.
-_GRID_BLOCK_POINTS = 2**16
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-#: Threads that scan one grid's blocks: the CPUs this process may use, at
-#: most two.
-_SCAN_WORKERS = min(2, _usable_cpus())
+#: Most grid points one block of a scan holds, so each buffer of the scan's
+#: workspace stays at 256 KiB whatever the grid size.
+_GRID_BLOCK_POINTS = 2**15
 
 #: Default spacing of the worst-case search's grid, on every axis.
 GRID_STEP = 1e-3
@@ -416,13 +402,12 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
     such a block a row at either exponent is evaluated again on its own, as
     its search alone evaluates it.
 
-    ``_SCAN_WORKERS`` threads, the calling one and helpers started for the
-    scan, take the blocks in turn; a scan of one block runs on the calling
-    thread alone.  Each worker owns a workspace, an array kit whose buffers
-    the family grids write into and every block reuses, freed when the scan
-    returns.  The blocks' minima are merged in block order, and of equal
-    minima in a row the first in row-major order wins, however the blocks
-    were shared out.
+    The blocks run in order on the calling thread.  A scan of several
+    blocks writes their temporaries into one workspace, an array kit whose
+    buffers every block reuses, freed when the scan returns; a scan of one
+    block allocates.  Each row's best point so far moves only to a point of
+    strictly lower value, or of equal value earlier in row-major order, so
+    of equal minima in a row the first wins.
     """
     shape = tuple(ax.shape[1] for ax in axes)
     last = len(axes) - 1
@@ -433,9 +418,8 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
     counts = width.sum(axis=1)
 
     per_row = math.prod(shape)
-    budget = max(1, _GRID_BLOCK_POINTS // _SCAN_WORKERS)
-    row_step = max(1, budget // per_row)
-    whole_rows = per_row <= budget
+    row_step = max(1, _GRID_BLOCK_POINTS // per_row)
+    whole_rows = per_row <= _GRID_BLOCK_POINTS
     long = shape.index(max(shape))
     # Each block is its first row and a (start, stop) pair per axis.
     whole = [(0, n) for n in shape]
@@ -444,7 +428,7 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
         if whole_rows:
             blocks.append((top, whole))
         elif long == last:
-            step = max(1, budget // (per_row // shape[last]))
+            step = max(1, _GRID_BLOCK_POINTS // (per_row // shape[last]))
             blocks += [(top, whole[:last] + [(a, a + step)]) for a in range(0, shape[last], step)]
         else:
             # A run of lines starts at its least start, but no later than
@@ -453,21 +437,20 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
             while a < shape[0]:
                 run = np.minimum(np.minimum.accumulate(starts[top, a:]), shape[last] - 1)
                 size = (shape[last] - run) * np.arange(1, run.size + 1)
-                b = a + max(1, int(np.searchsorted(size, budget, "right")))
+                b = a + max(1, int(np.searchsorted(size, _GRID_BLOCK_POINTS, "right")))
                 blocks.append((top, [(a, b), (int(run[b - a - 1]), shape[last])]))
                 a = b
     # Axis k of an open mesh has shape (rows, 1, ..., 1, size, 1, ..., 1).
     open_shapes = [(1,) * k + (-1,) + (1,) * (len(axes) - 1 - k) for k in range(len(axes))]
     tail = tuple(range(1, len(axes) + 1))
-    # Per row, the lowest minimum a split block has reported so far: a
-    # block above it cannot hold the row's minimum and skips the argmax.
-    ceiling = [math.inf] * len(exponents)
-    claims = iter(range(len(blocks)))  # each block goes to the worker that claims it
-    lock = threading.Lock()  # guards ceiling and claims, which the workers share
+    # Per row, the best point so far, as a flat index, and its value.
+    best_flat = np.zeros(len(exponents), dtype=np.intp)
+    best_val = np.full(len(exponents), math.nan)
 
     def evaluate(kit, top, box):
-        """The block's minimum per row, and the flat index of its first
-        point within the row, or None where the block cannot win."""
+        """Evaluate one block and move its rows' best points to it where it
+        holds a better one.  Its temporaries die when it returns, so the
+        next block reuses their buffers."""
         block = slice(top, top + row_step)
         coords = [ax[block, lo:hi] for ax, (lo, hi) in zip(axes, box)]
         open_mesh = [c.reshape(c.shape[:1] + o) for c, o in zip(coords, open_shapes)]
@@ -484,74 +467,32 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
             vals = np.broadcast_to(vals, block_shape)
         low = np.fmin.reduce(vals, axis=tail)
         if whole_rows:
+            # Whole rows: no other block holds any of them.
             hits = kit.equal(vals, low.reshape((-1,) + (1,) * len(axes)))
-            return low, np.argmax(hits.reshape(len(low), -1), axis=1)
+            best_flat[block] = np.argmax(hits.reshape(len(low), -1), axis=1)
+            best_val[block] = low
+            return
         # One row, in boxes.
-        low = float(low[0])
-        with lock:
-            if not low <= ceiling[top]:  # NaN, or above another block's minimum
-                return low, None
-            ceiling[top] = low
+        low, best = float(low[0]), best_val[top]
+        if math.isnan(low) or low > best:
+            return  # NaN, or above an earlier box's minimum
         line, column = divmod(int(np.argmax(kit.equal(vals, low))), block_shape[-1])
         if last:  # a 2-D box's lines start at its first
             line += box[0][0]
-        return low, line * shape[last] + box[last][0] + column
-
-    results = [None] * len(blocks)
-
-    def work():
-        kit = _Workspace()
-        _scan_local.kit = kit
-        try:
-            with np.errstate(all="ignore"):
-                while True:
-                    with lock:
-                        i = next(claims, None)
-                    if i is None:
-                        return
-                    results[i] = evaluate(kit, *blocks[i])
-        finally:
-            del _scan_local.kit
-
-    if len(blocks) == 1:
-        # Nothing would reuse a workspace's buffers.
-        with np.errstate(all="ignore"):
-            results[0] = evaluate(_ARRAY_KIT, *blocks[0])
-    else:
-        # The calling thread is one of the workers.  Plain threads need no
-        # pool module: numpy has loaded ``threading`` already, while
-        # ``concurrent.futures`` costs a cold command about 8 ms to import.
-        failures = []
-
-        def assist():
-            try:
-                work()
-            except Exception as exc:  # raised again on the calling thread
-                failures.append(exc)
-
-        helpers = [threading.Thread(target=assist) for _ in range(_SCAN_WORKERS - 1)]
-        for helper in helpers:
-            helper.start()
-        try:
-            work()
-        finally:
-            for helper in helpers:
-                helper.join()
-        if failures:
-            raise failures[0]
-
-    best_flat = np.zeros(len(exponents), dtype=np.intp)
-    best_val = np.full(len(exponents), math.nan)
-    for (top, _), (low, flat) in zip(blocks, results):
-        if whole_rows:
-            # Whole rows: no other block holds any of them.
-            best_flat[top : top + row_step], best_val[top : top + row_step] = flat, low
-        elif flat is None:
-            continue  # NaN, or above another box's minimum
-        elif math.isnan(best_val[top]) or (low, flat) < (best_val[top], best_flat[top]):
-            # Row-major order is the order of flat indices in the whole row,
-            # so of equal minima in different boxes the first wins.
+        flat = line * shape[last] + box[last][0] + column
+        # Row-major order is the order of flat indices in the whole row, so
+        # of equal minima in different boxes the first wins.
+        if math.isnan(best) or (low, flat) < (best, best_flat[top]):
             best_flat[top], best_val[top] = flat, low
+
+    # Nothing would reuse a one-block scan's buffers.
+    kit = _scan_local.kit = _Workspace() if len(blocks) > 1 else _ARRAY_KIT
+    try:
+        with np.errstate(all="ignore"):
+            for top, box in blocks:
+                evaluate(kit, top, box)
+    finally:
+        del _scan_local.kit
     index = np.unravel_index(best_flat, shape)
     every = np.arange(len(exponents))
     return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val, counts
@@ -691,9 +632,9 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
     objective's region, which only the two-round families narrow: to the
     half of the grid on or above its diagonal where v1 + v2 is not below 1,
     exactly, since their grids are their own transposes bit for bit and NaN
-    below v1 + v2 = 1.  It is scanned in blocks on up to two threads, each
-    writing the blocks' temporaries into a workspace of its own that every
-    block reuses (:func:`_scan`).  The refine divides the step by ``_ZOOM``
+    below v1 + v2 = 1.  It is scanned in blocks of at most 2^15 points,
+    which write their temporaries into one workspace that every block
+    reuses (:func:`_scan`).  The refine divides the step by ``_ZOOM``
     and rescans the ``2 _ZOOM + 1`` points per axis centred on the best
     point, clipped to the shrunk box.  While a rescan finds a strictly lower
     value it re-centres there at the same step; once the point holds, the

@@ -115,8 +115,8 @@ def operand(x: float) -> np.ndarray:
 # A kit is the set of array steps a computation makes its temporaries with.
 # The allocating kit is numpy's ufuncs, and every step returns a new array.
 # A workspace writes each step into a buffer it owns and keeps the buffers
-# from call to call.  The worst-case search scans its grid blocks in
-# per-scan workspaces (:mod:`adversarial`); a long run's guard and doomsday
+# from call to call.  The worst-case search scans a grid's blocks in one
+# workspace per scan (:mod:`adversarial`); a long run's guard and doomsday
 # test take theirs from their thread's workspace (:func:`_run_kit`).
 
 

@@ -102,6 +102,10 @@ SWEEPS = (
     ("--p-values", "2.000001,2.2,2.7", "--grid-step", "0.01"),
 )
 
+#: The benchmark's fine sweep, p = 2, 2.01, ..., 3 at the default step: its
+#: stacked no-trip scan of 101 rows spans several blocks.
+FINE_SWEEP = ("sweep", "--p-values", ",".join(f"{(200 + k) / 100:g}" for k in range(101)))
+
 #: Generator specs with a bad argument: out of range, not finite, the wrong
 #: count or type of arguments, or an unknown generator.
 BAD_SPECS = (
@@ -270,6 +274,7 @@ def _calls():
             yield ["sweep", *sweep, *tail]
     for objective in CERTIFIED:
         yield ["search", "--objective", *objective]
+    yield list(FINE_SWEEP)
     for argv in ERRORS:
         yield list(argv)
     for argv in NEGATIVE_ZERO:

@@ -1,7 +1,6 @@
 import dataclasses
 import decimal
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -343,18 +342,6 @@ class TestMinimizeAlpha:
             )
 
 
-def _counting(objective):
-    """The objective with its grid calls recorded as their broadcast shapes."""
-    shapes = []
-
-    def grid(p, *coords):
-        assert all(sum(n > 1 for n in c.shape) <= 1 for c in coords), "not open"
-        shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
-        return objective.grid(p, *coords)
-
-    return dataclasses.replace(objective, grid=grid), shapes
-
-
 def _synthetic(grid, dimension=2, region=adversarial._whole_box):
     """A unit-box objective whose scalar form is its grid form on one point;
     ``grid`` takes no exponent."""
@@ -414,12 +401,9 @@ def _region_points(objective, *axes):
     return keep
 
 
-#: Grids whose equal minima lie in different blocks, with their steps.
-TIE_GRIDS = (
-    (_synthetic(_two_bands, 2), 1e-3),
-    (_synthetic(_two_bands, 1), 1e-5),
-    (dataclasses.replace(_synthetic(_two_bands_along_y), bounds=((0.0, 0.1), (0.0, 1.0))), 1e-3),
-)
+#: A grid whose equal minima lie in different slices of its longer, last
+#: axis.
+ALONG_Y = dataclasses.replace(_synthetic(_two_bands_along_y), bounds=((0.0, 0.1), (0.0, 1.0)))
 
 
 class TestBlockedGridScan:
@@ -480,14 +464,14 @@ class TestBlockedGridScan:
     def test_two_round_region(self, objective, grid_step):
         # The region holds the staircase above the diagonal: at the default
         # step, 251,001 of the 1,001 x 1,001 grid's points.  Its boxes hold
-        # up to a worker's budget each, and together less than twice the
+        # up to a block's points each, and together less than twice the
         # region, where the whole grid is four times it.
         result, shapes = self._assert_matches_dense(objective, grid_step)
         if grid_step == 1e-3:
             points = int(_region_points(objective, *dense_grid_axes(objective, grid_step)).sum())
             assert points == 251_001
             sizes = [math.prod(s) for s in shapes]
-            assert max(sizes) <= _GRID_BLOCK_POINTS // adversarial._SCAN_WORKERS
+            assert max(sizes) <= _GRID_BLOCK_POINTS
             assert sum(sizes) < 2 * points
             assert result.evaluations < 2 * points
 
@@ -509,7 +493,7 @@ class TestBlockedGridScan:
         assert 0.30 <= result.grid_point[0] < 0.31
 
     def test_blocks_split_the_longest_axis(self):
-        result, shapes = self._assert_matches_dense(TIE_GRIDS[2][0], 1e-3)
+        result, shapes = self._assert_matches_dense(ALONG_Y, 1e-3)
         assert len(shapes) > 1
         assert {s[0] for s in shapes} == {101}
         assert sum(s[1] for s in shapes) == 1001
@@ -548,31 +532,29 @@ class TestBlockedGridScan:
         assert result.value <= result.grid_value
         assert result.grid_point != result.argmin
 
-    def test_peak_memory_stays_bounded(self, monkeypatch):
+    def test_peak_memory_stays_bounded(self):
         # numpy reports its buffers to tracemalloc.  A full mesh of this
         # 497 x 1,001 grid peaks near 50 MB.  The blocks write into the
-        # workers' workspaces, which together hold a few buffers of one
-        # block's points: with one worker or two the search peaks near
-        # 4 MB, under twelve such buffers, and leaves nothing behind.
+        # scan's workspace, which holds a few buffers of one block's points:
+        # the search peaks near 2 MB, under twelve such buffers (3 MiB), and
+        # leaves nothing behind.
         objective = guarded_cp2_objective(2.7, "both_above")
         minimize_alpha(proportional_objective(), grid_step=2e-2)  # warm up first
         budget = 12 * _GRID_BLOCK_POINTS * np.dtype(float).itemsize
-        for workers in (1, 2):
-            monkeypatch.setattr(adversarial, "_SCAN_WORKERS", workers)
-            tracemalloc.start()
-            try:
-                minimize_alpha(objective)
-                left, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < budget, workers
-            assert left < 2**16, workers
+        tracemalloc.start()
+        try:
+            minimize_alpha(objective)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+        assert left < 2**16
 
     def test_workspaces_reuse_their_buffers(self, monkeypatch):
-        # Each worker owns one workspace for the whole scan, and every block
-        # takes its buffers again: the 16 blocks of this grid hold eight
-        # buffers per worker, none larger than a worker's block.  The
-        # refine's scans are one block each and allocate.
+        # The grid's scan owns one workspace, and every block takes its
+        # buffers again: the 16 blocks of this grid hold eight buffers, none
+        # larger than a block.  The refine's scans are one block each and
+        # allocate.
         made = []
 
         class Recorded(adversarial._Workspace):
@@ -581,13 +563,50 @@ class TestBlockedGridScan:
                 made.append(self)
 
         monkeypatch.setattr(adversarial, "_Workspace", Recorded)
-        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", 2)
         minimize_alpha(guarded_cp2_objective(2.7, "both_above"))
-        assert len(made) == 2
-        for workspace in made:
-            assert 0 < len(workspace._buffers) <= 8
-            assert max(b.nbytes for b in workspace._buffers) <= _GRID_BLOCK_POINTS // 2 * 8
+        (workspace,) = made
+        assert 0 < len(workspace._buffers) <= 8
+        assert max(b.nbytes for b in workspace._buffers) <= _GRID_BLOCK_POINTS * 8
         assert not hasattr(adversarial._scan_local, "kit")
+
+    def test_scans_start_no_thread(self, monkeypatch):
+        # Every block runs on the calling thread, in the grid scans of the
+        # six searches and of the analysis sweep's stacked curves alike.
+        def start(thread):
+            raise AssertionError(f"a scan started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        for objective in SIX_OBJECTIVES:
+            minimize_alpha(objective)
+        sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)])
+
+    def test_grid_raising_mid_scan(self):
+        # A grid that raises on its third block, with the scan's workspace
+        # installed: the error reaches the caller as raised, the workspace
+        # is removed, and the thread's next search is the same as one made
+        # before.
+        objective = guarded_cp2_objective(2.7, "both_above")
+        fresh = minimize_alpha(objective)
+        error = ArithmeticError("third block")
+        blocks = []
+
+        def grid(p, *coords):
+            blocks.append(adversarial._grid_kit())
+            if len(blocks) == 3:
+                raise error
+            return objective.grid(p, *coords)
+
+        with pytest.raises(ArithmeticError) as caught:
+            minimize_alpha(dataclasses.replace(objective, grid=grid))
+        assert caught.value is error
+        assert len(blocks) == 3 and isinstance(blocks[0], adversarial._Workspace)
+        assert blocks.count(blocks[0]) == 3
+        assert not hasattr(adversarial._scan_local, "kit")
+        again = minimize_alpha(objective)
+        assert again == fresh
+        assert _bits([*again.argmin, again.value, *again.grid_point, again.grid_value]) == _bits(
+            [*fresh.argmin, fresh.value, *fresh.grid_point, fresh.grid_value]
+        )
 
     @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
     def test_direct_grid_calls_allocate(self, objective):
@@ -608,68 +627,10 @@ class TestBlockedGridScan:
         np.testing.assert_array_equal(second, kept)
 
 
-def _by_workers(monkeypatch, objective, grid_step):
-    """The search with one scan worker and with two, and whether the two
-    started a helper thread."""
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Thread)
-    results = []
-    for workers in (1, 2):
-        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", workers)
-        results.append(minimize_alpha(objective, grid_step))
-        assert bool(started) <= (workers == 2)
-    return results, bool(started)
-
-
 def _grid_points(objective, grid_step):
     return math.prod(
         adversarial._grid_axis(objective, lo, hi, grid_step)[0].size for lo, hi in objective.bounds
     )
-
-
-class TestScanWorkers:
-    """Two scan workers, each with its own block size and workspace, find
-    bit for bit what one finds."""
-
-    @pytest.mark.parametrize("grid_step", [1e-3, 2e-2])
-    @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
-    def test_six_objectives(self, monkeypatch, objective, grid_step):
-        (one, two), threaded = _by_workers(monkeypatch, objective, grid_step)
-        assert two == one
-        # A grid larger than one worker's block is shared out.
-        assert threaded == (_grid_points(objective, grid_step) > _GRID_BLOCK_POINTS // 2)
-
-    @pytest.mark.parametrize("objective, grid_step", TIE_GRIDS, ids=["2-D", "1-D", "along-y"])
-    def test_equal_minima_in_different_blocks(self, monkeypatch, objective, grid_step):
-        (one, two), threaded = _by_workers(monkeypatch, objective, grid_step)
-        assert threaded
-        assert two == one
-        assert two.grid_value == pytest.approx(-1.0, abs=1e-6)
-
-    def test_more_workers_than_cores_scan_each_block_once(self, monkeypatch):
-        # Four workers switching as often as the interpreter allows: each
-        # block is still claimed by one worker, so the points scanned add up
-        # to the evaluations, and the result is one worker's.
-        objective, grid_step = TIE_GRIDS[0]
-        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", 1)
-        alone = minimize_alpha(objective, grid_step)
-        monkeypatch.setattr(adversarial, "_SCAN_WORKERS", 4)
-        counted, shapes = _counting(objective)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            result = minimize_alpha(counted, grid_step)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(shapes) > 60
-        assert result.evaluations == sum(math.prod(shape) for shape in shapes)
-        assert result == alone
 
 
 #: Exponents in (2, 100]: three right above 2, then 120 evenly spaced; two
@@ -1341,13 +1302,12 @@ class TestSweep:
 
     def test_stacked_blocks_stay_within_budget(self, monkeypatch):
         # The analysis sweep's 101 exponents and one far above: each curve
-        # scans whole rows at once, within each worker's share of the block
-        # budget, in a few dozen scans where one search per exponent took
-        # about 2,000.  Every grid call on arrays is recorded: a block of
-        # several rows, with the exponents as a column, and a block of one
-        # row or a row at p = 2 evaluated on its own, with a float.  The trip
-        # family's body also runs on floats, at each argmin; those calls are
-        # not blocks.  Two workers record the grid's blocks in either order.
+        # scans whole rows at once, within the block budget, in a few dozen
+        # scans where one search per exponent took about 2,000.  Every grid
+        # call on arrays is recorded: a block of several rows, with the
+        # exponents as a column, and a block of one row or a row at p = 2
+        # evaluated on its own, with a float.  The trip family's body also
+        # runs on floats, at each argmin; those calls are not blocks.
         shapes = []
 
         def recorded(grid):
@@ -1361,17 +1321,13 @@ class TestSweep:
 
         for name in ("_diagonal_grid", "_cp1_ratio"):
             monkeypatch.setattr(adversarial, name, recorded(getattr(adversarial, name)))
-        for workers, blocks in ((1, [(102, 501)]), (2, [(65, 501), (37, 501)])):
-            monkeypatch.setattr(adversarial, "_SCAN_WORKERS", workers)
-            shapes.clear()
-            sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)] + [5000.0])
-            assert max(math.prod(shape) for shape in shapes) <= _GRID_BLOCK_POINTS // workers
-            # The first scan is the no-trip curve's grid: 102 rows of 501
-            # points in blocks of whole rows, and the row at p = 2 on its own.
-            grid_calls = shapes[: len(blocks) + 1]
-            assert sorted(s for s in grid_calls if len(s) == 2) == sorted(blocks)
-            assert [s for s in grid_calls if len(s) == 1] == [(501,)]
-            assert len(shapes) < 50
+        sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)] + [5000.0])
+        assert max(math.prod(shape) for shape in shapes) <= _GRID_BLOCK_POINTS
+        # The first scan is the no-trip curve's grid: 102 rows of 501 points
+        # in blocks of whole rows, in order, and the row at p = 2, in the
+        # first block, on its own.
+        assert shapes[:3] == [(65, 501), (501,), (37, 501)]
+        assert len(shapes) < 50
 
     def test_grid_too_fine_is_out_of_range(self):
         with pytest.raises(OutOfRange, match="grid_step"):
