@@ -405,6 +405,25 @@ def _region_points(objective, *axes):
 #: axis.
 ALONG_Y = dataclasses.replace(_synthetic(_two_bands_along_y), bounds=((0.0, 0.1), (0.0, 1.0)))
 
+#: Grids whose equal minima lie in different blocks, with their steps.
+TIE_GRIDS = (
+    (_synthetic(_two_bands, 2), 1e-3),
+    (_synthetic(_two_bands, 1), 1e-5),
+    (ALONG_Y, 1e-3),
+)
+
+
+def _counting(objective):
+    """The objective with its grid calls recorded as their broadcast shapes."""
+    shapes = []
+
+    def grid(p, *coords):
+        assert all(sum(n > 1 for n in c.shape) <= 1 for c in coords), "not open"
+        shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
+        return objective.grid(p, *coords)
+
+    return dataclasses.replace(objective, grid=grid), shapes
+
 
 class TestBlockedGridScan:
     """``minimize_alpha``'s blocked scan against the full-mesh reference."""
@@ -631,6 +650,71 @@ def _grid_points(objective, grid_step):
     return math.prod(
         adversarial._grid_axis(objective, lo, hi, grid_step)[0].size for lo, hi in objective.bounds
     )
+
+
+def _by_budget(monkeypatch, objective, grid_step, budgets):
+    """The search with each block budget in turn, and for each, whether its
+    scans took a workspace, which only a scan of several blocks does."""
+    made = []
+
+    class Recorded(adversarial._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(adversarial, "_Workspace", Recorded)
+    results, blocked = [], []
+    for budget in budgets:
+        monkeypatch.setattr(adversarial, "_GRID_BLOCK_POINTS", budget)
+        made.clear()
+        results.append(minimize_alpha(objective, grid_step))
+        blocked.append(bool(made))
+    return results, blocked
+
+
+def _fields(result):
+    return _bits([*result.argmin, result.value, *result.grid_point, result.grid_value])
+
+
+class TestBlockBudget:
+    """The search finds bit for bit the same result, ``evaluations``
+    included, whatever the number of points a block holds: the blocks only
+    split the grid, and of equal minima in different blocks the first in
+    row-major order wins."""
+
+    @pytest.mark.parametrize("grid_step", [1e-3, 2e-2])
+    @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
+    def test_six_objectives(self, monkeypatch, objective, grid_step):
+        # Blocks of 2^15 points against blocks twice that size, the layout
+        # of the earlier one-thread scan.
+        (small, large), (blocked, _) = _by_budget(
+            monkeypatch, objective, grid_step, (_GRID_BLOCK_POINTS, 2 * _GRID_BLOCK_POINTS)
+        )
+        assert small == large
+        assert _fields(small) == _fields(large)
+        # A grid larger than one block is scanned in several.
+        assert blocked == (_grid_points(objective, grid_step) > _GRID_BLOCK_POINTS)
+
+    @pytest.mark.parametrize("objective, grid_step", TIE_GRIDS, ids=["2-D", "1-D", "along-y"])
+    def test_equal_minima_in_different_blocks(self, monkeypatch, objective, grid_step):
+        (small, large), blocked = _by_budget(
+            monkeypatch, objective, grid_step, (_GRID_BLOCK_POINTS, 2 * _GRID_BLOCK_POINTS)
+        )
+        assert blocked[0]
+        assert small == large
+        assert small.grid_value == pytest.approx(-1.0, abs=1e-6)
+
+    def test_many_small_blocks_scan_each_point_once(self, monkeypatch):
+        # Blocks of 2^14 points: the points scanned add up to the
+        # evaluations, and the result is the one of the default blocks.
+        objective, grid_step = TIE_GRIDS[0]
+        default = minimize_alpha(objective, grid_step)
+        monkeypatch.setattr(adversarial, "_GRID_BLOCK_POINTS", _GRID_BLOCK_POINTS // 2)
+        counted, shapes = _counting(objective)
+        result = minimize_alpha(counted, grid_step)
+        assert len(shapes) > 60
+        assert result.evaluations == sum(math.prod(shape) for shape in shapes)
+        assert result == default
 
 
 #: Exponents in (2, 100]: three right above 2, then 120 evenly spaced; two
