@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -21,13 +20,13 @@ import numpy as np
 from .algorithms import Algorithm, _poly_fractions
 from .core import (
     _ARRAY_KIT,
+    _FLOAT_MAX,
     CLOSED_FORM_SLACK,
     DEFAULT_TOL,
     ENTRY_TOL,
     REFINE_TOL,
     Instance,
-    _ArrayKit,
-    _Workspace,
+    _kit,
     check_tolerance,
     validate_instance,
 )
@@ -54,12 +53,12 @@ from .metrics import audit
 # operators on per-axis values, and augmented assignments, which work in
 # place on arrays and rebind on floats.  The float kit is builtin
 # ``max``/``min`` and the plain operators; the array kit is numpy's ufuncs
-# (``core._ArrayKit``), and inside a scan of several blocks it writes into
-# the scan's one workspace (``core._Workspace``), whose buffers every block
-# reuses.  An interval form would pass its own kit.  On the families'
-# domains every power in a body has a base of at most 1, so no power
-# overflows and none that matters underflows: the bodies are defined at
-# every finite p.  Where an array gives inf or NaN, floats raise
+# (``core._ArrayKit``); a scan passes each grid the kit ``core._kit`` gives
+# it, for a block of 2^14 points or more the thread's workspace, whose
+# buffers every block reuses.  An interval form would pass its own kit.  On
+# the families' domains every power in a body has a base of at most 1, so no
+# power overflows and none that matters underflows: the bodies are defined
+# at every finite p.  Where an array gives inf or NaN, floats raise
 # ZeroDivisionError at a singular point and OverflowError at a power with a
 # base above 1.
 
@@ -77,15 +76,6 @@ class _FloatKit:
 
 
 _FLOAT_KIT = _FloatKit()
-
-#: ``kit`` is the array kit of the scan running on this thread, if any.
-_scan_local = threading.local()
-
-
-def _grid_kit() -> _ArrayKit:
-    """The array kit for a grid call: the workspace of the scan running on
-    this thread, or the allocating kit outside a scan."""
-    return getattr(_scan_local, "kit", _ARRAY_KIT)
 
 
 def _proportional_ratio(v1, v2, kit):
@@ -128,8 +118,10 @@ def _poly_two_round_ratio(p, v1, v2, kit):
     return out
 
 
-def _cp1_ratio(p, lambda1):
-    return (1.0 + lambda1) / (3.0 - lambda1**-p)
+def _cp1_ratio(p, lambda1, kit=_ARRAY_KIT):
+    out = kit.add(1.0, lambda1)
+    out /= kit.subtract(3.0, kit.power(lambda1, -p))
+    return out
 
 
 def _cp2_ratio(p, lambda1, lambda2, kit):
@@ -166,9 +158,9 @@ def _cp2_ratio(p, lambda1, lambda2, kit):
 
 
 def _check_exponent(p: float) -> None:
-    """Reject an exponent that is not finite and positive; NaN fails the
-    comparison, so it is rejected too."""
-    if not 0.0 < p < math.inf:
+    """Reject an exponent that is not finite and positive, or an int too
+    large for a float; NaN fails the comparison, so it is rejected too."""
+    if not 0.0 < p <= _FLOAT_MAX:
         raise DomainError(f"exponent p must be finite and positive, got {p!r}")
 
 
@@ -199,7 +191,7 @@ def alpha_guarded_cp1(p: float, lambda1: float) -> float:
     which no instance realizes, raise InfeasibleClosedForm.
     """
     _cp1_first_round(p, lambda1)
-    return _cp1_ratio(p, lambda1)
+    return _cp1_ratio(p, lambda1, _FLOAT_KIT)
 
 
 def _cp1_first_round(p: float, lambda1: float) -> float:
@@ -276,8 +268,8 @@ def alpha_guarded_cp2(
 # ---------------------------------------------------------------------------
 # search over the closed forms
 
-#: Most grid points one block of a scan holds, so each buffer of the scan's
-#: workspace stays at 256 KiB whatever the grid size.
+#: Most grid points one block of a scan holds, so each buffer a scan takes
+#: in the thread's workspace stays at 256 KiB whatever the grid size.
 _GRID_BLOCK_POINTS = 2**15
 
 #: Default spacing of the worst-case search's grid, on every axis.
@@ -322,18 +314,19 @@ class AlphaObjective:
     """A ratio family at exponent ``p`` over an open box, on points and on grids.
 
     ``point(p, *x)`` raises DomainError outside the feasible set; the search
-    calls it once, at the argmin, through :meth:`evaluate`.  ``grid(p, *coords)``
-    takes open coordinate arrays, one per axis, as
+    calls it once, at the argmin, through :meth:`evaluate`.  ``grid(p, *coords,
+    kit)`` takes open coordinate arrays, one per axis, as
     ``np.meshgrid(..., indexing="ij", sparse=True)`` builds them, and returns
     ratios that broadcast to their shape, with NaN at infeasible points and
     at NaN coordinates.  Its ``p`` is a float, or a column with one exponent
     per row against coordinates with a leading row axis: objectives sharing
-    a ``grid`` stack into one search.  Inside a scan the families' grids
-    write into the scan's workspace, so what they return is valid only for
-    that block; called directly they allocate.  ``margin``, the same for
-    every objective, keeps the search away from the open boundary and its
-    singular denominators; an axis narrower than four margins gives up a
-    quarter of its width on each side instead.
+    a ``grid`` stack into one search.  A grid may ignore the array ``kit``
+    the scan passes (:func:`_scan`); the families' grids write into it, so
+    in a scan what they return is valid for that block only, and they
+    allocate by default.  ``margin``, the same for every objective, keeps
+    the search away from the open boundary and its singular denominators;
+    an axis narrower than four margins gives up a quarter of its width on
+    each side instead.
 
     A family has one axis or two.  ``region(*axes)`` takes a scan's axes,
     one ``(rows, size)`` array each, and returns, per row and per line of
@@ -402,12 +395,12 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
     such a block a row at either exponent is evaluated again on its own, as
     its search alone evaluates it.
 
-    The blocks run in order on the calling thread.  A scan of several
-    blocks writes their temporaries into one workspace, an array kit whose
-    buffers every block reuses, freed when the scan returns; a scan of one
-    block allocates.  Each row's best point so far moves only to a point of
-    strictly lower value, or of equal value earlier in row-major order, so
-    of equal minima in a row the first wins.
+    The blocks run in order on the calling thread, and every grid call gets
+    the kit :func:`core._kit` gives for one block's points: from 2^14 on,
+    the thread's workspace, whose buffers every block reuses.  Each row's
+    best point so far moves only to a point of strictly lower value, or of
+    equal value earlier in row-major order, so of equal minima in a row the
+    first wins.
     """
     shape = tuple(ax.shape[1] for ax in axes)
     last = len(axes) - 1
@@ -447,7 +440,7 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
     best_flat = np.zeros(len(exponents), dtype=np.intp)
     best_val = np.full(len(exponents), math.nan)
 
-    def evaluate(kit, top, box):
+    def evaluate(top, box):
         """Evaluate one block and move its rows' best points to it where it
         holds a better one.  Its temporaries die when it returns, so the
         next block reuses their buffers."""
@@ -457,11 +450,11 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
         block_shape = coords[0].shape[:1] + tuple(c.shape[1] for c in coords)
         p = exponents[block]
         if len(p) == 1:
-            vals = grid(float(p[0]), *(c[0] for c in open_mesh))[np.newaxis]
+            vals = grid(float(p[0]), *(c[0] for c in open_mesh), kit=kit)[np.newaxis]
         else:
-            vals = grid(p.reshape((-1,) + (1,) * len(axes)), *open_mesh)
+            vals = grid(p.reshape((-1,) + (1,) * len(axes)), *open_mesh, kit=kit)
             for i in np.flatnonzero((p == 0.5) | (p == 2.0)):
-                vals[i] = grid(float(p[i]), *(c[i] for c in open_mesh))
+                vals[i] = grid(float(p[i]), *(c[i] for c in open_mesh), kit=kit)
         vals = np.asarray(vals, dtype=float)
         if vals.shape != block_shape:
             vals = np.broadcast_to(vals, block_shape)
@@ -485,14 +478,10 @@ def _scan(grid, region, exponents: np.ndarray, axes: Sequence[np.ndarray], sizes
         if math.isnan(best) or (low, flat) < (best, best_flat[top]):
             best_flat[top], best_val[top] = flat, low
 
-    # Nothing would reuse a one-block scan's buffers.
-    kit = _scan_local.kit = _Workspace() if len(blocks) > 1 else _ARRAY_KIT
-    try:
-        with np.errstate(all="ignore"):
-            for top, box in blocks:
-                evaluate(kit, top, box)
-    finally:
-        del _scan_local.kit
+    kit = _kit(min(per_row * len(exponents), _GRID_BLOCK_POINTS))
+    with np.errstate(all="ignore"):
+        for top, box in blocks:
+            evaluate(top, box)
     index = np.unravel_index(best_flat, shape)
     every = np.arange(len(exponents))
     return np.array([ax[every, i] for ax, i in zip(axes, index)]).T, best_val, counts
@@ -534,7 +523,7 @@ def _minimize_rows(objectives: Sequence[AlphaObjective], grid_step: float) -> li
     row, its SearchResult, or the EmptyDomain or DomainError its search
     raised.
     """
-    if not 0 < grid_step < math.inf:
+    if not 0 < grid_step <= _FLOAT_MAX:
         raise OutOfRange("grid_step must be positive and finite")
 
     outcomes: list = [None] * len(objectives)
@@ -633,8 +622,8 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
     half of the grid on or above its diagonal where v1 + v2 is not below 1,
     exactly, since their grids are their own transposes bit for bit and NaN
     below v1 + v2 = 1.  It is scanned in blocks of at most 2^15 points,
-    which write their temporaries into one workspace that every block
-    reuses (:func:`_scan`).  The refine divides the step by ``_ZOOM``
+    which write their temporaries into the thread's workspace from 2^14
+    points on (:func:`_scan`).  The refine divides the step by ``_ZOOM``
     and rescans the ``2 _ZOOM + 1`` points per axis centred on the best
     point, clipped to the shrunk box.  While a rescan finds a strictly lower
     value it re-centres there at the same step; once the point holds, the
@@ -647,10 +636,9 @@ def minimize_alpha(objective: AlphaObjective, grid_step: float = GRID_STEP) -> S
     return outcome
 
 
-def _proportional_grid(p, v1, v2):
+def _proportional_grid(p, v1, v2, kit=_ARRAY_KIT):
     """The proportional ratio on a grid, NaN where v1 + v2 < 1.  Swapping v1
     and v2 gives the same bits, which :func:`_two_round_region` relies on."""
-    kit = _grid_kit()
     out = _proportional_ratio(v1, v2, kit)
     out[kit.less(kit.add(v1, v2), 1.0)] = np.nan
     return out
@@ -669,10 +657,9 @@ def proportional_objective() -> AlphaObjective:
     )
 
 
-def _poly_two_round_grid(p, v1, v2):
+def _poly_two_round_grid(p, v1, v2, kit=_ARRAY_KIT):
     """The two-round ratio on a grid, NaN where v1 + v2 <= 1.  Swapping v1
     and v2 gives the same bits, which :func:`_two_round_region` relies on."""
-    kit = _grid_kit()
     out = _poly_two_round_ratio(p, v1, v2, kit)
     out[kit.less_equal(kit.add(v1, v2), 1.0)] = np.nan
     return out
@@ -692,8 +679,8 @@ def poly_two_round_objective(p: float) -> AlphaObjective:
     )
 
 
-def _diagonal_grid(p, v):
-    return _poly_two_round_ratio(p, v, v, _grid_kit())
+def _diagonal_grid(p, v, kit=_ARRAY_KIT):
+    return _poly_two_round_ratio(p, v, v, kit)
 
 
 def poly_two_round_diagonal_objective(p: float) -> AlphaObjective:
@@ -751,8 +738,7 @@ def guarded_cp1_objective(p: float) -> AlphaObjective:
     )
 
 
-def _cp2_grid(p, lambda1, lambda2):
-    kit = _grid_kit()
+def _cp2_grid(p, lambda1, lambda2, kit=_ARRAY_KIT):
     out, v1, v2, v3, den = _cp2_ratio(p, lambda1, lambda2, kit)
     infeasible = kit.less_equal(den, 0.0)
     infeasible |= kit.less(v1, 0.0)
@@ -762,10 +748,10 @@ def _cp2_grid(p, lambda1, lambda2):
     return out
 
 
-def _cp2_mu_grid(p, lambda1, mu):
+def _cp2_mu_grid(p, lambda1, mu, kit=_ARRAY_KIT):
     """:func:`_cp2_grid` in the coordinates (lambda1, mu = 1/lambda2): the
     reciprocal is taken once per axis value."""
-    return _cp2_grid(p, lambda1, 1.0 / mu)
+    return _cp2_grid(p, lambda1, 1.0 / mu, kit)
 
 
 def _cp2_mu_point(p: float, lambda1: float, mu: float) -> float:

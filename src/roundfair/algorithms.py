@@ -27,7 +27,7 @@ from .core import (
     CriticalEvent,
     Instance,
     RunTrace,
-    _run_kit,
+    _kit,
     check_normalized,
     operand,
     validate_allocation,
@@ -44,7 +44,10 @@ _TRIP_LIMIT = operand(1.0 + TRIP_SLACK)
 
 def _check_p(p: float) -> float:
     """The exponent as a float; a negative zero reads as 0."""
-    p = float(p)
+    try:
+        p = float(p)
+    except OverflowError:  # a Python int too large for a float
+        raise OutOfRange(f"exponent p must fit a float, got {p!r}") from None
     if math.isnan(p) or p < 0:
         raise OutOfRange(f"exponent p must be nonnegative, got {p!r}")
     return p + 0.0  # -0.0 + 0.0 is +0.0
@@ -62,7 +65,10 @@ def poly_round(round_values, p: float) -> np.ndarray:
     sequence of finite nonnegative values.
     """
     p = _check_p(p)
-    values = np.asarray(round_values, dtype=float)
+    try:
+        values = np.asarray(round_values, dtype=float)
+    except OverflowError:  # a Python int too large for a float
+        raise ValidationError("round values must be finite and nonnegative") from None
     if values.ndim != 1 or values.size == 0:
         raise ValidationError(
             f"a round needs a non-empty 1-d value vector, got shape {values.shape}"
@@ -170,7 +176,7 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     trip fractions, and two masks) come from the calling thread's workspace
     when the instance has at least ``core._WORKSPACE_MIN_ENTRIES`` entries,
     and are allocated afresh below that; the workspace keeps them for the
-    thread's next long run (see :func:`core._run_kit`).  Every array of the
+    thread's next long run (see :func:`core._kit`).  Every array of the
     returned trace is new.
     """
     p = _check_p(p)
@@ -181,7 +187,7 @@ def run_guarded(instance: Instance, p: float) -> RunTrace:
     check_normalized(instance)
 
     values = instance.values
-    kit = _run_kit(values.size)
+    kit = _kit(values.size)
     fractions = _poly_fractions(values, p)
     gains = values * fractions
     slope = kit.subtract(values, gains)

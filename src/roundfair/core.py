@@ -31,16 +31,18 @@ then run over contiguous memory and per-round reductions as n passes over
 columns, instead of T inner loops of length n, and no result depends on the
 layout the caller's matrix had.
 
-Temporaries of long runs.  A guarded run's guard and the doomsday test take
-their T x n temporaries from a kit (:func:`_run_kit`).  For a matrix of at
-least ``_WORKSPACE_MIN_ENTRIES`` (2^14) entries, 128 KiB of float64 and
-glibc's default mmap threshold, it is the calling thread's workspace, which
-keeps its buffers from call to call, so a long run's temporaries are not
-mapped and page-faulted in anew on every call.  Below that every
-temporary is allocated, as numpy does.  The results are the same bits
-either way, and every array a call returns is new.  The workspace retains
-about 2.25 x T·n·8 bytes of the largest matrix its thread ran (two float
-and two bool arrays of its shape) until the thread exits.
+Temporaries.  Every array temporary of at least ``_WORKSPACE_MIN_ENTRIES``
+(2^14) entries, 128 KiB of float64 and glibc's default mmap threshold, comes
+from the calling thread's one workspace (:func:`_kit`), which keeps its
+buffers from call to call, so a long run's or a search's temporaries are not
+mapped and page-faulted in anew on every call.  A smaller one is allocated,
+as numpy does.  Its users are a guarded run's guard and the doomsday test,
+with their T x n temporaries, and the worst-case search's grid scan, with
+one block's.  The results are the same bits either way, and every array a
+call returns is new.  The workspace retains, until the thread exits, about
+2.25 x T·n·8 bytes of the largest matrix its thread ran (two float and two
+bool arrays of its shape) and, after a search, the few buffers of one block
+(about 1.8 MB).
 
 Tolerance policy.  Every slack the package applies is defined below, once,
 and other modules import it.  Each slack is absolute and named for the scale
@@ -115,9 +117,9 @@ def operand(x: float) -> np.ndarray:
 # A kit is the set of array steps a computation makes its temporaries with.
 # The allocating kit is numpy's ufuncs, and every step returns a new array.
 # A workspace writes each step into a buffer it owns and keeps the buffers
-# from call to call.  The worst-case search scans a grid's blocks in one
-# workspace per scan (:mod:`adversarial`); a long run's guard and doomsday
-# test take theirs from their thread's workspace (:func:`_run_kit`).
+# from call to call.  Every temporary of at least ``_WORKSPACE_MIN_ENTRIES``
+# entries, in a long run's guard, the doomsday test or a search's grid scan
+# (:mod:`adversarial`), comes from its thread's workspace (:func:`_kit`).
 
 
 class _ArrayKit:
@@ -181,15 +183,19 @@ class _Workspace(_ArrayKit):
     def __init__(self):
         self._buffers = []
 
+    def _free(self) -> list[int]:
+        """The indices of the buffers that no live array views."""
+        buffers = self._buffers
+        return [i for i in range(len(buffers)) if sys.getrefcount(buffers[i]) == _UNHELD]
+
     def _take(self, shape, dtype, order="C"):
         size = math.prod(shape) * dtype.itemsize
         buffers = self._buffers
         spare = len(buffers)
-        for i in range(len(buffers)):
-            if sys.getrefcount(buffers[i]) == _UNHELD:
-                if buffers[i].size >= size:
-                    break
-                spare = i
+        for i in self._free():
+            if buffers[i].size >= size:
+                break
+            spare = i
         else:
             i = spare
             if i < len(buffers):
@@ -223,40 +229,47 @@ class _Workspace(_ArrayKit):
 
 _ARRAY_KIT = _ArrayKit()
 
-#: A run's matrix with at least this many entries takes its temporaries from
-#: its thread's workspace: 2^14 float64 entries are 128 KiB, glibc's default
-#: mmap threshold, above which a fresh temporary is mapped, and its pages
-#: faulted in, anew on every call.
+#: An array temporary of at least this many entries comes from its thread's
+#: workspace: 2^14 float64 entries are 128 KiB, glibc's default mmap
+#: threshold, above which a fresh temporary is mapped, and its pages faulted
+#: in, anew on every call.
 _WORKSPACE_MIN_ENTRIES = 2**14
 
-#: ``workspace`` is this thread's workspace for long runs, once one has run.
-_run_local = threading.local()
+#: ``workspace`` is this thread's workspace, once it has taken one.
+_workspace_local = threading.local()
 
 
-def _run_kit(entries: int) -> _ArrayKit:
-    """The kit for the temporaries of a run's matrix of ``entries`` entries:
-    the calling thread's workspace, made on first use, from
-    ``_WORKSPACE_MIN_ENTRIES`` entries on, else the allocating kit.
+def _kit(entries: int) -> _ArrayKit:
+    """The kit for array temporaries of ``entries`` entries: the calling
+    thread's workspace, made on first use, from ``_WORKSPACE_MIN_ENTRIES``
+    entries on, else the allocating kit.
 
-    The workspace keeps its buffers until the thread exits: about
-    2.25 x T·n·8 bytes of the largest matrix the thread ran, two float and
-    two bool arrays of its shape.  Only temporaries come from it; every
-    array a call returns is new.
+    Long runs ask it for their matrix's T·n entries, and a search's grid
+    scan for one block's points.  The workspace keeps its buffers until the
+    thread exits: about 2.25 x T·n·8 bytes of the largest matrix the thread
+    ran, two float and two bool arrays of its shape, and after a search the
+    few buffers of one block, about 1.8 MB.  Only temporaries come from it;
+    every array a call returns is new.
     """
     if entries < _WORKSPACE_MIN_ENTRIES:
         return _ARRAY_KIT
     try:
-        return _run_local.workspace
+        return _workspace_local.workspace
     except AttributeError:
-        workspace = _run_local.workspace = _Workspace()
+        workspace = _workspace_local.workspace = _Workspace()
         return workspace
 
 
+#: The largest finite float: entries at most this are not infinite, and a
+#: Python int above it does not fit a float.
+_FLOAT_MAX = sys.float_info.max
+
+
 def check_tolerance(tol: float, name: str = "tol") -> None:
-    """Reject a caller's slack that is NaN, infinite or negative: NaN fails
-    every comparison, inf accepts anything, and a negative slack demands
-    more than the property asks."""
-    if not 0.0 <= tol < math.inf:
+    """Reject a caller's slack that is NaN, infinite or negative, or an int
+    too large for a float: NaN fails every comparison, inf accepts anything,
+    and a negative slack demands more than the property asks."""
+    if not 0.0 <= tol <= _FLOAT_MAX:
         raise OutOfRange(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
@@ -362,10 +375,6 @@ class Verdict:
     envy_margin: float | None
 
 
-#: The largest finite float: entries at most this are not infinite.
-_FLOAT_MAX = sys.float_info.max
-
-
 #: T times the largest entry bounds every sum an instance holds.  Up to half
 #: the largest float, each computed sum of the T or fewer entries it covers
 #: stays finite: its rounding error is below T·eps of it, and T·eps < 1.
@@ -415,6 +424,8 @@ def validate_instance(values, require_normalized: bool = False) -> Instance:
         matrix = np.array(values, dtype=float, order="F")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"values are not a rectangular numeric matrix: {exc}") from None
+    except OverflowError:  # a Python int too large for a float
+        raise ValidationError("all values must be finite") from None
     if matrix.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got {matrix.ndim}-d data")
     if matrix.size == 0:
@@ -466,6 +477,8 @@ def validate_allocation(fractions) -> Allocation:
         matrix = np.array(fractions, dtype=float, order="F")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"fractions are not a rectangular numeric matrix: {exc}") from None
+    except OverflowError:  # a Python int too large for a float
+        raise ValidationError("allocation entries must be finite and lie in [0, 1]") from None
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("allocation must be a non-empty 2-d matrix")
     smallest, largest = _extremes(matrix)

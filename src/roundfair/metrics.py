@@ -20,7 +20,7 @@ from .core import (
     Instance,
     RunTrace,
     Verdict,
-    _run_kit,
+    _kit,
     check_tolerance,
     fair_share,  # re-exported: metrics.fair_share is public
     operand,
@@ -100,8 +100,11 @@ def audit(instance: Instance, allocation: Allocation, tol: float = DEFAULT_TOL) 
 def _state_arrays(utilities_so_far, remaining_values):
     """One state's utilities and remaining values as finite float arrays of
     one shape ``(n,)``, n >= 1."""
-    u = np.asarray(utilities_so_far, dtype=float)
-    rem = np.asarray(remaining_values, dtype=float)
+    try:
+        u = np.asarray(utilities_so_far, dtype=float)
+        rem = np.asarray(remaining_values, dtype=float)
+    except OverflowError:  # a Python int too large for a float
+        raise ValidationError("utilities and remaining values must be finite") from None
     if u.ndim != 1 or u.size == 0 or rem.shape != u.shape:
         raise DimensionMismatch(
             "expected one non-empty vector each of utilities and remaining values, "
@@ -137,10 +140,10 @@ def _doomsday_ok(u: np.ndarray, rem: np.ndarray, target, tol: float) -> np.ndarr
     but has nothing left to come, and the minimal shares of
     :func:`_minimal_shares` sum to at most 1.  Both parts are one sum here,
     since a stranded agent's share counts as inf.  The need, the shares and
-    their two masks come from the kit :func:`core._run_kit` picks for the
+    their two masks come from the kit :func:`core._kit` picks for the
     states' size; the returned flags are new.
     """
-    kit = _run_kit(u.size)
+    kit = _kit(u.size)
     need = _need(u, target, tol, kit)
     # A stranded agent's share is inf, any other 0, until a positive
     # remainder divides.
@@ -213,7 +216,7 @@ def doomsday_trace(
     come from the calling thread's workspace when the trace has at least
     ``core._WORKSPACE_MIN_ENTRIES`` entries, and are allocated afresh below
     that; the workspace keeps them for the thread's next long run (see
-    :func:`core._run_kit`).  The returned flags are a new list.
+    :func:`core._kit`).  The returned flags are a new list.
     """
     check_tolerance(tol)
     shape = instance.values.shape

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -19,6 +21,25 @@ def random_instance(rng, n=2, max_rounds=20, min_rounds=1):
 def random_instances(seed, count, n=2, max_rounds=20):
     rng = np.random.default_rng(seed)
     return [random_instance(rng, n=n, max_rounds=max_rounds) for _ in range(count)]
+
+
+def in_new_thread(fn, *args):
+    """``fn(*args)`` on a thread of its own, which starts with no workspace."""
+    out = {}
+
+    def body():
+        try:
+            out["value"] = fn(*args)
+        except Exception as exc:  # raised again on the calling thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def late_trip_values(rng, rounds):

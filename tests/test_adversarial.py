@@ -3,6 +3,7 @@ import decimal
 import math
 import threading
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -54,7 +55,7 @@ from roundfair.errors import (
     OutOfRange,
     PNotAboveTwo,
 )
-from roundfair import adversarial
+from roundfair import adversarial, core
 from roundfair.adversarial import (
     _ARRAY_KIT,
     _FLOAT_KIT,
@@ -66,6 +67,7 @@ from roundfair.adversarial import (
 from conftest import (
     dense_grid_argmin,
     dense_grid_axes,
+    in_new_thread,
     random_instance,
     scipy_brentq,
     surplus_rounding_over_slope,
@@ -249,7 +251,7 @@ class TestMinimizeAlpha:
             name="degenerate",
             bounds=((0.5, 0.5),),
             point=lambda p, x: 1.0,
-            grid=lambda p, x: np.ones_like(x),
+            grid=lambda p, x, kit=None: np.ones_like(x),
             p=1.0,
         )
         with pytest.raises(EmptyDomain):
@@ -262,7 +264,7 @@ class TestMinimizeAlpha:
             name="narrow",
             bounds=((0.0, 1e-9),),
             point=lambda p, x: (x - 1e-9) ** 2,
-            grid=lambda p, x: (x - 1e-9) ** 2,
+            grid=lambda p, x, kit=None: (x - 1e-9) ** 2,
             p=1.0,
         )
         result = minimize_alpha(narrow)
@@ -344,12 +346,12 @@ class TestMinimizeAlpha:
 
 def _synthetic(grid, dimension=2, region=adversarial._whole_box):
     """A unit-box objective whose scalar form is its grid form on one point;
-    ``grid`` takes no exponent."""
+    ``grid`` takes no exponent and no kit."""
     return AlphaObjective(
         name="synthetic",
         bounds=((0.0, 1.0),) * dimension,
         point=lambda p, *x: float(grid(*np.asarray(x, dtype=float))),
-        grid=lambda p, *coords: grid(*coords),
+        grid=lambda p, *coords, kit=None: grid(*coords),
         p=1.0,
         region=region,
     )
@@ -417,10 +419,10 @@ def _counting(objective):
     """The objective with its grid calls recorded as their broadcast shapes."""
     shapes = []
 
-    def grid(p, *coords):
+    def grid(p, *coords, kit=_ARRAY_KIT):
         assert all(sum(n > 1 for n in c.shape) <= 1 for c in coords), "not open"
         shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
-        return objective.grid(p, *coords)
+        return objective.grid(p, *coords, kit=kit)
 
     return dataclasses.replace(objective, grid=grid), shapes
 
@@ -436,9 +438,9 @@ class TestBlockedGridScan:
         each refine scan, whose one block is its whole window."""
         calls, starts = [], []
 
-        def grid(p, *coords):
+        def grid(p, *coords, kit=_ARRAY_KIT):
             calls.append([np.ravel(c) for c in coords])
-            return objective.grid(p, *coords)
+            return objective.grid(p, *coords, kit=kit)
 
         scan = adversarial._scan
 
@@ -554,39 +556,45 @@ class TestBlockedGridScan:
     def test_peak_memory_stays_bounded(self):
         # numpy reports its buffers to tracemalloc.  A full mesh of this
         # 497 x 1,001 grid peaks near 50 MB.  The blocks write into the
-        # scan's workspace, which holds a few buffers of one block's points:
-        # the search peaks near 2 MB, under twelve such buffers (3 MiB), and
-        # leaves nothing behind.
+        # thread's workspace, which holds a few buffers of one block's
+        # points: the search peaks near 2 MB, under twelve such buffers
+        # (3 MiB), and leaves nothing behind but those buffers.
         objective = guarded_cp2_objective(2.7, "both_above")
-        minimize_alpha(proportional_objective(), grid_step=2e-2)  # warm up first
         budget = 12 * _GRID_BLOCK_POINTS * np.dtype(float).itemsize
-        tracemalloc.start()
-        try:
-            minimize_alpha(objective)
-            left, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        def traced():
+            minimize_alpha(proportional_objective(), grid_step=2e-2)  # warm up first
+            tracemalloc.start()
+            try:
+                minimize_alpha(objective)
+                left, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return left, peak, sum(b.nbytes for b in core._workspace_local.workspace._buffers)
+
+        left, peak, kept = in_new_thread(traced)
         assert peak < budget
-        assert left < 2**16
+        assert left - kept < 2**16
 
-    def test_workspaces_reuse_their_buffers(self, monkeypatch):
-        # The grid's scan owns one workspace, and every block takes its
-        # buffers again: the 16 blocks of this grid hold eight buffers, none
-        # larger than a block.  The refine's scans are one block each and
-        # allocate.
-        made = []
+    def test_workspaces_reuse_their_buffers(self):
+        # The grid's 16 blocks take their buffers from the thread's
+        # workspace, each block those the last one released: it holds eight
+        # buffers, none larger than a block, and the next search takes no
+        # new one.  The refine's scans are too small for it and allocate.
+        objective = guarded_cp2_objective(2.7, "both_above")
 
-        class Recorded(adversarial._Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
+        def twice():
+            first = minimize_alpha(objective)
+            kept = [weakref.ref(b) for b in core._workspace_local.workspace._buffers]
+            second = minimize_alpha(objective)
+            return first, second, kept, core._workspace_local.workspace._buffers
 
-        monkeypatch.setattr(adversarial, "_Workspace", Recorded)
-        minimize_alpha(guarded_cp2_objective(2.7, "both_above"))
-        (workspace,) = made
-        assert 0 < len(workspace._buffers) <= 8
-        assert max(b.nbytes for b in workspace._buffers) <= _GRID_BLOCK_POINTS * 8
-        assert not hasattr(adversarial._scan_local, "kit")
+        first, second, kept, buffers = in_new_thread(twice)
+        assert first == second
+        assert 0 < len(buffers) <= 8
+        assert max(b.nbytes for b in buffers) <= _GRID_BLOCK_POINTS * 8
+        assert len(kept) == len(buffers)
+        assert all(ref() is b for ref, b in zip(kept, buffers))
 
     def test_scans_start_no_thread(self, monkeypatch):
         # Every block runs on the calling thread, in the grid scans of the
@@ -600,27 +608,25 @@ class TestBlockedGridScan:
         sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)])
 
     def test_grid_raising_mid_scan(self):
-        # A grid that raises on its third block, with the scan's workspace
-        # installed: the error reaches the caller as raised, the workspace
-        # is removed, and the thread's next search is the same as one made
-        # before.
+        # A grid that raises on its third block, writing into the thread's
+        # workspace: the error reaches the caller as raised, and the
+        # thread's next search is the same as one made before.
         objective = guarded_cp2_objective(2.7, "both_above")
         fresh = minimize_alpha(objective)
         error = ArithmeticError("third block")
-        blocks = []
+        kits = []
 
-        def grid(p, *coords):
-            blocks.append(adversarial._grid_kit())
-            if len(blocks) == 3:
+        def grid(p, *coords, kit):
+            kits.append(kit)
+            if len(kits) == 3:
                 raise error
-            return objective.grid(p, *coords)
+            return objective.grid(p, *coords, kit=kit)
 
         with pytest.raises(ArithmeticError) as caught:
             minimize_alpha(dataclasses.replace(objective, grid=grid))
         assert caught.value is error
-        assert len(blocks) == 3 and isinstance(blocks[0], adversarial._Workspace)
-        assert blocks.count(blocks[0]) == 3
-        assert not hasattr(adversarial._scan_local, "kit")
+        assert len(kits) == 3 and isinstance(kits[0], core._Workspace)
+        assert kits.count(kits[0]) == 3
         again = minimize_alpha(objective)
         assert again == fresh
         assert _bits([*again.argmin, again.value, *again.grid_point, again.grid_value]) == _bits(
@@ -629,8 +635,8 @@ class TestBlockedGridScan:
 
     @pytest.mark.parametrize("objective", SIX_OBJECTIVES, ids=lambda o: o.name)
     def test_direct_grid_calls_allocate(self, objective):
-        # Outside a scan a grid writes into no workspace: each call returns
-        # a new array, still valid after the other call.
+        # Called without a kit a grid writes into no workspace: each call
+        # returns a new array, still valid after the other call.
         axes = [
             np.linspace(lo + objective.margin, hi - objective.margin, 301)
             for lo, hi in objective.bounds
@@ -653,23 +659,22 @@ def _grid_points(objective, grid_step):
 
 
 def _by_budget(monkeypatch, objective, grid_step, budgets):
-    """The search with each block budget in turn, and for each, whether its
-    scans took a workspace, which only a scan of several blocks does."""
-    made = []
+    """The search with each block budget in turn, and for each, whether one
+    of its scans got the thread's workspace as its kit."""
+    kits = []
 
-    class Recorded(adversarial._Workspace):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
+    def recorded(entries):
+        kits.append(core._kit(entries))
+        return kits[-1]
 
-    monkeypatch.setattr(adversarial, "_Workspace", Recorded)
-    results, blocked = [], []
+    monkeypatch.setattr(adversarial, "_kit", recorded)
+    results, pooled = [], []
     for budget in budgets:
         monkeypatch.setattr(adversarial, "_GRID_BLOCK_POINTS", budget)
-        made.clear()
+        kits.clear()
         results.append(minimize_alpha(objective, grid_step))
-        blocked.append(bool(made))
-    return results, blocked
+        pooled.append(any(isinstance(kit, core._Workspace) for kit in kits))
+    return results, pooled
 
 
 def _fields(result):
@@ -687,20 +692,21 @@ class TestBlockBudget:
     def test_six_objectives(self, monkeypatch, objective, grid_step):
         # Blocks of 2^15 points against blocks twice that size, the layout
         # of the earlier one-thread scan.
-        (small, large), (blocked, _) = _by_budget(
-            monkeypatch, objective, grid_step, (_GRID_BLOCK_POINTS, 2 * _GRID_BLOCK_POINTS)
-        )
+        budgets = (_GRID_BLOCK_POINTS, 2 * _GRID_BLOCK_POINTS)
+        (small, large), pooled = _by_budget(monkeypatch, objective, grid_step, budgets)
         assert small == large
         assert _fields(small) == _fields(large)
-        # A grid larger than one block is scanned in several.
-        assert blocked == (_grid_points(objective, grid_step) > _GRID_BLOCK_POINTS)
+        # A scan whose blocks hold 2^14 points or more writes into the
+        # thread's workspace; the refine's scans never do.
+        points = _grid_points(objective, grid_step)
+        assert pooled == [min(points, b) >= core._WORKSPACE_MIN_ENTRIES for b in budgets]
 
     @pytest.mark.parametrize("objective, grid_step", TIE_GRIDS, ids=["2-D", "1-D", "along-y"])
     def test_equal_minima_in_different_blocks(self, monkeypatch, objective, grid_step):
-        (small, large), blocked = _by_budget(
+        (small, large), pooled = _by_budget(
             monkeypatch, objective, grid_step, (_GRID_BLOCK_POINTS, 2 * _GRID_BLOCK_POINTS)
         )
-        assert blocked[0]
+        assert pooled[0]
         assert small == large
         assert small.grid_value == pytest.approx(-1.0, abs=1e-6)
 
@@ -1395,11 +1401,11 @@ class TestSweep:
         shapes = []
 
         def recorded(grid):
-            def record(p, *coords):
+            def record(p, *coords, **kit):
                 if isinstance(coords[0], np.ndarray):
                     shapes.append(np.broadcast_shapes(*(c.shape for c in coords)))
                     assert np.ndim(p) == 0 or p.shape == shapes[-1][:1] + (1,)
-                return grid(p, *coords)
+                return grid(p, *coords, **kit)
 
             return record
 
@@ -1548,11 +1554,7 @@ class TestTwoRoundSymmetry:
             assert ax[-1] - ax[-2] < grid_step
         with np.errstate(all="ignore"):
             allocated = grid(p, ax[:, None], ax[None, :]).copy()
-            adversarial._scan_local.kit = adversarial._Workspace()
-            try:
-                in_workspace = grid(p, ax[:, None], ax[None, :]).copy()
-            finally:
-                del adversarial._scan_local.kit
+            in_workspace = grid(p, ax[:, None], ax[None, :], kit=core._Workspace()).copy()
         assert np.isnan(allocated).any() and not np.isnan(allocated).all()
         for bits in (allocated.view(np.uint64), in_workspace.view(np.uint64)):
             assert (bits == bits.T).all()

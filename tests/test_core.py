@@ -21,6 +21,7 @@ from roundfair import (
 )
 from roundfair.core import fair_share
 from roundfair.errors import (
+    DomainError,
     EmptyInstance,
     NegativeValue,
     NotNormalized,
@@ -444,6 +445,45 @@ def test_three_round_cp_roundtrip(v11, v21):
     assert np.all(np.abs(inst.column_totals - 1.0) <= 1e-12)
 
 
+#: A Python int too large for a float.
+HUGE = 10**400
+_HALVES = validate_instance([[0.5, 0.5], [0.5, 0.5]], require_normalized=True)
+_EVEN = roundfair.run_poly(_HALVES, 1.0)
+
+#: Calls given a Python int too large for a float, and the error each raises.
+HUGE_INT_CALLS = {
+    "validate_instance": (lambda: validate_instance([[HUGE, 1], [0, 1]]), ValidationError),
+    "validate_allocation": (lambda: validate_allocation([[HUGE, 0], [0, 1]]), ValidationError),
+    "poly_round": (lambda: roundfair.poly_round([HUGE, 1], 2.0), ValidationError),
+    "doomsday_compatible": (
+        lambda: roundfair.doomsday_compatible([HUGE, 0.1], [0.5, 0.5]), ValidationError
+    ),
+    "doomsday_witness": (
+        lambda: roundfair.doomsday_witness([0.1, 0.1], [0.5, HUGE]), ValidationError
+    ),
+    "run_poly": (lambda: roundfair.run_poly(_HALVES, HUGE), OutOfRange),
+    "run_guarded": (lambda: roundfair.run_guarded(_HALVES, HUGE), OutOfRange),
+    "audit": (lambda: roundfair.audit(_HALVES, _EVEN.allocation, tol=HUGE), OutOfRange),
+    "doomsday_trace": (lambda: roundfair.doomsday_trace(_HALVES, _EVEN, tol=HUGE), OutOfRange),
+    "alpha_guarded_cp2": (
+        lambda: roundfair.alpha_guarded_cp2(2.7, 1.5, 0.5, slack=HUGE), OutOfRange
+    ),
+    "sweep_tradeoff_curves": (lambda: roundfair.sweep_tradeoff_curves([HUGE]), DomainError),
+    "minimize_alpha": (
+        lambda: roundfair.minimize_alpha(roundfair.proportional_objective(), HUGE), OutOfRange
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", HUGE_INT_CALLS.values(), ids=HUGE_INT_CALLS.keys())
+def test_int_too_large_for_a_float_raises_a_typed_error(call, error):
+    # Converting it raises a bare OverflowError; a slack compared with it
+    # unconverted passes as finite.
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+
+
 #: Imports roundfair, runs the analysis commands in process, then the offline
 #: welfare on a greedy-fair instance and on one where a fair-share row binds,
 #: and prints which scipy modules are loaded after each step.
@@ -483,9 +523,8 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     # search and sweep need no solver, as the guard ceiling is a bisection;
     # only the offline LP loads scipy.optimize, and it runs only when greedy
-    # leaves an agent below her fair share.  A scan's helper threads are
-    # plain threads, so no thread-pool module loads, on import or in a
-    # search.
+    # leaves an agent below her fair share.  A search scans on the calling
+    # thread, so no thread-pool module loads, on import or in a search.
     assert proc.stdout.split("\n") == [
         "False False", "False", "False", "False False", "False False", "True True", ""
     ]
@@ -507,6 +546,21 @@ def test_tolerance_literals_are_written_only_in_core():
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert len(modules) >= 7
     assert found == []
+
+
+def test_threads_and_reference_counts_are_read_only_in_core():
+    # core.py owns the per-thread workspace and its rule for a free buffer;
+    # no other module keeps state per thread or reads a reference count.
+    package = Path(roundfair.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        with tokenize.open(path) as fh:
+            names = {tok.string for tok in tokenize.generate_tokens(fh.readline)}
+        found[path.name] = sorted(names & {"threading", "getrefcount"})
+    assert len(found) >= 8
+    assert {name: hits for name, hits in found.items() if hits} == {
+        "core.py": ["getrefcount", "threading"]
+    }
 
 
 def test_all_lists_each_public_name_once_in_order():

@@ -72,5 +72,6 @@ def test_poly_two_round_ratio(p):
 def test_cp1_ratio(p):
     # The trip-at-round-1 family exists for p > 2, on 1 <= lambda1 <= ceiling.
     lambdas = np.random.default_rng(4).uniform(1.0, guard_ratio_ceiling(p), POINTS)
-    worst = max(_relative_error(_cp1_ratio, p, lam) for lam in [1.0, *lambdas.tolist()])
+    lambdas = [1.0, *lambdas.tolist()]
+    worst = max(_relative_error(_cp1_ratio, p, lam, _FLOAT_KIT) for lam in lambdas)
     assert worst <= REL_BOUND

@@ -1,10 +1,10 @@
-"""The per-thread workspace that long runs take their temporaries from.
+"""The per-thread workspace that long runs and searches take their temporaries from.
 
-A guarded run's guard and the doomsday test write their T x n temporaries
-into the calling thread's workspace when the matrix has at least
-``core._WORKSPACE_MIN_ENTRIES`` entries, and allocate them below that.
-Either way the results are the same bits, and no returned array is a view
-of a workspace buffer.
+A guarded run's guard and the doomsday test write their T x n temporaries,
+and a search's grid scan one block's, into the calling thread's workspace
+when they have at least ``core._WORKSPACE_MIN_ENTRIES`` entries, and
+allocate them below that.  Either way the results are the same bits, and no
+returned array is a view of a workspace buffer.
 """
 
 import sys
@@ -16,40 +16,25 @@ import pytest
 
 from roundfair import (
     doomsday_trace,
+    guarded_cp2_objective,
+    minimize_alpha,
+    objective_by_name,
     run_guarded,
     run_poly,
+    sweep_tradeoff_curves,
     validate_instance,
 )
 from roundfair import core
 from roundfair.core import DEFAULT_TOL, _WORKSPACE_MIN_ENTRIES
 from roundfair.metrics import _doomsday_ok
-from conftest import late_trip_values
+from conftest import in_new_thread, late_trip_values
 
 #: Rounds of a two-agent instance at the threshold.
 LONG = _WORKSPACE_MIN_ENTRIES // 2
 
 
-def _in_new_thread(fn, *args):
-    """``fn(*args)`` on a thread of its own, which starts with no workspace."""
-    out = {}
-
-    def body():
-        try:
-            out["value"] = fn(*args)
-        except Exception as exc:  # raised again on the calling thread
-            out["error"] = exc
-
-    thread = threading.Thread(target=body)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
 def _workspace():
-    return getattr(core._run_local, "workspace", None)
+    return getattr(core._workspace_local, "workspace", None)
 
 
 def _late_trip(seed, rounds):
@@ -108,7 +93,7 @@ class TestWorkspaceReuse:
             assert trace.critical_event == again.critical_event is not None
             return count, kept, _workspace()._buffers
 
-        count, kept, buffers = _in_new_thread(twice)
+        count, kept, buffers = in_new_thread(twice)
         assert count == len(buffers) == 4
         assert all(ref() is b for ref, b in zip(kept, buffers))
         # Two float and two bool temporaries of the run's shape.
@@ -124,11 +109,11 @@ class TestWorkspaceReuse:
             run_poly(short, 2.0)
             return _workspace()
 
-        assert _in_new_thread(run_short) is None
+        assert in_new_thread(run_short) is None
 
     def test_run_at_the_threshold_makes_one(self):
         inst = _late_trip(6, LONG)
-        assert _in_new_thread(lambda: (run_guarded(inst, 2.7), _workspace())[1]) is not None
+        assert in_new_thread(lambda: (run_guarded(inst, 2.7), _workspace())[1]) is not None
 
     @pytest.mark.parametrize("p", [2.7, 1.0, None])
     def test_returned_arrays_share_no_workspace_memory(self, p):
@@ -141,7 +126,7 @@ class TestWorkspaceReuse:
             )
             return trace, flags, _workspace()
 
-        trace, flags, workspace = _in_new_thread(run)
+        trace, flags, workspace = in_new_thread(run)
         returned = [
             trace.allocation.fractions,
             trace.allocation.row_sums,
@@ -180,8 +165,8 @@ class TestKitsAgree:
         return records
 
     def test_runs_and_traces(self, monkeypatch):
-        allocating = _in_new_thread(self._records, monkeypatch, np.inf)
-        workspace = _in_new_thread(self._records, monkeypatch, 0)
+        allocating = in_new_thread(self._records, monkeypatch, np.inf)
+        workspace = in_new_thread(self._records, monkeypatch, 0)
         assert allocating == workspace
         events = {name: record[2] for name, record in workspace.items()}
         assert events["round-0-trip"].round_index == 0
@@ -198,8 +183,8 @@ class TestKitsAgree:
             out = [_doomsday_ok(u, rem, target, tol).tolist() for tol in (0.0, DEFAULT_TOL)]
             return out + [_doomsday_ok(u[0], rem[0], target, 0.0).tolist()]
 
-        allocating = _in_new_thread(flags, np.inf)
-        assert allocating == _in_new_thread(flags, 0)
+        allocating = in_new_thread(flags, np.inf)
+        assert allocating == in_new_thread(flags, 0)
         # The states both pass and fail.
         assert 0 < sum(allocating[0]) < rounds
 
@@ -212,7 +197,7 @@ def test_threads_running_at_once_match_their_serial_results():
         (_round_zero_trip(2 * LONG), 5.0),
         (_dirichlet(16, 2, 2 * LONG), 1.0),
     ]
-    serial = [_in_new_thread(_run_record, inst, p) for inst, p in instances]
+    serial = [in_new_thread(_run_record, inst, p) for inst, p in instances]
     start = threading.Barrier(len(instances), timeout=60)
     results = [None] * len(instances)
     failures = []
@@ -238,3 +223,73 @@ def test_threads_running_at_once_match_their_serial_results():
     assert not failures, failures
     for k, records in enumerate(results):
         assert all(record == serial[k] for record in records), k
+
+
+def _search_record(objective):
+    result = minimize_alpha(objective)
+    return result, [
+        float(x).hex() for x in (*result.argmin, result.value, *result.grid_point, result.grid_value)
+    ]
+
+
+class _Poisoned(core._Workspace):
+    """A workspace that fills every buffer it calls free with 0xFF bytes, a
+    NaN in float64, before each step takes one.  A buffer called free while
+    a view of it is still live, or a step that reads what it did not write,
+    then changes the results."""
+
+    def _take(self, shape, dtype, order="C"):
+        for i in self._free():
+            self._buffers[i].fill(0xFF)
+        return super()._take(shape, dtype, order)
+
+
+#: The six searches the benchmark runs, by name and exponent.
+SIX_SEARCHES = (
+    ("proportional", None),
+    ("poly-two-round", 2.0),
+    ("poly-two-round-diagonal", 2.0),
+    ("guarded-cp1", 2.7),
+    ("guarded-cp2-mixed", 2.7),
+    ("guarded-cp2-both-above", 2.7),
+)
+
+
+def _workspace_users(workspace):
+    """The six searches, the 101-exponent sweep and a 10^5-round guarded run
+    with its doomsday trace, on a thread whose workspace is ``workspace``."""
+    core._workspace_local.workspace = workspace
+    searches = [_search_record(objective_by_name(name, p)) for name, p in SIX_SEARCHES]
+    sweep = sweep_tradeoff_curves([round(2.0 + 0.01 * k, 2) for k in range(101)])
+    rows = [(row.p, row.no_cp_alpha.hex(), row.with_cp_alpha.hex()) for row in sweep]
+    run = _run_record(_late_trip(18, 100_000), 2.7)
+    assert len(workspace._buffers) <= 8
+    return searches, rows, run
+
+
+def test_poisoned_free_buffers_change_no_output():
+    plain = in_new_thread(_workspace_users, core._Workspace())
+    poisoned = in_new_thread(_workspace_users, _Poisoned())
+    assert poisoned == plain
+    # The run trips late, and its doomsday trace is read whole.
+    assert plain[2][2].round_index > 80_000
+
+
+@pytest.mark.parametrize("first", ["run", "search"])
+def test_runs_and_searches_share_one_workspace(first):
+    # A long guarded run and the largest search, one after the other on one
+    # thread, give the bits each gives alone, and the thread's workspace
+    # holds no more buffers than either needs at once.
+    inst = _late_trip(17, 3 * LONG)
+    objective = guarded_cp2_objective(2.7, "both_above")
+    jobs = {"run": lambda: _run_record(inst, 2.7), "search": lambda: _search_record(objective)}
+    alone = {name: in_new_thread(job) for name, job in jobs.items()}
+    order = [first] + [name for name in jobs if name != first]
+
+    def both():
+        records = {name: jobs[name]() for name in order}
+        return records, len(_workspace()._buffers)
+
+    records, buffers = in_new_thread(both)
+    assert records == alone
+    assert buffers <= 8
